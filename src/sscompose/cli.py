@@ -133,6 +133,9 @@ def _load_batch(batch_dir):
         raise FileNotFoundError(f"no batch.json in {batch_dir}")
     with open(batch_path) as fh:
         batch = json.load(fh)
+    if not isinstance(batch, dict) or not isinstance(batch.get("pieces"), list):
+        raise ValueError(f"{batch_path} is not a batch file: it needs a JSON object "
+                         "with a \"pieces\" list")
     tpq = batch.get("ticks_per_quarter", 480)
     step = tpq // 2
     pieces, problems = [], []

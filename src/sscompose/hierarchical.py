@@ -24,7 +24,6 @@ from .hmm import (
     HmmParams,
     _as_rng,
     _check_obs,
-    _converged,
     _draw,
     _pairwise_sum,
     _posteriors,
@@ -32,6 +31,7 @@ from .hmm import (
     baum_welch,
     log_likelihood,
     random_params,
+    run_em,
     sample,
     viterbi,
 )
@@ -123,17 +123,8 @@ def train_tshmm(obs, m1, m2, n_symbols, init=None, seed=None,
     obs = _check_obs(obs, n_symbols)
     if init is None:
         init = random_tshmm_params(m1, m2, n_symbols, seed)
-    params = init
-    report = FitReport(seed=seed if isinstance(seed, int) else None)
-    for _ in range(max_iter):
-        new, loglik = tshmm_em_step(params, obs)
-        report.log_likelihood_trace.append(loglik)
-        report.iterations += 1
-        if _converged(report.log_likelihood_trace, tol):
-            report.converged = True
-            break
-        params = new
-    return params, report
+    # resolve tshmm_em_step at each step, so a replaced module attribute is the one called
+    return run_em(lambda params: tshmm_em_step(params, obs), init, tol, max_iter, seed)
 
 
 def sample_tshmm(params, length, seed):
@@ -149,9 +140,9 @@ def sample_tshmm(params, length, seed):
 @dataclass
 class FhmmParams:
     chain_sizes: tuple
-    chain_initials: list    # one (n_j,) vector per chain
-    chain_transitions: list  # one (n_j, n_j) matrix per chain
-    emission: np.ndarray    # (n_levels, K), row = rounded mean ordinal - 1
+    chain_initials: list[np.ndarray]     # one (n_j,) vector per chain
+    chain_transitions: list[np.ndarray]  # one (n_j, n_j) matrix per chain
+    emission: np.ndarray                 # (n_levels, K), row = rounded mean ordinal - 1
 
     @property
     def n_symbols(self):
@@ -245,17 +236,7 @@ def train_fhmm(obs, chain_sizes, n_symbols, init=None, seed=None,
     if init.n_product > product_cap:
         raise ValueError(f"product state space {init.n_product} exceeds cap {product_cap}; "
                          "structured approximations are out of scope")
-    params = init
-    report = FitReport(seed=seed if isinstance(seed, int) else None)
-    for _ in range(max_iter):
-        new, loglik = _fhmm_em_step(params, obs)
-        report.log_likelihood_trace.append(loglik)
-        report.iterations += 1
-        if _converged(report.log_likelihood_trace, tol):
-            report.converged = True
-            break
-        params = new
-    return params, report
+    return run_em(lambda params: _fhmm_em_step(params, obs), init, tol, max_iter, seed)
 
 
 def sample_fhmm(params, length, seed):
@@ -269,8 +250,8 @@ def sample_fhmm(params, length, seed):
 
 @dataclass
 class LhmmParams:
-    layers: list            # layers[0] emits pitches; layer l emits layer l-1 states
-    layer_reports: list = field(default_factory=list)
+    layers: list[HmmParams]  # layers[0] emits pitches; layer l emits layer l-1 states
+    layer_reports: list = field(default_factory=list, metadata={"persist": False})
     warnings: list = field(default_factory=list)
 
     @property

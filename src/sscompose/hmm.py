@@ -4,7 +4,9 @@ Scaled (normalized-alpha) forward-backward, Baum-Welch with optional
 transition masks, Viterbi, ancestral sampling and the random-parameter
 baseline.  The private helpers operate on a per-time observation
 likelihood matrix so variants with richer emission structure can reuse
-the same recursions.
+the same recursions.  ``run_em`` is the EM loop every model kind shares:
+each trainer hands it a step function and gets back the fitted parameters
+and the FitReport.
 """
 
 from __future__ import annotations
@@ -148,11 +150,29 @@ def log_likelihood(params, obs):
     return loglik
 
 
-def _converged(trace, tol):
-    if len(trace) < 2:
-        return False
-    prev, cur = trace[-2], trace[-1]
-    return abs(cur - prev) < tol * max(1.0, abs(prev))
+def run_em(step, params, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, seed=None):
+    """The EM loop shared by every model kind.
+
+    step(params) returns (next_params, log-likelihood of params).  The loop
+    stops at the first log-likelihood whose change from the previous one is
+    below tol * max(1, |previous|) and then returns the parameters that
+    log-likelihood belongs to; after max_iter steps without converging it
+    returns the last step's next_params.  The seed is recorded in the
+    report only when it is an int.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    report = FitReport(seed=seed if isinstance(seed, int) else None)
+    trace = report.log_likelihood_trace
+    for _ in range(max_iter):
+        new, loglik = step(params)
+        trace.append(loglik)
+        report.iterations += 1
+        if len(trace) > 1 and abs(loglik - trace[-2]) < tol * max(1.0, abs(trace[-2])):
+            report.converged = True
+            break
+        params = new
+    return params, report
 
 
 def baum_welch(init, obs, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
@@ -162,32 +182,27 @@ def baum_welch(init, obs, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     transition_mask zeroes out (and keeps zero) disallowed transitions;
     the left-right and zero-self-transition variants rely on it.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     obs = _check_obs(obs, init.n_symbols)
     n, K = init.n_states, init.n_symbols
     mask = np.ones((n, n)) if transition_mask is None else np.asarray(transition_mask, dtype=float)
-    params = HmmParams(init.initial.copy(), init.transition.copy(), init.emission.copy())
-    report = FitReport(seed=seed)
-    for _ in range(max_iter):
+
+    def step(params):
         obs_lik = params.emission[:, obs].T
         loglik, alpha, beta, scale, gamma = _posteriors(params.initial, params.transition, obs_lik)
-        report.log_likelihood_trace.append(loglik)
-        report.iterations += 1
-        if _converged(report.log_likelihood_trace, tol):
-            report.converged = True
-            break
         trans_acc = _pairwise_sum(alpha, beta, scale, params.transition, obs_lik)
         trans_acc = trans_acc * mask + SMOOTHING * mask
         emis_acc = np.zeros((n, K))
         np.add.at(emis_acc.T, obs, gamma)
         emis_acc += SMOOTHING
-        params = HmmParams(
+        new = HmmParams(
             gamma[0],
             trans_acc / trans_acc.sum(axis=1, keepdims=True),
             emis_acc / emis_acc.sum(axis=1, keepdims=True),
         )
-    return params, report
+        return new, loglik
+
+    start = HmmParams(init.initial.copy(), init.transition.copy(), init.emission.copy())
+    return run_em(step, start, tol, max_iter, seed)
 
 
 def viterbi(params, obs):

@@ -4,24 +4,37 @@ The file embeds everything a later session needs to regenerate or
 re-evaluate deterministically: the model kind and options, the pitch
 alphabet, the full parameter arrays (written via Python's repr-level
 float formatting, 17 significant digits), the fit report and the
-training symbol sequence.
+training symbol sequence.  The spec, report and parameters are written
+from their dataclass fields in declaration order and read back by the
+fields' type hints; the parameters carry the tag registry.PARAM_TYPES
+gives their type.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import hierarchical, hmm, semimarkov, tvar, variants
+from .hmm import FitReport
 from .midi_codec import PitchAlphabet
-from .registry import REGISTRY, ModelSpec, TrainedModel
+from .registry import PARAM_TYPES, REGISTRY, ModelSpec, TrainedModel
 
 FORMAT_NAME = "sscompose-model"
 FORMAT_VERSION = 1
+PARAM_TAGS = {tag: cls for cls, (tag, _, _) in PARAM_TYPES.items()}
+
+
+def _persisted(cls):
+    """Fields written to the file; metadata {"persist": False} keeps one out."""
+    return [f for f in fields(cls) if f.metadata.get("persist", True)]
 
 
 def _jsonable(value):
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in _persisted(value)}
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (np.integer,)):
@@ -35,122 +48,57 @@ def _jsonable(value):
     return value
 
 
-def _hmm_dict(p):
-    return {"initial": p.initial.tolist(), "transition": p.transition.tolist(),
-            "emission": p.emission.tolist()}
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise ValueError(f"corrupt model file: {where} is not a JSON object")
+    return value
 
 
-def _params_dict(params):
-    if isinstance(params, hmm.HmmParams):
-        return {"param_type": "hmm", **_hmm_dict(params)}
-    if isinstance(params, variants.KhmmParams):
-        return {"param_type": "khmm", "order": params.order, "n_states": params.n_states,
-                "initial": params.initial.tolist(),
-                "init_transitions": [t.tolist() for t in params.init_transitions],
-                "transition": params.transition.tolist(),
-                "emission": params.emission.tolist()}
-    if isinstance(params, variants.ArhmmParams):
-        return {"param_type": "arhmm", "initial": params.initial.tolist(),
-                "transition": params.transition.tolist(),
-                "emission": params.emission.tolist(),
-                "init_emission": params.init_emission.tolist()}
-    if isinstance(params, semimarkov.HsmmParams):
-        return {"param_type": "hsmm", "initial": params.initial.tolist(),
-                "transition": params.transition.tolist(),
-                "emission": params.emission.tolist(),
-                "duration": params.duration.tolist()}
-    if isinstance(params, semimarkov.NshmmParams):
-        return {"param_type": "nshmm", "initial": params.initial.tolist(),
-                "switch": params.switch.tolist(), "emission": params.emission.tolist(),
-                "stay_profile": params.stay_profile.tolist()}
-    if isinstance(params, hierarchical.TshmmParams):
-        return {"param_type": "tshmm", "m1": params.m1, "m2": params.m2,
-                "C": params.C.tolist(), "D": params.D.tolist(),
-                "initial": params.initial.tolist(), "emission": params.emission.tolist()}
-    if isinstance(params, hierarchical.FhmmParams):
-        return {"param_type": "fhmm", "chain_sizes": list(params.chain_sizes),
-                "chain_initials": [v.tolist() for v in params.chain_initials],
-                "chain_transitions": [m.tolist() for m in params.chain_transitions],
-                "emission": params.emission.tolist()}
-    if isinstance(params, hierarchical.LhmmParams):
-        return {"param_type": "lhmm",
-                "layers": [_hmm_dict(layer) for layer in params.layers],
-                "warnings": list(params.warnings)}
-    if isinstance(params, tvar.TvarFit):
-        return {"param_type": "tvar", "order": params.order,
-                "state_discount": params.state_discount,
-                "var_discount": params.var_discount,
-                "coeff_means": params.coeff_means.tolist(),
-                "coeff_covs": params.coeff_covs.tolist(),
-                "s": params.s.tolist(), "dof": params.dof.tolist(),
-                "log_marginal": params.log_marginal,
-                "series": params.series.tolist()}
-    raise TypeError(f"cannot serialize parameters of type {type(params).__name__}")
+def _decode(cls, data, where):
+    """Rebuild a dataclass; a field with a default may be absent from the file."""
+    data = _object(data, where)
+    hints = get_type_hints(cls)
+    values = {}
+    for f in _persisted(cls):
+        if f.name in data:
+            values[f.name] = _decode_value(hints[f.name], data[f.name], f"{where}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return cls(**values)
 
 
-def _params_from_dict(d):
-    kind = d["param_type"]
-    arr = np.asarray
-    if kind == "hmm":
-        return hmm.HmmParams(arr(d["initial"]), arr(d["transition"]), arr(d["emission"]))
-    if kind == "khmm":
-        return variants.KhmmParams(d["order"], d["n_states"], arr(d["initial"]),
-                                   [arr(t) for t in d["init_transitions"]],
-                                   arr(d["transition"]), arr(d["emission"]))
-    if kind == "arhmm":
-        return variants.ArhmmParams(arr(d["initial"]), arr(d["transition"]),
-                                    arr(d["emission"]), arr(d["init_emission"]))
-    if kind == "hsmm":
-        return semimarkov.HsmmParams(arr(d["initial"]), arr(d["transition"]),
-                                     arr(d["emission"]), arr(d["duration"]))
-    if kind == "nshmm":
-        return semimarkov.NshmmParams(arr(d["initial"]), arr(d["switch"]),
-                                      arr(d["emission"]), arr(d["stay_profile"]))
-    if kind == "tshmm":
-        return hierarchical.TshmmParams(d["m1"], d["m2"], arr(d["C"]), arr(d["D"]),
-                                        arr(d["initial"]), arr(d["emission"]))
-    if kind == "fhmm":
-        return hierarchical.FhmmParams(tuple(d["chain_sizes"]),
-                                       [arr(v) for v in d["chain_initials"]],
-                                       [arr(m) for m in d["chain_transitions"]],
-                                       arr(d["emission"]))
-    if kind == "lhmm":
-        layers = [hmm.HmmParams(arr(h["initial"]), arr(h["transition"]), arr(h["emission"]))
-                  for h in d["layers"]]
-        return hierarchical.LhmmParams(layers, warnings=list(d.get("warnings", [])))
-    if kind == "tvar":
-        return tvar.TvarFit(d["order"], d["state_discount"], d["var_discount"],
-                            arr(d["coeff_means"]), arr(d["coeff_covs"]),
-                            arr(d["s"]), arr(d["dof"]), d["log_marginal"],
-                            series=arr(d["series"]))
-    raise ValueError(f"unknown parameter type {kind!r} in model file")
+def _decode_value(hint, value, where):
+    if hint is np.ndarray:
+        return np.asarray(value)
+    if hint is tuple:
+        return tuple(value)
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+        return [_decode_value(item, v, where) for v in value]
+    if is_dataclass(hint):
+        return _decode(hint, value, where)
+    return value
 
 
 def model_to_dict(model):
-    report = None
-    if model.report is not None:
-        report = {
-            "log_likelihood_trace": list(model.report.log_likelihood_trace),
-            "iterations": model.report.iterations,
-            "converged": model.report.converged,
-            "seed": model.report.seed,
-        }
+    if type(model.params) not in PARAM_TYPES:
+        raise TypeError(f"cannot serialize parameters of type {type(model.params).__name__}")
+    tag, _, _ = PARAM_TYPES[type(model.params)]
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "spec": {"name": model.spec.name, "kind": model.spec.kind,
-                 "description": model.spec.description,
-                 "options": _jsonable(model.spec.options)},
+        "spec": _jsonable(model.spec),
         "alphabet": model.alphabet.symbols.tolist(),
         "seed": model.seed,
         "training_symbols": model.training_symbols.tolist(),
-        "report": report,
+        "report": _jsonable(model.report),
         "extra": _jsonable(model.extra),
-        "params": _params_dict(model.params),
+        "params": {"param_type": tag, **_jsonable(model.params)},
     }
 
 
 def model_from_dict(data):
+    _object(data, "the top level")
     if data.get("format") != FORMAT_NAME:
         raise ValueError("not a model file (missing or wrong format marker)")
     if data.get("version") != FORMAT_VERSION:
@@ -162,21 +110,19 @@ def model_from_dict(data):
 
 
 def _model_from_dict_checked(data):
-    sd = data["spec"]
-    spec = REGISTRY.get(sd["name"])
-    if spec is None or spec.kind != sd["kind"]:
-        spec = ModelSpec(sd["name"], sd["kind"], sd.get("description", ""),
-                         dict(sd.get("options", {})))
-    report = None
-    if data.get("report") is not None:
-        rd = data["report"]
-        report = hmm.FitReport(list(rd["log_likelihood_trace"]), rd["iterations"],
-                               rd["converged"], rd.get("seed"))
+    spec = _decode(ModelSpec, data["spec"], "spec")
+    registered = REGISTRY.get(spec.name)
+    if registered is not None and registered.kind == spec.kind:
+        spec = registered
+    tag = _object(data["params"], "params")["param_type"]
+    if not isinstance(tag, str) or tag not in PARAM_TAGS:
+        raise ValueError(f"unknown parameter type {tag!r} in model file")
+    report = data.get("report")
     return TrainedModel(
         spec,
         PitchAlphabet(np.asarray(data["alphabet"], dtype=np.int64)),
-        _params_from_dict(data["params"]),
-        report,
+        _decode(PARAM_TAGS[tag], data["params"], "params"),
+        None if report is None else _decode(FitReport, report, "report"),
         np.asarray(data["training_symbols"], dtype=np.int64),
         data.get("seed"),
         dict(data.get("extra", {})),

@@ -145,69 +145,45 @@ def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
                         seed if isinstance(seed, int) else None, extra)
 
 
+# Parameter dataclass -> (model-file tag, log-likelihood(params, obs),
+# symbol sampler(params, length, seed)).  Model kinds that share a parameter
+# type share its entry: "random" fits HmmParams, "lrhmm" HmmParams or
+# KhmmParams.  TVAR's sampler draws a real-valued series, not symbols, and
+# resolves tvar.backward_sample when it is called.
+PARAM_TYPES = {
+    hmm.HmmParams: ("hmm", hmm.log_likelihood, hmm.sample),
+    variants.KhmmParams: ("khmm", variants.khmm_log_likelihood, variants.sample_khmm),
+    variants.ArhmmParams: ("arhmm", variants.arhmm_log_likelihood, variants.sample_arhmm),
+    semimarkov.HsmmParams: ("hsmm", semimarkov.hsmm_log_likelihood, semimarkov.sample_hsmm),
+    semimarkov.NshmmParams: ("nshmm", semimarkov.nshmm_log_likelihood,
+                             semimarkov.sample_nshmm),
+    hierarchical.TshmmParams: ("tshmm", hierarchical.tshmm_log_likelihood,
+                               hierarchical.sample_tshmm),
+    hierarchical.FhmmParams: ("fhmm", hierarchical.fhmm_log_likelihood,
+                              hierarchical.sample_fhmm),
+    hierarchical.LhmmParams: ("lhmm", hierarchical.lhmm_log_likelihood,
+                              hierarchical.sample_lhmm),
+    tvar.TvarFit: ("tvar", lambda params, obs: params.log_marginal,
+                   lambda params, length, seed: tvar.backward_sample(params, length, seed)),
+}
+
+
 def model_log_likelihood(model, obs=None):
-    """Training-sequence log-likelihood of a fitted model (None for TVAR,
-    where the grid-search log marginal is reported instead)."""
+    """Training-sequence log-likelihood of a fitted model (for TVAR, the
+    grid-search log marginal)."""
     if obs is None:
         obs = model.training_symbols
-    kind = model.kind
-    if kind in ("hmm", "random"):
-        return hmm.log_likelihood(model.params, obs)
-    if kind in ("khmm",):
-        return variants.khmm_log_likelihood(model.params, obs)
-    if kind == "lrhmm":
-        p = model.params
-        if isinstance(p, variants.KhmmParams):
-            return variants.khmm_log_likelihood(p, obs)
-        return hmm.log_likelihood(p, obs)
-    if kind == "arhmm":
-        return variants.arhmm_log_likelihood(model.params, obs)
-    if kind == "hsmm":
-        return semimarkov.hsmm_log_likelihood(model.params, obs)
-    if kind == "nshmm":
-        return semimarkov.nshmm_log_likelihood(model.params, obs)
-    if kind == "tshmm":
-        return hierarchical.tshmm_log_likelihood(model.params, obs)
-    if kind == "fhmm":
-        return hierarchical.fhmm_log_likelihood(model.params, obs)
-    if kind == "lhmm":
-        return hierarchical.lhmm_log_likelihood(model.params, obs)
-    if kind == "tvar":
-        return model.params.log_marginal
-    raise ValueError(f"unhandled model kind {kind!r}")
+    _, log_likelihood, _ = PARAM_TYPES[type(model.params)]
+    return log_likelihood(model.params, obs)
 
 
 def sample_model(model, length, seed):
     """Draw a new pitch array of the given length from the fitted model."""
-    kind = model.kind
-    if kind in ("hmm", "random"):
-        symbols = hmm.sample(model.params, length, seed)
-    elif kind == "khmm":
-        symbols = variants.sample_khmm(model.params, length, seed)
-    elif kind == "lrhmm":
-        p = model.params
-        if isinstance(p, variants.KhmmParams):
-            symbols = variants.sample_khmm(p, length, seed)
-        else:
-            symbols = hmm.sample(p, length, seed)
-    elif kind == "arhmm":
-        symbols = variants.sample_arhmm(model.params, length, seed)
-    elif kind == "hsmm":
-        symbols = semimarkov.sample_hsmm(model.params, length, seed)
-    elif kind == "nshmm":
-        symbols = semimarkov.sample_nshmm(model.params, length, seed)
-    elif kind == "tshmm":
-        symbols = hierarchical.sample_tshmm(model.params, length, seed)
-    elif kind == "fhmm":
-        symbols = hierarchical.sample_fhmm(model.params, length, seed)
-    elif kind == "lhmm":
-        symbols = hierarchical.sample_lhmm(model.params, length, seed)
-    elif kind == "tvar":
-        real = tvar.backward_sample(model.params, length, seed)
-        return tvar.bin_to_alphabet(real, model.alphabet)
-    else:
-        raise ValueError(f"unhandled model kind {kind!r}")
-    return model.alphabet.to_pitches(symbols)
+    _, _, sampler = PARAM_TYPES[type(model.params)]
+    draw = sampler(model.params, length, seed)
+    if isinstance(model.params, tvar.TvarFit):
+        return tvar.bin_to_alphabet(draw, model.alphabet)
+    return model.alphabet.to_pitches(draw)
 
 
 def sample_sequence(model, length, seed, ticks_per_quarter=480, name=""):

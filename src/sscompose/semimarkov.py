@@ -21,12 +21,11 @@ from .hmm import (
     SMOOTHING,
     DEFAULT_TOL,
     DEFAULT_MAX_ITER,
-    FitReport,
     ZeroProbabilityError,
     _as_rng,
     _check_obs,
-    _converged,
     _draw,
+    run_em,
 )
 
 # ---------------------------------------------------------------------------
@@ -180,17 +179,7 @@ def train_hsmm(obs, n_states, n_symbols, d_max, init=None, seed=None,
         raise ValueError("d_max must be smaller than the sequence length")
     if init is None:
         init = random_hsmm_params(n_states, n_symbols, d_max, seed)
-    params = init
-    report = FitReport(seed=seed if isinstance(seed, int) else None)
-    for _ in range(max_iter):
-        new, loglik = _hsmm_em_step(params, obs)
-        report.log_likelihood_trace.append(loglik)
-        report.iterations += 1
-        if _converged(report.log_likelihood_trace, tol):
-            report.converged = True
-            break
-        params = new
-    return params, report
+    return run_em(lambda params: _hsmm_em_step(params, obs), init, tol, max_iter, seed)
 
 
 def sample_hsmm(params, length, seed):

@@ -17,17 +17,16 @@ from .hmm import (
     SMOOTHING,
     DEFAULT_TOL,
     DEFAULT_MAX_ITER,
-    FitReport,
     HmmParams,
     ZeroProbabilityError,
     _as_rng,
     _check_obs,
-    _converged,
     _draw,
     _pairwise_sum,
     _posteriors,
     _scaled_forward,
     baum_welch,
+    run_em,
 )
 
 DEFAULT_STATE_CAP = 10_000
@@ -41,10 +40,10 @@ DEFAULT_STATE_CAP = 10_000
 class KhmmParams:
     order: int
     n_states: int
-    initial: np.ndarray               # (n,)
-    init_transitions: list            # step i in 2..k: (n^(i-1), n)
-    transition: np.ndarray            # (n^k, n): p(z_t | previous k states)
-    emission: np.ndarray              # (n, K)
+    initial: np.ndarray                 # (n,)
+    init_transitions: list[np.ndarray]  # step i in 2..k: (n^(i-1), n)
+    transition: np.ndarray              # (n^k, n): p(z_t | previous k states)
+    emission: np.ndarray                # (n, K)
 
     @property
     def n_symbols(self):
@@ -209,17 +208,7 @@ def train_khmm(obs, n_states, order, n_symbols, init=None, seed=None,
         masks.append(_lr_tuple_mask(n_states, rows) if left_right else np.ones((rows, n_states)))
     rows = n_states ** order
     masks.append(_lr_tuple_mask(n_states, rows) if left_right else np.ones((rows, n_states)))
-    params = init
-    report = FitReport(seed=seed if isinstance(seed, int) else None)
-    for _ in range(max_iter):
-        new, loglik = _khmm_em_step(params, obs, masks)
-        report.log_likelihood_trace.append(loglik)
-        report.iterations += 1
-        if _converged(report.log_likelihood_trace, tol):
-            report.converged = True
-            break
-        params = new
-    return params, report
+    return run_em(lambda params: _khmm_em_step(params, obs, masks), init, tol, max_iter, seed)
 
 
 def sample_khmm(params, length, seed):
@@ -278,8 +267,7 @@ def train_lrhmm(obs, n_states, n_symbols, order=1, init=None, seed=None,
     if init is None:
         init = random_lr_params(n_states, n_symbols, seed)
     return baum_welch(init, obs, tol=tol, max_iter=max_iter,
-                      transition_mask=lr_transition_mask(n_states),
-                      seed=seed if isinstance(seed, int) else None)
+                      transition_mask=lr_transition_mask(n_states), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -336,30 +324,26 @@ def train_arhmm(obs, n_states, n_symbols, init=None, seed=None,
         raise ValueError("ARHMM needs at least 2 observations")
     if init is None:
         init = random_arhmm_params(n_states, n_symbols, seed)
-    params = init
     n, K = n_states, n_symbols
-    report = FitReport(seed=seed if isinstance(seed, int) else None)
-    for _ in range(max_iter):
+
+    def step(params):
         obs_lik = _arhmm_obs_lik(params, obs)
         loglik, alpha, beta, scale, gamma = _posteriors(params.initial, params.transition, obs_lik)
-        report.log_likelihood_trace.append(loglik)
-        report.iterations += 1
-        if _converged(report.log_likelihood_trace, tol):
-            report.converged = True
-            break
         trans_acc = _pairwise_sum(alpha, beta, scale, params.transition, obs_lik) + SMOOTHING
         emis_acc = np.zeros((n, K, K))
         np.add.at(emis_acc.transpose(1, 2, 0), (obs[:-1], obs[1:]), gamma[1:])
         emis_acc += SMOOTHING
         init_emis_acc = np.full((n, K), SMOOTHING)
         init_emis_acc[:, obs[0]] += gamma[0]
-        params = ArhmmParams(
+        new = ArhmmParams(
             gamma[0],
             trans_acc / trans_acc.sum(axis=1, keepdims=True),
             emis_acc / emis_acc.sum(axis=2, keepdims=True),
             init_emis_acc / init_emis_acc.sum(axis=1, keepdims=True),
         )
-    return params, report
+        return new, loglik
+
+    return run_em(step, init, tol, max_iter, seed)
 
 
 def sample_arhmm(params, length, seed):

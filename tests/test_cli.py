@@ -147,6 +147,26 @@ def test_missing_batch_dir_clean_error(tmp_path, toy_piece, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ['{"model": "M1"}', '["pieces/piece_0000.txt"]'])
+@pytest.mark.parametrize("command", ["evaluate", "export"])
+def test_malformed_batch_json_clean_error(tmp_path, toy_piece, capsys, command, content):
+    piece, _ = toy_piece
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "batch.json").write_text(content)
+    assert _run(command, "--input", piece, "--batch", batch, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "pieces" in err[0]
+
+
+@pytest.mark.parametrize("model", ["M2", "M5", "M7", "M8", "M10", "M12", "M13"])
+def test_zero_tol_rejected_for_every_em_kind(tmp_path, toy_piece, capsys, model):
+    piece, _ = toy_piece
+    assert _run("train", "--input", piece, "--model", model, "--tol", "0",
+                "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err.strip().splitlines() == ["error: tol must be positive"]
+
+
 def test_parse_error_nonzero_exit(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1, 0, Note_on_c, 0, 60, 80\n")  # no header

@@ -99,6 +99,64 @@ def test_baum_welch_rejects_bad_tol():
         hmm.baum_welch(init, [0, 1], tol=0.0)
 
 
+def _scripted_step(logliks):
+    """A fake EM step: the parameters are the iteration index and the
+    log-likelihood of parameters i is logliks[i]."""
+    calls = []
+
+    def step(params):
+        calls.append(params)
+        return params + 1, logliks[params]
+
+    return step, calls
+
+
+def test_run_em_stops_at_first_small_relative_change():
+    # changes of 0.5 are below tol * |previous| at -1e6 but not at -10
+    logliks = [-20.0, -10.0, -9.5, -1e6, -1e6 + 0.5, -1e6 + 0.6, -1e6 + 0.7]
+    step, calls = _scripted_step(logliks)
+    params, report = hmm.run_em(step, 0, tol=1e-6, max_iter=50, seed=4)
+    assert calls == [0, 1, 2, 3, 4]
+    assert report.log_likelihood_trace == logliks[:5]
+    assert report.iterations == 5 and report.converged
+    # the returned parameters are the ones whose log-likelihood ends the trace
+    assert params == 4
+    assert logliks[params] == report.final_log_likelihood
+
+
+def test_run_em_max_iter_returns_last_step_output():
+    step, calls = _scripted_step([-100.0, -50.0, -25.0, -12.0])
+    params, report = hmm.run_em(step, 0, tol=1e-6, max_iter=3)
+    assert calls == [0, 1, 2]
+    assert report.iterations == 3 and not report.converged
+    assert report.log_likelihood_trace == [-100.0, -50.0, -25.0]
+    assert params == 3
+
+
+def test_run_em_zero_iterations_returns_initial():
+    init = object()
+    params, report = hmm.run_em(lambda p: pytest.fail("step must not run"), init,
+                                max_iter=0, seed=1)
+    assert params is init
+    assert report.iterations == 0 and report.log_likelihood_trace == []
+    assert not report.converged
+
+
+@pytest.mark.parametrize("seed,recorded", [
+    (7, 7), (None, None), (np.random.default_rng(7), None),
+])
+def test_run_em_records_only_int_seeds(seed, recorded):
+    step, _ = _scripted_step([-3.0, -2.0])
+    _, report = hmm.run_em(step, 0, max_iter=2, seed=seed)
+    assert report.seed == recorded
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6])
+def test_run_em_rejects_non_positive_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        hmm.run_em(lambda p: pytest.fail("step must not run"), 0, tol=tol)
+
+
 def test_fitted_params_valid():
     rng = np.random.default_rng(3)
     obs = rng.integers(0, 3, 100)

@@ -62,6 +62,7 @@ def test_sample_sequence_shape():
 @pytest.mark.parametrize("name,kw", [
     ("M1", {"max_iter": 3, "states": 4}),
     ("M2", {"max_iter": 3, "states": 3}),
+    ("M3", {"max_iter": 1, "states": 3}),
     ("M4", {"max_iter": 3, "states": 4}),
     ("M7", {"max_iter": 3, "states": 3}),
     ("M8", {"max_iter": 3, "states": 3, "d_max": 4}),
@@ -77,6 +78,9 @@ def test_save_load_roundtrip_bitexact(tmp_path, name, kw):
     path = tmp_path / f"{name}.json"
     persist.save_model(model, path)
     loaded = persist.load_model(path)
+    resaved = tmp_path / f"{name}_resaved.json"
+    persist.save_model(loaded, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
     before = registry.sample_model(model, 30, seed=11)
     after = registry.sample_model(loaded, 30, seed=11)
     assert np.array_equal(before, after)
@@ -109,6 +113,33 @@ def test_corrupt_model_file_names_field(tmp_path):
     del data["params"]["emission"]
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="emission"):
+        persist.load_model(path)
+
+
+@pytest.mark.parametrize("part", ["top level", "spec", "params", "report"])
+def test_non_object_model_file_part_is_corrupt(tmp_path, part):
+    import json
+    model = registry.train_model("M1", _toy_sequence(), seed=0, max_iter=2, states=3)
+    data = persist.model_to_dict(model)
+    if part == "top level":
+        data = [data]
+    else:
+        data[part] = [data[part]]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=f"corrupt model file: (the )?{part} is not a JSON object"):
+        persist.load_model(path)
+
+
+@pytest.mark.parametrize("tag", ["nope", ["hmm"]])
+def test_unknown_param_type(tmp_path, tag):
+    import json
+    model = registry.train_model("M15", _toy_sequence(), seed=0)
+    data = persist.model_to_dict(model)
+    data["params"]["param_type"] = tag
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="unknown parameter type"):
         persist.load_model(path)
 
 
