@@ -62,7 +62,6 @@ def test_sample_sequence_shape():
 @pytest.mark.parametrize("name,kw", [
     ("M1", {"max_iter": 3, "states": 4}),
     ("M2", {"max_iter": 3, "states": 3}),
-    ("M3", {"max_iter": 1, "states": 3}),
     ("M4", {"max_iter": 3, "states": 4}),
     ("M7", {"max_iter": 3, "states": 3}),
     ("M8", {"max_iter": 3, "states": 3, "d_max": 4}),
@@ -71,6 +70,7 @@ def test_sample_sequence_shape():
     ("M13", {"max_iter": 2, "states": 4}),
     ("M14", {}),
     ("M15", {}),
+    ("M3", {"max_iter": 1, "states": 3}),
 ])
 def test_save_load_roundtrip_bitexact(tmp_path, name, kw):
     seq = _toy_sequence()
