@@ -136,7 +136,12 @@ def _load_batch(batch_dir):
     if not isinstance(batch, dict) or not isinstance(batch.get("pieces"), list):
         raise ValueError(f"{batch_path} is not a batch file: it needs a JSON object "
                          "with a \"pieces\" list")
+    if not all(isinstance(rel, str) for rel in batch["pieces"]):
+        raise ValueError(f"{batch_path}: every \"pieces\" entry must be a file name string")
     tpq = batch.get("ticks_per_quarter", 480)
+    if not isinstance(tpq, int) or isinstance(tpq, bool) or tpq <= 0:
+        raise ValueError(f"{batch_path}: ticks_per_quarter, the pieces' time base, "
+                         f"must be a positive integer, not {tpq!r}")
     step = tpq // 2
     pieces, problems = [], []
     for rel in batch["pieces"]:

@@ -43,7 +43,20 @@ class HmmParams:
     def n_symbols(self):
         return self.emission.shape[1]
 
-    def validate(self, atol=1e-12):
+    def validate(self, atol=1e-12, n_symbols=None):
+        """Raise ValueError unless the shapes agree ((n,), (n, n), (n, K),
+        with K == n_symbols when given) and every row is a distribution."""
+        if (self.initial.ndim, self.transition.ndim, self.emission.ndim) != (1, 2, 2):
+            raise ValueError("initial, transition and emission must have 1, 2 and 2 axes")
+        n = len(self.initial)
+        K = self.emission.shape[1] if n_symbols is None else n_symbols
+        for name, value, shape in (("initial", self.initial, (n,)),
+                                   ("transition", self.transition, (n, n)),
+                                   ("emission", self.emission, (n, K))):
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} has non-finite entries")
         if np.any(self.initial < 0) or np.any(self.transition < 0) or np.any(self.emission < 0):
             raise ValueError("probabilities must be non-negative")
         if abs(self.initial.sum() - 1.0) > atol:

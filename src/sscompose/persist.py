@@ -18,7 +18,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .hmm import FitReport
+from .hmm import FitReport, HmmParams
 from .midi_codec import PitchAlphabet
 from .registry import PARAM_TYPES, REGISTRY, ModelSpec, TrainedModel
 
@@ -118,10 +118,17 @@ def _model_from_dict_checked(data):
     if not isinstance(tag, str) or tag not in PARAM_TAGS:
         raise ValueError(f"unknown parameter type {tag!r} in model file")
     report = data.get("report")
+    alphabet = PitchAlphabet(np.asarray(data["alphabet"], dtype=np.int64))
+    params = _decode(PARAM_TAGS[tag], data["params"], "params")
+    if isinstance(params, HmmParams):
+        try:
+            params.validate(atol=1e-8, n_symbols=alphabet.size)
+        except ValueError as exc:
+            raise ValueError(f"corrupt model file: params: {exc}") from None
     return TrainedModel(
         spec,
-        PitchAlphabet(np.asarray(data["alphabet"], dtype=np.int64)),
-        _decode(PARAM_TAGS[tag], data["params"], "params"),
+        alphabet,
+        params,
         None if report is None else _decode(FitReport, report, "report"),
         np.asarray(data["training_symbols"], dtype=np.int64),
         data.get("seed"),

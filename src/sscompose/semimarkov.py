@@ -230,34 +230,41 @@ class NshmmParams:
 
 
 def _nshmm_forward(params, obs, keep_alphas=False):
-    """Scaled forward on the dwell-augmented chain (state, dwell)."""
+    """Scaled forward on the dwell-augmented chain (state, dwell).
+
+    Returns (loglik, alphas) with alphas the (T, n, D) filtered
+    distributions when keep_alphas, else None.
+    """
     T = len(obs)
     n, D = params.n_states, params.d_max
-    lik = params.emission[:, obs]  # (n, T)
+    lik = params.emission.T[obs][:, :, None]  # (T, n, 1)
     stay = params.stay_profile
-    alpha = np.zeros((n, D))
-    alpha[:, 0] = params.initial * lik[:, 0]
+    leave_prob = 1.0 - stay
+    stay_on, stay_saturated = stay[:, :-1], stay[:, -1]
+    alphas = np.empty((T if keep_alphas else 2, n, D))
+    alpha = alphas[0]
+    alpha.fill(0.0)
+    alpha[:, 0] = params.initial * lik[0, :, 0]
     c0 = alpha.sum()
     if c0 <= 0:
         raise ZeroProbabilityError("sequence has probability zero at step 0")
     alpha /= c0
     loglik = np.log(c0)
-    alphas = [alpha.copy()] if keep_alphas else None
     for t in range(1, T):
-        nxt = np.zeros((n, D))
-        nxt[:, 1:] = alpha[:, :-1] * stay[:, :-1]
-        nxt[:, -1] += alpha[:, -1] * stay[:, -1]
-        leave = (alpha * (1.0 - stay)).sum(axis=1)
-        nxt[:, 0] = leave @ params.switch
-        nxt *= lik[:, t][:, None]
+        nxt = alphas[t if keep_alphas else t % 2]
+        np.multiply(alpha[:, :-1], stay_on, out=nxt[:, 1:])
+        nxt[:, 0] = (alpha * leave_prob).sum(axis=1) @ params.switch
+        # the dwell counter saturates: staying at index D - 1 keeps it there;
+        # added after column 0 is set because for D == 1 that is column 0
+        nxt[:, -1] += alpha[:, -1] * stay_saturated
+        nxt *= lik[t]
         ct = nxt.sum()
         if ct <= 0:
             raise ZeroProbabilityError(f"sequence has probability zero at step {t}")
-        alpha = nxt / ct
+        nxt /= ct
         loglik += np.log(ct)
-        if keep_alphas:
-            alphas.append(alpha.copy())
-    return float(loglik), alphas
+        alpha = nxt
+    return float(loglik), (alphas if keep_alphas else None)
 
 
 def nshmm_log_likelihood(params, obs):
@@ -267,32 +274,50 @@ def nshmm_log_likelihood(params, obs):
 
 
 def _nshmm_ffbs(params, obs, rng):
-    """Sample a state path from its posterior (forward filter, backward sample)."""
+    """Sample a state path from its posterior (forward filter, backward sample).
+
+    Each step is the inverse-cdf draw `_draw(np.cumsum(w / w.sum()), u)` over
+    the (n, D) predecessor weights w.  A step that continues a dwell has at
+    most two nonzero weights, so it is drawn from those two scalars; the
+    outcome, the clamp to the last cell included, is the dense draw's.
+    """
     T = len(obs)
     n, D = params.n_states, params.d_max
     _, alphas = _nshmm_forward(params, obs, keep_alphas=True)
     stay = params.stay_profile
+    leave_prob = 1.0 - stay
+    switch_to = params.switch.T.copy()  # row j = switch[:, j]
+    u = rng.random(T)[::-1].tolist()  # u[t] draws step t; the last step draws first
     path = np.empty(T, dtype=np.int64)
     dwell = np.empty(T, dtype=np.int64)  # 0-based dwell index
     w = alphas[-1].ravel()
-    pick = _draw(np.cumsum(w / w.sum()), rng.random())
-    path[-1], dwell[-1] = divmod(pick, D)
+    j, dd = divmod(_draw(np.cumsum(w / w.sum()), u[-1]), D)
+    path[-1], dwell[-1] = j, dd
     for t in range(T - 2, -1, -1):
-        j, dd = path[t + 1], dwell[t + 1]
         if dd == 0:
             # previous step left some state i at any dwell
-            w = alphas[t] * (1.0 - stay) * params.switch[:, j][:, None]
+            w = (alphas[t] * leave_prob * switch_to[j][:, None]).ravel()
+            if D == 1:  # or stayed in j with the saturated counter
+                w[j] += alphas[t, j, 0] * stay[j, 0]
+            total = w.sum()
+            if total <= 0:
+                raise ZeroProbabilityError("degenerate backward-sampling weights")
+            j, dd = divmod(_draw(np.cumsum(w / total), u[t]), D)
         else:
-            w = np.zeros((n, D))
-            w[j, dd - 1] = alphas[t][j, dd - 1] * stay[j, dd - 1]
-            if dd == D - 1:  # saturated dwell counter
-                w[j, D - 1] += alphas[t][j, D - 1] * stay[j, D - 1]
-        w = w.ravel()
-        total = w.sum()
-        if total <= 0:
-            raise ZeroProbabilityError("degenerate backward-sampling weights")
-        pick = _draw(np.cumsum(w / total), rng.random())
-        path[t], dwell[t] = divmod(pick, D)
+            # previous step was j at dwell dd - 1, or at D - 1 when saturated
+            w_on = alphas[t, j, dd - 1] * stay[j, dd - 1]
+            w_sat = alphas[t, j, D - 1] * stay[j, D - 1] if dd == D - 1 else 0.0
+            total = w_on + w_sat
+            if total <= 0:
+                raise ZeroProbabilityError("degenerate backward-sampling weights")
+            cdf = w_on / total
+            if u[t] < cdf:
+                dd = dd - 1
+            elif dd == D - 1 and u[t] < cdf + w_sat / total:
+                dd = D - 1
+            else:  # _draw's clamp to the last cell
+                j, dd = n - 1, D - 1
+        path[t], dwell[t] = j, dd
     return path, dwell
 
 

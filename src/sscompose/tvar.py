@@ -79,7 +79,9 @@ def fit_tvar(series, order, state_discount, var_discount,
     covs = np.empty((steps, d, d))
     s_hist = np.empty(steps)
     dof_hist = np.empty(steps)
-    log_marginal = 0.0
+    errs = np.empty(steps)
+    dfs = np.empty(steps)
+    qs = np.empty(steps)
     for i, t in enumerate(range(d, len(y))):
         F = y[t - d:t][::-1]  # most recent lag first
         R = C / delta
@@ -89,7 +91,7 @@ def fit_tvar(series, order, state_discount, var_discount,
         if not np.isfinite(q) or q <= 0:
             raise FloatingPointError(f"numerically singular update at step {i}")
         e = y[t] - f
-        log_marginal += stats.t.logpdf(e, df=n_prior, scale=np.sqrt(q))
+        errs[i], dfs[i], qs[i] = e, n_prior, q
         A = (R @ F) / q
         m = m + A * e
         n_dof = n_prior + 1.0
@@ -102,6 +104,10 @@ def fit_tvar(series, order, state_discount, var_discount,
         covs[i] = C
         s_hist[i] = s_est
         dof_hist[i] = n_dof
+    # one density call per cell; cumsum adds left to right, as a running
+    # scalar sum would (np.sum adds pairwise and can differ in the last bit)
+    log_dens = stats.t.logpdf(errs, df=dfs, scale=np.sqrt(qs))
+    log_marginal = np.cumsum(log_dens)[-1]
     return TvarFit(d, delta, beta, means, covs, s_hist, dof_hist,
                    float(log_marginal), series=y)
 

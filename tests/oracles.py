@@ -2,13 +2,16 @@
 
 Everything here enumerates explicitly (all hidden paths, all segmentations,
 all alignments) or uses closed-form conjugate formulas, so agreement with
-the recursive implementations is meaningful evidence of correctness.
+the recursive implementations is meaningful evidence of correctness.  The
+last two functions are the plain per-step loops that faster library code
+must reproduce bit for bit.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy import stats
 from scipy.special import gammaln
 
 
@@ -203,3 +206,108 @@ def batch_conjugate_regression(y, order, prior_scale=1.0, prior_df=1.0,
                     - 0.5 * T * math.log(n0 * math.pi * s0) - 0.5 * logdet
                     - 0.5 * (n0 + T) * math.log1p(Q / (n0 * s0)))
     return m_T, C_T, s_T, n_T, float(log_marginal)
+
+
+def enum_nshmm_loglik(params, obs):
+    """Sum over every state path and every stay/leave choice of the NSHMM
+    joint probability, threading the saturating dwell counter per path.
+
+    The chain starts at dwell index 0. At each later step the current
+    state z at dwell index d stays with probability stay_profile[z, d]
+    (same state, dwell index min(d + 1, D - 1)) or leaves with the rest
+    and moves to z' with probability switch[z, z'] (dwell index 0).
+    """
+    initial, switch = params.initial, params.switch
+    emission, stay_profile = params.emission, params.stay_profile
+    T = len(obs)
+    D = stay_profile.shape[1]
+    states = all_paths(len(initial), T)
+    choices = all_paths(2, T - 1)  # 1 = leave, 0 = stay
+    z = np.repeat(states, len(choices), axis=0)
+    leave = np.tile(choices, (len(states), 1)) == 1
+    dwell = np.zeros(len(z), dtype=np.int64)
+    prob = initial[z[:, 0]] * emission[z[:, 0], obs[0]]
+    for t in range(1, T):
+        prev, cur, go = z[:, t - 1], z[:, t], leave[:, t - 1]
+        stay = stay_profile[prev, dwell]
+        prob = prob * np.where(go, (1.0 - stay) * switch[prev, cur],
+                               stay * (cur == prev))
+        prob = prob * emission[cur, obs[t]]
+        dwell = np.where(go, 0, np.minimum(dwell + 1, D - 1))
+    return float(np.log(prob.sum()))
+
+
+def dense_nshmm_ffbs(params, obs, rng):
+    """Forward filter, backward sample on the dwell-augmented chain with one
+    dense (n, D) weight table, cumsum and inverse-cdf draw per step.
+
+    The predecessor of (j, dd) is any (i, e) that left for j when dd == 0,
+    (j, dd - 1) when dd > 0, and also (j, D - 1) when dd == D - 1 (the
+    counter saturates).  Draws one rng.random() per step, last step first.
+    """
+    T = len(obs)
+    n, D = params.stay_profile.shape
+    stay = params.stay_profile
+    alpha = np.zeros((n, D))
+    alpha[:, 0] = params.initial * params.emission[:, obs[0]]
+    alpha = alpha / alpha.sum()
+    alphas = [alpha]
+    for t in range(1, T):
+        nxt = np.zeros((n, D))
+        nxt[:, 1:] = alpha[:, :-1] * stay[:, :-1]
+        nxt[:, 0] = (alpha * (1.0 - stay)).sum(axis=1) @ params.switch
+        nxt[:, -1] += alpha[:, -1] * stay[:, -1]
+        nxt *= params.emission[:, obs[t]][:, None]
+        alpha = nxt / nxt.sum()
+        alphas.append(alpha)
+
+    def draw(w):
+        w = w.ravel()
+        if w.sum() <= 0:
+            raise ValueError("degenerate backward-sampling weights")
+        cdf = np.cumsum(w / w.sum())
+        return divmod(min(int(np.searchsorted(cdf, rng.random(), side="right")),
+                          len(cdf) - 1), D)
+
+    path = np.empty(T, dtype=np.int64)
+    dwell = np.empty(T, dtype=np.int64)
+    path[-1], dwell[-1] = draw(alphas[-1])
+    for t in range(T - 2, -1, -1):
+        j, dd = path[t + 1], dwell[t + 1]
+        if dd == 0:
+            w = alphas[t] * (1.0 - stay) * params.switch[:, j][:, None]
+        else:
+            w = np.zeros((n, D))
+            w[j, dd - 1] = alphas[t][j, dd - 1] * stay[j, dd - 1]
+        if dd == D - 1:
+            w[j, D - 1] += alphas[t][j, D - 1] * stay[j, D - 1]
+        path[t], dwell[t] = draw(w)
+    return path, dwell
+
+
+def stepwise_tvar_log_marginal(y, order, state_discount, var_discount,
+                               prior_scale=1.0, prior_df=1.0, prior_obs_var=1.0):
+    """The discount filter's log marginal as a running sum of one scalar
+    Student-t log density per step, added left to right."""
+    d = order
+    m = np.zeros(d)
+    C = np.eye(d) * prior_scale
+    n_dof, s_est = float(prior_df), float(prior_obs_var)
+    log_marginal = 0.0
+    for i, t in enumerate(range(d, len(y))):
+        F = y[t - d:t][::-1]
+        R = C / state_discount
+        n_prior = var_discount * n_dof
+        q = F @ R @ F + s_est
+        if not np.isfinite(q) or q <= 0:
+            raise FloatingPointError(f"numerically singular update at step {i}")
+        e = y[t] - F @ m
+        log_marginal += stats.t.logpdf(e, df=n_prior, scale=np.sqrt(q))
+        A = (R @ F) / q
+        m = m + A * e
+        n_dof = n_prior + 1.0
+        s_new = (n_prior * s_est + s_est * e * e / q) / n_dof
+        C = (s_new / s_est) * (R - np.outer(A, A) * q)
+        C = 0.5 * (C + C.T)
+        s_est = s_new
+    return float(log_marginal)

@@ -147,7 +147,10 @@ def test_missing_batch_dir_clean_error(tmp_path, toy_piece, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", ['{"model": "M1"}', '["pieces/piece_0000.txt"]'])
+@pytest.mark.parametrize("content", ['{"model": "M1"}', '["pieces/piece_0000.txt"]',
+                                     '{"pieces": [1, 2]}',
+                                     '{"pieces": ["pieces/piece_0000.txt"], '
+                                     '"ticks_per_quarter": "a"}'])
 @pytest.mark.parametrize("command", ["evaluate", "export"])
 def test_malformed_batch_json_clean_error(tmp_path, toy_piece, capsys, command, content):
     piece, _ = toy_piece
@@ -186,6 +189,40 @@ def test_corrupt_model_file_error_names_field(tmp_path, toy_piece, capsys):
     assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
                 "--out", tmp_path / "b") == 2
     assert "transition" in capsys.readouterr().err
+
+
+def _cut_initial(params):
+    params["initial"] = [1.0]
+
+
+def _halve_emission_row(params):
+    params["emission"][0] = [0.5 * p for p in params["emission"][0]]
+
+
+def _drop_emission_column(params):
+    params["emission"] = [row[:-1] for row in params["emission"]]
+
+
+def _negate_transition_entry(params):
+    params["transition"][0][0] = -params["transition"][0][0]
+
+
+@pytest.mark.parametrize("corrupt", [_cut_initial, _halve_emission_row,
+                                     _drop_emission_column, _negate_transition_entry])
+def test_inconsistent_hmm_params_rejected_on_load(tmp_path, toy_piece, capsys, corrupt):
+    piece, _ = toy_piece
+    run = tmp_path / "run"
+    assert _run("train", "--input", piece, "--model", "M1", "--states", "3",
+                "--seed", "0", "--max-iter", "5", "--out", run) == 0
+    path = run / "M1_model.json"
+    data = json.loads(path.read_text())
+    corrupt(data["params"])
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
+                "--out", tmp_path / "b") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: corrupt model file:")
 
 
 def test_export_skips_already_selected(tmp_path, toy_piece):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import enum_hsmm_loglik
+from oracles import dense_nshmm_ffbs, enum_hsmm_loglik, enum_nshmm_loglik
 from sscompose import hmm, semimarkov
 
 
@@ -116,3 +116,70 @@ def test_nshmm_sample_deterministic_and_length():
     a = semimarkov.sample_nshmm(params, 37, seed=4)
     assert len(a) == 37
     assert np.array_equal(a, semimarkov.sample_nshmm(params, 37, seed=4))
+
+
+def _random_nshmm(rng, n, K, D, stay_low=0.05, stay_high=0.95):
+    offdiag = 1.0 - np.eye(n)
+    switch = rng.dirichlet(np.ones(n), size=n) * offdiag
+    switch /= switch.sum(axis=1, keepdims=True)
+    return semimarkov.NshmmParams(rng.dirichlet(np.ones(n)), switch,
+                                  rng.dirichlet(np.ones(K), size=n),
+                                  rng.uniform(stay_low, stay_high, (n, D)))
+
+
+@pytest.mark.parametrize("n,K,D,T", [(2, 3, 1, 6), (3, 2, 1, 5), (2, 3, 2, 7),
+                                     (3, 2, 3, 5), (2, 2, 4, 6)])
+def test_nshmm_matches_path_enumeration(n, K, D, T):
+    # D < T - 1 lets a path stay long enough to saturate the dwell counter
+    rng = np.random.default_rng(100 + 10 * D + n)
+    for _ in range(5):
+        params = _random_nshmm(rng, n, K, D)
+        obs = rng.integers(0, K, T)
+        assert semimarkov.nshmm_log_likelihood(params, obs) == pytest.approx(
+            enum_nshmm_loglik(params, obs), rel=1e-10)
+
+
+class _ScriptedUniforms:
+    """Stands in for a Generator: hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
+def _ffbs_outcome(sampler, params, obs, rng):
+    try:
+        path, dwell = sampler(params, obs, rng)
+    except ValueError as exc:  # ZeroProbabilityError included
+        return str(exc)
+    return path.tolist(), dwell.tolist()
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 6])
+def test_nshmm_ffbs_matches_dense_sampler(D):
+    rng = np.random.default_rng(200 + D)
+    top = np.nextafter(1.0, 0.0)
+    saturated = completed = 0
+    for seed in range(40):
+        params = _random_nshmm(rng, 3, 4, D, stay_high=0.99)
+        obs = rng.integers(0, 4, 40)
+        path, dwell = semimarkov._nshmm_ffbs(params, obs, np.random.default_rng(seed))
+        want = dense_nshmm_ffbs(params, obs, np.random.default_rng(seed))
+        assert np.array_equal(path, want[0]) and np.array_equal(dwell, want[1])
+        saturated += np.count_nonzero((dwell[1:] == D - 1) & (dwell[:-1] == D - 1))
+        # uniforms at both ends of [0, 1): where rounding leaves the top of a
+        # saturated step's cdf below the largest u, the draw takes the clamp
+        # to the last cell, which may have no weight to continue from
+        u = rng.random(len(obs))
+        u[rng.random(len(obs)) < 0.5] = top
+        u[rng.random(len(obs)) < 0.1] = 0.0
+        got = _ffbs_outcome(semimarkov._nshmm_ffbs, params, obs, _ScriptedUniforms(u))
+        want = _ffbs_outcome(dense_nshmm_ffbs, params, obs, _ScriptedUniforms(u))
+        assert got == want
+        completed += not isinstance(got, str)
+    assert saturated > 0 and completed >= 20

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import batch_conjugate_regression
+from oracles import batch_conjugate_regression, stepwise_tvar_log_marginal
 from sscompose import tvar
 from sscompose.midi_codec import PitchAlphabet
 
@@ -139,3 +139,25 @@ def test_bin_to_alphabet_subset_and_errors():
     assert set(out.tolist()) <= {40, 45, 60}
     with pytest.raises(ValueError):
         tvar.bin_to_alphabet([np.nan], alpha)
+
+
+@pytest.mark.parametrize("order,state_discount,var_discount",
+                         [(1, 1.0, 1.0), (3, 0.95, 0.99), (7, 0.9, 0.9), (14, 0.99, 0.95)])
+def test_log_marginal_is_the_stepwise_density_sum(order, state_discount, var_discount):
+    rng = np.random.default_rng(10)
+    y = 50.0 + np.cumsum(rng.integers(-2, 3, 300)) % 12
+    fit = tvar.fit_tvar(y, order, state_discount, var_discount)
+    assert fit.log_marginal == stepwise_tvar_log_marginal(y, order, state_discount,
+                                                          var_discount)
+
+
+def test_singular_update_raises_at_the_same_step():
+    # a long run of one repeated note drives the filter covariance singular
+    rng = np.random.default_rng(0)
+    y = np.concatenate([np.clip(60 + np.cumsum(rng.integers(-4, 5, 60)), 48, 72),
+                        np.full(300, 72)]).astype(float)
+    with pytest.raises(FloatingPointError) as want:
+        stepwise_tvar_log_marginal(y, 7, 0.9, 0.95)
+    with pytest.raises(FloatingPointError) as got:
+        tvar.fit_tvar(y, 7, 0.9, 0.95)
+    assert str(got.value) == str(want.value)
