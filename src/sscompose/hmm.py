@@ -50,21 +50,26 @@ class HmmParams:
             raise ValueError("initial, transition and emission must have 1, 2 and 2 axes")
         n = len(self.initial)
         K = self.emission.shape[1] if n_symbols is None else n_symbols
-        for name, value, shape in (("initial", self.initial, (n,)),
+        check_distributions(atol, [("initial", self.initial, (n,)),
                                    ("transition", self.transition, (n, n)),
-                                   ("emission", self.emission, (n, K))):
-            if value.shape != shape:
-                raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} has non-finite entries")
-        if np.any(self.initial < 0) or np.any(self.transition < 0) or np.any(self.emission < 0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(self.initial.sum() - 1.0) > atol:
-            raise ValueError("initial distribution does not sum to 1")
-        if np.max(np.abs(self.transition.sum(axis=1) - 1.0)) > atol:
-            raise ValueError("transition rows do not sum to 1")
-        if np.max(np.abs(self.emission.sum(axis=1) - 1.0)) > atol:
-            raise ValueError("emission rows do not sum to 1")
+                                   ("emission", self.emission, (n, K))])
+
+
+def check_distributions(atol, tables):
+    """Raise ValueError unless every (name, array, shape) in `tables` has
+    that shape and finite, non-negative entries whose rows (last axis) sum
+    to 1 within atol."""
+    for name, value, shape in tables:
+        value = np.asarray(value, dtype=float)
+        if value.shape != shape:
+            raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} has non-finite entries")
+        if np.any(value < 0):
+            raise ValueError(f"{name} has negative entries")
+        if np.any(np.abs(value.sum(axis=-1) - 1.0) > atol):
+            raise ValueError(f"{name} rows do not sum to 1" if value.ndim > 1
+                             else f"{name} does not sum to 1")
 
 
 @dataclass

@@ -98,9 +98,17 @@ def mutual_information(train_pitches, gen_pitches):
 
 
 def levenshtein(a, b):
-    """Unit-cost edit distance (insertions, deletions, substitutions)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+    """Unit-cost edit distance (insertions, deletions, substitutions).
+
+    Myers' bit-vector algorithm (Myers 1999, JACM 46; in Hyyrö's form for
+    global distance): one column of the DP table is held as two bit vectors
+    of +1 and -1 vertical deltas over the shorter sequence, Python ints of
+    any width, and each symbol of the longer sequence updates them in a
+    constant number of word operations.  The score is the last row's
+    entry, tracked through the top bit of the horizontal deltas.
+    """
+    a = np.asarray(a).tolist()
+    b = np.asarray(b).tolist()
     if len(a) == 0:
         return len(b)
     if len(b) == 0:
@@ -108,16 +116,27 @@ def levenshtein(a, b):
     if len(b) > len(a):
         a, b = b, a
     m = len(b)
-    prev = np.arange(m + 1)
-    js = np.arange(1, m + 1)
-    for i, ai in enumerate(a, start=1):
-        cand = np.minimum(prev[1:] + 1, prev[:-1] + (b != ai))
-        # resolve the within-row dependence: D[j] = min_{k<=j} cand[k] + (j - k)
-        cur = np.empty(m + 1, dtype=np.int64)
-        cur[0] = i
-        cur[1:] = np.minimum.accumulate(np.minimum(cand, cur[0] + js) - js) + js
-        prev = cur
-    return int(prev[-1])
+    peq = {}                  # symbol -> bitmask of its positions in b
+    for j, symbol in enumerate(b):
+        peq[symbol] = peq.get(symbol, 0) | (1 << j)
+    mask = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    for symbol in a:
+        eq = peq.get(symbol, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = (ph << 1) | 1    # row 0 of the table grows by one per symbol
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv & mask
+    return score
 
 
 def edit_distance(a, b):
@@ -135,24 +154,22 @@ def edit_distance(a, b):
 
 
 def _lines(seq):
-    """Per-timestamp treble (max) and bass (min) pitches, in time order."""
-    times = np.asarray(seq.timestamps)
-    pitches = np.asarray(seq.pitches)
-    uniq, start = np.unique(times, return_index=True)
-    order = np.argsort(times, kind="stable")
-    treble = np.empty(len(uniq), dtype=np.int64)
-    bass = np.empty(len(uniq), dtype=np.int64)
-    groups = []
-    pos = 0
-    sorted_p = pitches[order]
-    counts = np.bincount(np.searchsorted(uniq, times[order]))
-    for g, c in enumerate(counts):
-        chunk = sorted_p[pos:pos + c]
-        treble[g] = chunk.max()
-        bass[g] = chunk.min()
-        groups.append(chunk)
-        pos += c
-    return treble, bass, groups
+    """Per-timestamp treble (max) and bass (min) pitches, in time order,
+    and the chords: the pitches of each timestamp with two or more notes,
+    in input order.  Single notes form no within-timestamp pair, so the
+    harmonic metrics only need the chords."""
+    order = np.argsort(seq.timestamps, kind="stable")
+    times = np.asarray(seq.timestamps)[order]
+    pitches = np.asarray(seq.pitches, dtype=np.int64)[order]
+    if len(pitches) == 0:
+        return pitches, pitches, []
+    starts = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
+    treble = np.maximum.reduceat(pitches, starts)
+    bass = np.minimum.reduceat(pitches, starts)
+    ends = np.r_[starts[1:], len(pitches)]
+    multi = ends - starts > 1
+    chords = [pitches[s:e] for s, e in zip(starts[multi].tolist(), ends[multi].tolist())]
+    return treble, bass, chords
 
 
 def dissonance_rate(seq):
@@ -160,12 +177,11 @@ def dissonance_rate(seq):
     the treble line, normalized by the total note count."""
     if len(seq) == 0:
         raise ValueError("empty sequence")
-    treble, _, groups = _lines(seq)
+    treble, _, chords = _lines(seq)
     count = 0
-    for chunk in groups:
-        if len(chunk) > 1:
-            diffs = np.abs(chunk[:, None] - chunk[None, :])[np.triu_indices(len(chunk), 1)]
-            count += int(np.isin(diffs % OCTAVE, list(DISSONANT_CLASSES)).sum())
+    for chunk in chords:
+        diffs = np.abs(chunk[:, None] - chunk[None, :])[np.triu_indices(len(chunk), 1)]
+        count += int(np.isin(diffs % OCTAVE, list(DISSONANT_CLASSES)).sum())
     if len(treble) > 1:
         steps = np.abs(np.diff(treble)) % OCTAVE
         count += int(np.isin(steps, list(DISSONANT_CLASSES)).sum())
@@ -207,13 +223,12 @@ def interval_class_table(seq, mode):
     mode steps along the treble and bass lines."""
     if mode not in ("harmonic", "melodic"):
         raise ValueError("mode must be 'harmonic' or 'melodic'")
-    treble, bass, groups = _lines(seq)
+    treble, bass, chords = _lines(seq)
     intervals = []
     if mode == "harmonic":
-        for chunk in groups:
-            if len(chunk) > 1:
-                diffs = np.abs(chunk[:, None] - chunk[None, :])[np.triu_indices(len(chunk), 1)]
-                intervals.extend((diffs % OCTAVE).tolist())
+        for chunk in chords:
+            diffs = np.abs(chunk[:, None] - chunk[None, :])[np.triu_indices(len(chunk), 1)]
+            intervals.extend((diffs % OCTAVE).tolist())
     else:
         if len(treble) > 1:
             intervals.extend((np.abs(np.diff(treble)) % OCTAVE).tolist())

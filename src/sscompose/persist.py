@@ -18,7 +18,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .hmm import FitReport, HmmParams
+from .hmm import FitReport
 from .midi_codec import PitchAlphabet
 from .registry import PARAM_TYPES, REGISTRY, ModelSpec, TrainedModel
 
@@ -120,7 +120,7 @@ def _model_from_dict_checked(data):
     report = data.get("report")
     alphabet = PitchAlphabet(np.asarray(data["alphabet"], dtype=np.int64))
     params = _decode(PARAM_TAGS[tag], data["params"], "params")
-    if isinstance(params, HmmParams):
+    if hasattr(params, "validate"):
         try:
             params.validate(atol=1e-8, n_symbols=alphabet.size)
         except ValueError as exc:

@@ -25,6 +25,7 @@ from .hmm import (
     _as_rng,
     _check_obs,
     _draw,
+    check_distributions,
     run_em,
 )
 
@@ -50,6 +51,23 @@ class HsmmParams:
     @property
     def d_max(self):
         return self.duration.shape[1]
+
+    def validate(self, atol=1e-12, n_symbols=None):
+        """Raise ValueError unless the shapes agree ((n,), (n, n), (n, K),
+        (n, D), with K == n_symbols when given), every row is a
+        distribution and the transition diagonal is zero."""
+        tables = (self.initial, self.transition, self.emission, self.duration)
+        if tuple(np.ndim(t) for t in tables) != (1, 2, 2, 2):
+            raise ValueError("initial, transition, emission and duration must have "
+                             "1, 2, 2 and 2 axes")
+        n = len(self.initial)
+        K = np.shape(self.emission)[1] if n_symbols is None else n_symbols
+        check_distributions(atol, [("initial", self.initial, (n,)),
+                                   ("transition", self.transition, (n, n)),
+                                   ("emission", self.emission, (n, K)),
+                                   ("duration", self.duration, (n, np.shape(self.duration)[1]))])
+        if np.any(np.diagonal(self.transition) != 0):
+            raise ValueError("transition diagonal must be zero (no self-transitions)")
 
 
 def random_hsmm_params(n_states, alphabet_size, d_max, seed):

@@ -115,20 +115,31 @@ def fit_tvar(series, order, state_discount, var_discount,
 def grid_search(spec, series):
     """Fit every (order, state discount, variance discount) cell and return
     (best_fit, audit) with a deterministic tie-break: smaller order, then
-    larger state discount, then larger variance discount."""
+    larger state discount, then larger variance discount.
+
+    A cell whose filter goes numerically singular is listed in the audit
+    with log_marginal None and its error message, and takes no part in the
+    choice; FloatingPointError is raised only when every cell fails.
+    """
     audit = []
     best = None
     best_key = None
     for order in spec.orders:
         for sd in spec.state_discounts:
             for vd in spec.var_discounts:
-                fit = fit_tvar(series, order, sd, vd, spec.prior_scale,
-                               spec.prior_df, spec.prior_obs_var)
-                audit.append({"order": order, "state_discount": sd,
-                              "var_discount": vd, "log_marginal": fit.log_marginal})
+                cell = {"order": order, "state_discount": sd, "var_discount": vd}
+                try:
+                    fit = fit_tvar(series, order, sd, vd, spec.prior_scale,
+                                   spec.prior_df, spec.prior_obs_var)
+                except FloatingPointError as exc:
+                    audit.append({**cell, "log_marginal": None, "error": str(exc)})
+                    continue
+                audit.append({**cell, "log_marginal": fit.log_marginal})
                 key = (fit.log_marginal, -order, sd, vd)
                 if best_key is None or key > best_key:
                     best, best_key = fit, key
+    if best is None:
+        raise FloatingPointError(f"every TVAR grid cell failed; first: {audit[0]['error']}")
     return best, audit
 
 

@@ -26,6 +26,7 @@ from .hmm import (
     _posteriors,
     _scaled_forward,
     baum_welch,
+    check_distributions,
     run_em,
 )
 
@@ -52,6 +53,30 @@ class KhmmParams:
     @property
     def n_tuples(self):
         return self.n_states ** self.order
+
+    def validate(self, atol=1e-12, n_symbols=None):
+        """Raise ValueError unless order k and n_states n are positive
+        integers, the tables have shapes (n,), (n^(i-1), n) for i = 2..k,
+        (n^k, n) and (n, K), with K == n_symbols when given, and every row
+        is a distribution."""
+        for name in ("order", "n_states"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer")
+        n, k = int(self.n_states), int(self.order)
+        if len(self.init_transitions) != k - 1:
+            raise ValueError(f"order {k} needs {k - 1} init_transitions tables, "
+                             f"found {len(self.init_transitions)}")
+        if np.ndim(self.emission) != 2:
+            raise ValueError("emission must have 2 axes")
+        K = np.shape(self.emission)[1] if n_symbols is None else n_symbols
+        check_distributions(atol, [
+            ("initial", self.initial, (n,)),
+            *((f"init_transitions[{i - 2}]", table, (n ** (i - 1), n))
+              for i, table in enumerate(self.init_transitions, start=2)),
+            ("transition", self.transition, (n ** k, n)),
+            ("emission", self.emission, (n, K)),
+        ])
 
 
 def _lr_tuple_mask(n, rows):

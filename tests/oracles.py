@@ -2,9 +2,10 @@
 
 Everything here enumerates explicitly (all hidden paths, all segmentations,
 all alignments) or uses closed-form conjugate formulas, so agreement with
-the recursive implementations is meaningful evidence of correctness.  The
-last two functions are the plain per-step loops that faster library code
-must reproduce bit for bit.
+the recursive implementations is meaningful evidence of correctness.
+`rowwise_levenshtein`, `per_group_lines`, `dense_nshmm_ffbs` and
+`stepwise_tvar_log_marginal` are the plain per-step loops that faster
+library code must reproduce bit for bit.
 """
 
 import itertools
@@ -156,6 +157,45 @@ def brute_edit_distance(a, b):
         return memo[key]
 
     return rec(0, 0)
+
+
+def rowwise_levenshtein(a, b):
+    """Wagner-Fischer: the full (len(a)+1) x (len(b)+1) edit-distance table,
+    filled row by row in pure Python."""
+    a, b = list(a), list(b)
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(len(a) + 1):
+        table[i][0] = i
+    for j in range(len(b) + 1):
+        table[0][j] = j
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            table[i][j] = min(table[i - 1][j] + 1,
+                              table[i][j - 1] + 1,
+                              table[i - 1][j - 1] + (a[i - 1] != b[j - 1]))
+    return table[len(a)][len(b)]
+
+
+def per_group_lines(timestamps, pitches):
+    """Treble (max), bass (min) and the pitches of every timestamp group,
+    one Python loop iteration per group."""
+    times = np.asarray(timestamps)
+    pitches = np.asarray(pitches)
+    uniq = np.unique(times)
+    order = np.argsort(times, kind="stable")
+    treble = np.empty(len(uniq), dtype=np.int64)
+    bass = np.empty(len(uniq), dtype=np.int64)
+    groups = []
+    pos = 0
+    sorted_p = pitches[order]
+    counts = np.bincount(np.searchsorted(uniq, times[order]))
+    for g, c in enumerate(counts):
+        chunk = sorted_p[pos:pos + c]
+        treble[g] = chunk.max()
+        bass[g] = chunk.min()
+        groups.append(chunk)
+        pos += c
+    return treble, bass, groups
 
 
 def rmse_naive(values, ref):

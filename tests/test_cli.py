@@ -296,3 +296,60 @@ def test_m14_train_persists_grid_audit(tmp_path, toy_piece):
     assert _run("train", "--input", piece, "--model", "M14", "--out", run) == 0
     report = json.loads((run / "M14_fit_report.json").read_text())
     assert len(report["grid_audit"]) == 96
+
+
+def _drop_init_transitions(params):
+    params["init_transitions"] = []
+
+
+def _halve_duration_row(params):
+    params["duration"][0] = [0.5 * p for p in params["duration"][0]]
+
+
+def _move_transition_mass_to_diagonal(params):
+    row = params["transition"][0]
+    row[0], row[1] = row[1], 0.0   # the row still sums to 1
+
+
+@pytest.mark.parametrize("model,corrupt", [
+    ("M2", _cut_initial), ("M2", _halve_emission_row), ("M2", _drop_init_transitions),
+    ("M8", _cut_initial), ("M8", _halve_duration_row),
+    ("M8", _move_transition_mass_to_diagonal),
+])
+def test_inconsistent_khmm_hsmm_params_rejected_on_load(tmp_path, toy_piece, capsys,
+                                                        model, corrupt):
+    piece, _ = toy_piece
+    run = tmp_path / "run"
+    assert _run("train", "--input", piece, "--model", model, "--states", "3",
+                "--seed", "0", "--max-iter", "1", "--out", run) == 0
+    path = run / f"{model}_model.json"
+    assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
+                "--out", tmp_path / "ok") == 0
+    data = json.loads(path.read_text())
+    corrupt(data["params"])
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
+                "--out", tmp_path / "b") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: corrupt model file: params:")
+
+
+def test_m14_train_skips_singular_grid_cells(tmp_path):
+    # a random walk, then one note held for 300 steps: some cells' filters
+    # go numerically singular
+    rng = np.random.default_rng(0)
+    pitches = np.concatenate([np.clip(60 + np.cumsum(rng.integers(-4, 5, 60)), 48, 72),
+                              np.full(300, 72)])
+    piece = tmp_path / "held.csv"
+    piece.write_text(emit_midi_csv(PitchSequence(pitches, np.arange(360) * 240)))
+    run = tmp_path / "run"
+    assert _run("train", "--input", piece, "--model", "M14", "--out", run) == 0
+    audit = json.loads((run / "M14_fit_report.json").read_text())["grid_audit"]
+    assert len(audit) == 96
+    failed = [cell for cell in audit if cell["log_marginal"] is None]
+    assert failed and all(cell["error"].startswith("numerically singular update")
+                          for cell in failed)
+    assert all(cell["state_discount"] == 0.9 for cell in failed)
+    assert _run("generate", "--model", run / "M14_model.json", "--n", "1",
+                "--seed", "0", "--out", tmp_path / "b") == 0

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_edit_distance, rmse_compensated, rmse_naive
+from oracles import (brute_edit_distance, per_group_lines, rmse_compensated, rmse_naive,
+                     rowwise_levenshtein)
 from sscompose import metrics
 from sscompose.midi_codec import PitchSequence
 
@@ -287,3 +290,75 @@ def test_interval_class_table_errors():
         metrics.interval_class_table(PitchSequence([60], [0]), "harmonic")
     with pytest.raises(ValueError):
         metrics.interval_class_table(PitchSequence([60, 61], [0, 1]), "weird")
+
+
+# word boundaries of 64-bit machine words, where a fixed-width bit-vector
+# implementation would carry between words
+@pytest.mark.parametrize("short", [1, 63, 64, 65, 127, 128, 129])
+def test_levenshtein_matches_table_dp_at_word_boundaries(short):
+    rng = np.random.default_rng(100 + short)
+    for alphabet in (1, 2, 4, 20, 40):
+        for long in (short, short + 1, rng.integers(short, 301)):
+            a = rng.integers(0, alphabet, long)
+            b = rng.integers(0, alphabet, short)
+            want = rowwise_levenshtein(a.tolist(), b.tolist())
+            assert metrics.levenshtein(a, b) == want
+            assert metrics.levenshtein(b, a) == want
+
+
+def test_levenshtein_matches_table_dp_on_random_pairs():
+    rng = np.random.default_rng(15)
+    for _ in range(60):
+        alphabet = int(rng.integers(1, 41))
+        a = rng.integers(0, alphabet, rng.integers(0, 301))
+        b = rng.integers(0, alphabet, rng.integers(0, 301))
+        assert metrics.levenshtein(a, b) == rowwise_levenshtein(a.tolist(), b.tolist())
+
+
+def test_levenshtein_ignores_integer_width():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        a = rng.integers(50, 70, rng.integers(1, 200))
+        b = rng.integers(50, 70, rng.integers(1, 200))
+        want = rowwise_levenshtein(a.tolist(), b.tolist())
+        assert metrics.levenshtein(a.astype(np.int32), b.astype(np.int64)) == want
+        assert metrics.levenshtein(a.astype(np.int64), b.astype(np.int32)) == want
+        assert metrics.levenshtein(a.tolist(), b.astype(np.int32)) == want
+
+
+@settings(max_examples=300, database=None, derandomize=True)
+@given(st.lists(st.integers(0, 4), max_size=9), st.lists(st.integers(0, 4), max_size=9))
+def test_levenshtein_property_brute_force(a, b):
+    assert metrics.levenshtein(a, b) == brute_edit_distance(a, b)
+
+
+def _assert_lines_match_per_group_loop(seq):
+    treble, bass, chords = metrics._lines(seq)
+    want_treble, want_bass, groups = per_group_lines(seq.timestamps, seq.pitches)
+    assert treble.dtype == want_treble.dtype == bass.dtype
+    assert np.array_equal(treble, want_treble)
+    assert np.array_equal(bass, want_bass)
+    want_chords = [g for g in groups if len(g) > 1]
+    assert len(chords) == len(want_chords)
+    for got, want in zip(chords, want_chords):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("times,pitches", [
+    ([0], [60]),                                         # one note
+    ([480] * 5, [64, 60, 67, 60, 72]),                   # a single timestamp
+    ([0, 0, 0, 240, 480, 480], [60, 64, 67, 62, 59, 71]),  # chords and single notes
+    ([480, 0, 240, 0, 480, 240], [60, 61, 62, 63, 64, 65]),  # out of order
+    ([960, 0, 960, 480, 0], [70, 50, 40, 55, 52]),       # out of order with chords
+])
+def test_lines_match_per_group_loop(times, pitches):
+    _assert_lines_match_per_group_loop(PitchSequence(pitches, times))
+
+
+def test_lines_match_per_group_loop_on_random_pieces():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 80))
+        times = rng.integers(0, rng.integers(1, 30), n) * 120
+        seq = PitchSequence(rng.integers(30, 90, n), times)
+        _assert_lines_match_per_group_loop(seq)

@@ -183,3 +183,18 @@ def test_nshmm_ffbs_matches_dense_sampler(D):
         assert got == want
         completed += not isinstance(got, str)
     assert saturated > 0 and completed >= 20
+
+
+def test_hsmm_params_validate():
+    params = semimarkov.random_hsmm_params(3, 4, 5, seed=0)
+    params.validate(n_symbols=4)
+    obs = np.random.default_rng(0).integers(0, 4, 30)
+    fitted, _ = semimarkov.train_hsmm(obs, 3, 4, 5, init=params, max_iter=3)
+    fitted.validate(atol=1e-9, n_symbols=4)
+    params.duration = params.duration * 0.5
+    with pytest.raises(ValueError, match="duration rows do not sum to 1"):
+        params.validate()
+    params = semimarkov.random_hsmm_params(3, 4, 5, seed=0)
+    params.transition = np.full((3, 3), 1 / 3)
+    with pytest.raises(ValueError, match="diagonal"):
+        params.validate()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,31 @@ def test_singular_update_raises_at_the_same_step():
     with pytest.raises(FloatingPointError) as got:
         tvar.fit_tvar(y, 7, 0.9, 0.95)
     assert str(got.value) == str(want.value)
+
+
+def _walk_then_repeats():
+    rng = np.random.default_rng(0)
+    return np.concatenate([np.clip(60 + np.cumsum(rng.integers(-4, 5, 60)), 48, 72),
+                           np.full(300, 72)]).astype(float)
+
+
+def test_grid_search_skips_singular_cells():
+    y = _walk_then_repeats()
+    spec = tvar.TvarSpec(orders=(7, 8), state_discounts=(0.9, 1.0), var_discounts=(0.95,))
+    best, audit = tvar.grid_search(spec, y)
+    failed = [cell for cell in audit if cell["log_marginal"] is None]
+    assert [(c["order"], c["state_discount"]) for c in failed] == [(7, 0.9), (8, 0.9)]
+    assert failed[0]["error"] == "numerically singular update at step 350"
+    ok = [cell for cell in audit if cell["log_marginal"] is not None]
+    assert all("error" not in cell for cell in ok)
+    for cell in ok:
+        fit = tvar.fit_tvar(y, cell["order"], cell["state_discount"], cell["var_discount"])
+        assert cell["log_marginal"] == fit.log_marginal
+    assert best.log_marginal == max(cell["log_marginal"] for cell in ok)
+    json.dumps(audit, allow_nan=False)
+
+
+def test_grid_search_raises_when_every_cell_fails():
+    spec = tvar.TvarSpec(orders=(7,), state_discounts=(0.9,), var_discounts=(0.95,))
+    with pytest.raises(FloatingPointError, match="every TVAR grid cell failed"):
+        tvar.grid_search(spec, _walk_then_repeats())

@@ -138,3 +138,19 @@ def test_arhmm_sampling_threads_previous_symbol():
 def test_arhmm_needs_two_observations():
     with pytest.raises(ValueError):
         variants.train_arhmm([0], 2, 2, seed=0)
+
+
+@pytest.mark.parametrize("order,left_right", [(1, False), (2, False), (3, False),
+                                              (2, True), (3, True)])
+def test_khmm_params_validate(order, left_right):
+    params = variants.random_khmm_params(3, order, 5, seed=order, left_right=left_right)
+    params.validate(n_symbols=5)
+    obs = np.random.default_rng(order).integers(0, 5, 40)
+    fitted, _ = variants.train_khmm(obs, 3, order, 5, init=params, max_iter=3,
+                                    left_right=left_right)
+    fitted.validate(atol=1e-9, n_symbols=5)
+    with pytest.raises(ValueError, match="emission has shape"):
+        params.validate(n_symbols=6)
+    params.transition = params.transition[:-1]
+    with pytest.raises(ValueError, match="transition has shape"):
+        params.validate()
