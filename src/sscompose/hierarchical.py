@@ -29,6 +29,8 @@ from .hmm import (
     _posteriors,
     _scaled_forward,
     baum_welch,
+    check_distributions,
+    check_positive_ints,
     log_likelihood,
     random_params,
     run_em,
@@ -55,6 +57,18 @@ class TshmmParams:
     @property
     def n_symbols(self):
         return self.emission.shape[1]
+
+    def validate(self, atol=1e-12, n_symbols=None):
+        """Raise ValueError unless m1 and m2 are positive integers, C, D,
+        initial and emission have shapes (m2, m2), (m2, m1, m1), (m2*m1,)
+        and (m1, K), with K == n_symbols when given, and every row is a
+        distribution."""
+        check_positive_ints([("m1", self.m1), ("m2", self.m2)])
+        m1, m2 = self.m1, self.m2
+        K = np.shape(self.emission)[-1] if n_symbols is None else n_symbols
+        check_distributions(atol, [("C", self.C, (m2, m2)), ("D", self.D, (m2, m1, m1)),
+                                   ("initial", self.initial, (m2 * m1,)),
+                                   ("emission", self.emission, (m1, K))])
 
     def composite_transition(self):
         """A[(i,k),(j,l)] = C[i,j] * D[j,k,l]; rows sum to 1 by construction."""
@@ -93,8 +107,8 @@ def tshmm_em_step(params, obs):
     K = params.n_symbols
     A = params.composite_transition()
     obs_lik = _tshmm_obs_lik(params, obs)
-    loglik, alpha, beta, scale, gamma = _posteriors(params.initial, A, obs_lik)
-    xi_sum = _pairwise_sum(alpha, beta, scale, A, obs_lik)
+    loglik, alpha, right, gamma = _posteriors(params.initial, A, obs_lik)
+    xi_sum = _pairwise_sum(alpha, right, A)
     xi4 = xi_sum.reshape(m2, m1, m2, m1)  # [i, k, j, l]
 
     c_acc = xi4.sum(axis=(1, 3)) + SMOOTHING
@@ -152,6 +166,28 @@ class FhmmParams:
     def n_product(self):
         return int(np.prod(self.chain_sizes))
 
+    def validate(self, atol=1e-12, n_symbols=None):
+        """Raise ValueError unless there is at least one chain, every chain
+        size n_j is a positive integer, chain j's initial and transition
+        have shapes (n_j,) and (n_j, n_j), emission has shape
+        (n_emission_levels, K), with K == n_symbols when given, and every
+        row is a distribution."""
+        sizes = self.chain_sizes
+        if not sizes:
+            raise ValueError("chain_sizes must name at least one chain")
+        check_positive_ints((f"chain_sizes[{j}]", nj) for j, nj in enumerate(sizes))
+        if not len(self.chain_initials) == len(self.chain_transitions) == len(sizes):
+            raise ValueError(f"{len(sizes)} chains need {len(sizes)} initial "
+                             "and transition tables")
+        K = np.shape(self.emission)[-1] if n_symbols is None else n_symbols
+        check_distributions(atol, [
+            *((f"chain_initials[{j}]", v, (nj,))
+              for j, (nj, v) in enumerate(zip(sizes, self.chain_initials))),
+            *((f"chain_transitions[{j}]", m, (nj, nj))
+              for j, (nj, m) in enumerate(zip(sizes, self.chain_transitions))),
+            ("emission", self.emission, (n_emission_levels(sizes), K)),
+        ])
+
 
 def emission_level(states):
     """Rounded (half-up) mean of 1-based chain ordinals."""
@@ -202,8 +238,8 @@ def _fhmm_em_step(params, obs):
     K = params.n_symbols
     flat, levels = _fhmm_flat(params)
     obs_lik = flat.emission[:, obs].T
-    loglik, alpha, beta, scale, gamma = _posteriors(flat.initial, flat.transition, obs_lik)
-    xi_sum = _pairwise_sum(alpha, beta, scale, flat.transition, obs_lik)
+    loglik, alpha, right, gamma = _posteriors(flat.initial, flat.transition, obs_lik)
+    xi_sum = _pairwise_sum(alpha, right, flat.transition)
     xi_full = xi_sum.reshape(tuple(sizes) + tuple(sizes))
 
     chain_transitions = []
@@ -257,6 +293,20 @@ class LhmmParams:
     @property
     def n_symbols(self):
         return self.layers[0].n_symbols
+
+    def validate(self, atol=1e-12, n_symbols=None):
+        """Raise ValueError unless there is at least one layer, every layer
+        passes HmmParams.validate, and layer l's alphabet is the state
+        count of layer l-1 (layer 0's is n_symbols when given)."""
+        if not self.layers:
+            raise ValueError("layers must hold at least one layer")
+        alphabet = n_symbols
+        for level, layer in enumerate(self.layers):
+            try:
+                layer.validate(atol, alphabet)
+            except ValueError as exc:
+                raise ValueError(f"layers[{level}]: {exc}") from None
+            alphabet = layer.n_states
 
 
 def train_lhmm(obs, n_states, n_layers, n_symbols, seed=None,

@@ -4,9 +4,11 @@ Scaled (normalized-alpha) forward-backward, Baum-Welch with optional
 transition masks, Viterbi, ancestral sampling and the random-parameter
 baseline.  The private helpers operate on a per-time observation
 likelihood matrix so variants with richer emission structure can reuse
-the same recursions.  ``run_em`` is the EM loop every model kind shares:
-each trainer hands it a step function and gets back the fitted parameters
-and the FitReport.
+the same recursions; they touch the transition only through ``@``, so it
+may be a matrix or an operator supporting ``alpha @ A`` and ``A @ v``
+(the order-k tuple chain passes one).  ``run_em`` is the EM loop every
+model kind shares: each trainer hands it a step function and gets back
+the fitted parameters and the FitReport.
 """
 
 from __future__ import annotations
@@ -72,6 +74,14 @@ def check_distributions(atol, tables):
                              else f"{name} does not sum to 1")
 
 
+def check_positive_ints(values):
+    """Raise ValueError unless every (name, value) in `values` holds a
+    positive integer."""
+    for name, value in values:
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be a positive integer")
+
+
 @dataclass
 class FitReport:
     log_likelihood_trace: list = field(default_factory=list)
@@ -130,35 +140,30 @@ def _scaled_backward(transition, obs_lik, scale):
 
 
 def _posteriors(initial, transition, obs_lik):
-    """Full scaled forward-backward on an observation-likelihood matrix."""
+    """Full scaled forward-backward on an observation-likelihood matrix.
+
+    Returns (log_likelihood, alpha, right, gamma), where
+    right[t] = obs_lik[t + 1] * beta[t + 1] / scale[t + 1], so that
+    xi_t(i, j) = alpha[t, i] * A[i, j] * right[t, j].
+    """
     loglik, alpha, scale = _scaled_forward(initial, transition, obs_lik)
     beta = _scaled_backward(transition, obs_lik, scale)
     gamma = alpha * beta
     gamma /= gamma.sum(axis=1, keepdims=True)
-    return loglik, alpha, beta, scale, gamma
+    return loglik, alpha, obs_lik[1:] * beta[1:] / scale[1:, None], gamma
 
 
-def _pairwise_sum(alpha, beta, scale, transition, obs_lik):
-    """Sum over t of the pairwise posteriors xi_t, without storing them all."""
-    T, n = obs_lik.shape
-    acc = np.zeros_like(transition)
-    for t in range(T - 1):
-        right = obs_lik[t + 1] * beta[t + 1] / scale[t + 1]
-        acc += alpha[t][:, None] * transition * right[None, :]
-    return acc
+def _pairwise_sum(alpha, right, transition):
+    """Sum over t of the pairwise posteriors xi_t of a dense chain."""
+    return transition * (alpha[:-1].T @ right)
 
 
 def forward_backward(params, obs):
     """E-step quantities: exact log-likelihood, gamma_t(i) and xi_t(i, j)."""
     obs = _check_obs(obs, params.n_symbols)
-    obs_lik = params.emission[:, obs].T
-    loglik, alpha, beta, scale, gamma = _posteriors(params.initial, params.transition, obs_lik)
-    T, n = obs_lik.shape
-    xi = np.empty((max(T - 1, 0), n, n))
-    for t in range(T - 1):
-        right = obs_lik[t + 1] * beta[t + 1] / scale[t + 1]
-        xi[t] = alpha[t][:, None] * params.transition * right[None, :]
-    return loglik, gamma, xi
+    loglik, alpha, right, gamma = _posteriors(params.initial, params.transition,
+                                              params.emission[:, obs].T)
+    return loglik, gamma, alpha[:-1, :, None] * params.transition * right[:, None, :]
 
 
 def log_likelihood(params, obs):
@@ -206,9 +211,8 @@ def baum_welch(init, obs, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
 
     def step(params):
         obs_lik = params.emission[:, obs].T
-        loglik, alpha, beta, scale, gamma = _posteriors(params.initial, params.transition, obs_lik)
-        trans_acc = _pairwise_sum(alpha, beta, scale, params.transition, obs_lik)
-        trans_acc = trans_acc * mask + SMOOTHING * mask
+        loglik, alpha, right, gamma = _posteriors(params.initial, params.transition, obs_lik)
+        trans_acc = _pairwise_sum(alpha, right, params.transition) * mask + SMOOTHING * mask
         emis_acc = np.zeros((n, K))
         np.add.at(emis_acc.T, obs, gamma)
         emis_acc += SMOOTHING

@@ -68,13 +68,16 @@ def _decode(cls, data, where):
 
 
 def _decode_value(hint, value, where):
+    if (hint is np.ndarray or hint is tuple or get_origin(hint) is list) \
+            and not isinstance(value, list):
+        raise ValueError(f"corrupt model file: {where} is not a JSON array")
     if hint is np.ndarray:
         return np.asarray(value)
     if hint is tuple:
         return tuple(value)
     if get_origin(hint) is list:
         (item,) = get_args(hint)
-        return [_decode_value(item, v, where) for v in value]
+        return [_decode_value(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
     if is_dataclass(hint):
         return _decode(hint, value, where)
     return value

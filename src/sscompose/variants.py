@@ -3,8 +3,11 @@
 The order-k chain is realized exactly by embedding state tuples
 (z_{t-k+1}, ..., z_t) into a first-order chain of n^k tuple states; the
 first embedded step emits the first k observations jointly so the
-likelihood and EM updates are exact.  Left-right structure is a zero
-mask on the transition tables that multiplicative EM updates preserve.
+likelihood and EM updates are exact.  The tuple chain runs through the
+shared forward-backward of ``hmm``, its sparse shift structure passed as
+a transition operator rather than a dense n^k x n^k matrix.  Left-right
+structure is a zero mask on the transition tables that multiplicative EM
+updates preserve.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .hmm import (
     DEFAULT_TOL,
     DEFAULT_MAX_ITER,
     HmmParams,
-    ZeroProbabilityError,
     _as_rng,
     _check_obs,
     _draw,
@@ -27,6 +29,7 @@ from .hmm import (
     _scaled_forward,
     baum_welch,
     check_distributions,
+    check_positive_ints,
     run_em,
 )
 
@@ -59,10 +62,7 @@ class KhmmParams:
         integers, the tables have shapes (n,), (n^(i-1), n) for i = 2..k,
         (n^k, n) and (n, K), with K == n_symbols when given, and every row
         is a distribution."""
-        for name in ("order", "n_states"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer")
+        check_positive_ints([("order", self.order), ("n_states", self.n_states)])
         n, k = int(self.n_states), int(self.order)
         if len(self.init_transitions) != k - 1:
             raise ValueError(f"order {k} needs {k - 1} init_transitions tables, "
@@ -79,10 +79,14 @@ class KhmmParams:
         ])
 
 
-def _lr_tuple_mask(n, rows):
-    """Allowed next states given the last state of each row's prefix tuple."""
-    last = np.arange(rows) % n
-    return (np.arange(n)[None, :] >= last[:, None]).astype(float)
+def _tuple_masks(n, order, left_right):
+    """Allowed next states for the init tables of steps 2..k and the
+    transition table; left-right allows only states no lower than the last
+    state of the row's prefix tuple."""
+    rows = [n ** i for i in range(1, order + 1)]
+    if not left_right:
+        return [np.ones((r, n)) for r in rows]
+    return [(np.arange(n)[None, :] >= (np.arange(r) % n)[:, None]).astype(float) for r in rows]
 
 
 def _masked_dirichlet(rng, mask):
@@ -97,14 +101,8 @@ def random_khmm_params(n_states, order, alphabet_size, seed, left_right=False,
                          "reduce the number of states or the order")
     rng = _as_rng(seed)
     initial = rng.dirichlet(np.ones(n_states))
-    init_transitions = []
-    for i in range(2, order + 1):
-        rows = n_states ** (i - 1)
-        mask = _lr_tuple_mask(n_states, rows) if left_right else np.ones((rows, n_states))
-        init_transitions.append(_masked_dirichlet(rng, mask))
-    rows = n_states ** order
-    mask = _lr_tuple_mask(n_states, rows) if left_right else np.ones((rows, n_states))
-    transition = _masked_dirichlet(rng, mask)
+    *init_transitions, transition = [_masked_dirichlet(rng, mask)
+                                     for mask in _tuple_masks(n_states, order, left_right)]
     emission = rng.dirichlet(np.ones(alphabet_size), size=n_states)
     return KhmmParams(order, n_states, initial, init_transitions, transition, emission)
 
@@ -133,42 +131,30 @@ def _khmm_obs_lik(params, obs):
     return rows
 
 
-def _khmm_forward_backward(params, obs_lik):
-    """Scaled forward-backward on the sparse tuple-shift transition structure."""
-    n = params.n_states
-    P = params.n_tuples
-    T = obs_lik.shape[0]
-    shift = (np.arange(P) % (P // n))[:, None] * n + np.arange(n)[None, :]
-    rho = _tuple_initial(params)
-    alpha = np.empty((T, P))
-    scale = np.empty(T)
-    a = rho * obs_lik[0]
-    scale[0] = a.sum()
-    if scale[0] <= 0.0:
-        raise ZeroProbabilityError("sequence has probability zero at step 0")
-    alpha[0] = a / scale[0]
-    for t in range(1, T):
-        a = np.zeros(P)
-        np.add.at(a, shift, alpha[t - 1][:, None] * params.transition)
-        a *= obs_lik[t]
-        scale[t] = a.sum()
-        if scale[t] <= 0.0:
-            raise ZeroProbabilityError(f"sequence has probability zero at step {t}")
-        alpha[t] = a / scale[t]
-    beta = np.empty((T, P))
-    beta[-1] = 1.0
-    for t in range(T - 2, -1, -1):
-        right = (obs_lik[t + 1] * beta[t + 1]) / scale[t + 1]
-        beta[t] = (params.transition * right[shift]).sum(axis=1)
-    loglik = float(np.log(scale).sum())
-    return loglik, alpha, beta, scale, shift
+class _TupleShift:
+    """The tuple chain's transition as an operator for ``@``: tuple
+    (z_1..z_k) moves only to (z_2..z_k, z), with probability table[tuple, z]."""
+
+    __array_ufunc__ = None  # numpy then hands `alpha @ op` to __rmatmul__
+
+    def __init__(self, table, n):
+        self.table, self.n = table, n
+
+    def __rmatmul__(self, alpha):  # alpha @ op: tuple (a, b) sends its mass to (b, z)
+        return (alpha[:, None] * self.table).reshape(self.n, -1).sum(axis=0)
+
+    def __matmul__(self, v):  # op @ v: tuple (a, b) collects v over (b, z)
+        n = self.n
+        return (self.table.reshape(n, -1, n) * v.reshape(-1, n)).sum(axis=2).ravel()
 
 
 def khmm_log_likelihood(params, obs):
     obs = _check_obs(obs, params.n_symbols)
     if len(obs) < params.order:
         raise ValueError("sequence shorter than the model order")
-    loglik, *_ = _khmm_forward_backward(params, _khmm_obs_lik(params, obs))
+    loglik, _, _ = _scaled_forward(_tuple_initial(params),
+                                   _TupleShift(params.transition, params.n_states),
+                                   _khmm_obs_lik(params, obs))
     return loglik
 
 
@@ -177,17 +163,14 @@ def _khmm_em_step(params, obs, masks):
     n, k = params.n_states, params.order
     K = params.n_symbols
     obs_lik = _khmm_obs_lik(params, obs)
-    loglik, alpha, beta, scale, shift = _khmm_forward_backward(params, obs_lik)
-    gamma = alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    T_emb = obs_lik.shape[0]
+    loglik, alpha, right, gamma = _posteriors(
+        _tuple_initial(params), _TupleShift(params.transition, n), obs_lik)
+    T_emb, P = obs_lik.shape
 
-    # transition tensor counts (sparse aggregation over the shift structure)
-    trans_acc = np.zeros_like(params.transition)
-    for t in range(T_emb - 1):
-        right = (obs_lik[t + 1] * beta[t + 1]) / scale[t + 1]
-        trans_acc += alpha[t][:, None] * params.transition * right[shift]
-    trans_acc = trans_acc * masks[-1] + SMOOTHING * masks[-1]
+    # xi mass of prefix tuple (a, b) moving on to tuple (b, z), summed over t
+    counts = np.einsum("tab,tbz->abz", alpha[:-1].reshape(T_emb - 1, n, P // n),
+                       right.reshape(T_emb - 1, P // n, n), optimize=True).reshape(P, n)
+    trans_acc = params.transition * counts * masks[-1] + SMOOTHING * masks[-1]
     transition = trans_acc / trans_acc.sum(axis=1, keepdims=True)
 
     # initial distributions from the first tuple posterior
@@ -227,12 +210,7 @@ def train_khmm(obs, n_states, order, n_symbols, init=None, seed=None,
     if init.n_tuples > state_cap:
         raise ValueError(f"tuple state space {init.n_tuples} exceeds cap {state_cap}; "
                          "reduce the number of states or the order")
-    masks = []
-    for i in range(2, order + 1):
-        rows = n_states ** (i - 1)
-        masks.append(_lr_tuple_mask(n_states, rows) if left_right else np.ones((rows, n_states)))
-    rows = n_states ** order
-    masks.append(_lr_tuple_mask(n_states, rows) if left_right else np.ones((rows, n_states)))
+    masks = _tuple_masks(n_states, order, left_right)
     return run_em(lambda params: _khmm_em_step(params, obs, masks), init, tol, max_iter, seed)
 
 
@@ -314,6 +292,17 @@ class ArhmmParams:
     def n_symbols(self):
         return self.init_emission.shape[1]
 
+    def validate(self, atol=1e-12, n_symbols=None):
+        """Raise ValueError unless the tables have shapes (n,), (n, n),
+        (n, K, K) and (n, K), with K == n_symbols when given, and every row
+        is a distribution."""
+        n = len(self.initial)
+        K = np.shape(self.init_emission)[-1] if n_symbols is None else n_symbols
+        check_distributions(atol, [("initial", self.initial, (n,)),
+                                   ("transition", self.transition, (n, n)),
+                                   ("emission", self.emission, (n, K, K)),
+                                   ("init_emission", self.init_emission, (n, K))])
+
 
 def random_arhmm_params(n_states, alphabet_size, seed):
     rng = _as_rng(seed)
@@ -353,8 +342,8 @@ def train_arhmm(obs, n_states, n_symbols, init=None, seed=None,
 
     def step(params):
         obs_lik = _arhmm_obs_lik(params, obs)
-        loglik, alpha, beta, scale, gamma = _posteriors(params.initial, params.transition, obs_lik)
-        trans_acc = _pairwise_sum(alpha, beta, scale, params.transition, obs_lik) + SMOOTHING
+        loglik, alpha, right, gamma = _posteriors(params.initial, params.transition, obs_lik)
+        trans_acc = _pairwise_sum(alpha, right, params.transition) + SMOOTHING
         emis_acc = np.zeros((n, K, K))
         np.add.at(emis_acc.transpose(1, 2, 0), (obs[:-1], obs[1:]), gamma[1:])
         emis_acc += SMOOTHING

@@ -48,25 +48,44 @@ def path_logprob(initial, transition, emission, obs, path):
     return lp
 
 
-def enum_khmm_loglik(params, obs):
-    """Sum over all hidden paths of the order-k chain likelihood."""
+def _khmm_path_probs(params, obs):
+    """Every hidden path of the order-k chain with its joint probability,
+    and for each t >= k the index of the prefix (z_{t-k}, ..., z_{t-1})."""
     n, k = params.n_states, params.order
     paths = all_paths(n, len(obs))
     prob = params.initial[paths[:, 0]] * params.emission[paths[:, 0], obs[0]]
+    prefixes = {}
     for t in range(1, len(obs)):
+        idx = np.zeros(len(paths), dtype=np.int64)
+        for j in range(max(t - k, 0), t):
+            idx = idx * n + paths[:, j]
         if t < k:
-            table = params.init_transitions[t - 1]
-            idx = np.zeros(len(paths), dtype=np.int64)
-            for j in range(t):
-                idx = idx * n + paths[:, j]
-            prob = prob * table[idx, paths[:, t]]
+            prob = prob * params.init_transitions[t - 1][idx, paths[:, t]]
         else:
-            idx = np.zeros(len(paths), dtype=np.int64)
-            for j in range(t - k, t):
-                idx = idx * n + paths[:, j]
             prob = prob * params.transition[idx, paths[:, t]]
+            prefixes[t] = idx
         prob = prob * params.emission[paths[:, t], obs[t]]
+    return paths, prob, prefixes
+
+
+def enum_khmm_loglik(params, obs):
+    """Sum over all hidden paths of the order-k chain likelihood."""
+    _, prob, _ = _khmm_path_probs(params, obs)
     return float(np.log(prob.sum()))
+
+
+def enum_khmm_transition_counts(params, obs):
+    """Expected (prefix tuple, next state) counts over t >= k under the
+    posterior over hidden paths: the E-step sums an exact M-step for the
+    order-k transition table normalises.  Row index of prefix
+    (z_{t-k}, ..., z_{t-1}) is sum_j z_{t-k+j} n^(k-1-j)."""
+    n, k = params.n_states, params.order
+    paths, prob, prefixes = _khmm_path_probs(params, obs)
+    weight = prob / prob.sum()
+    counts = np.zeros((n ** k, n))
+    for t, idx in prefixes.items():
+        np.add.at(counts, (idx, paths[:, t]), weight)
+    return counts
 
 
 def enum_arhmm_loglik(params, obs):

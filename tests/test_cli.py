@@ -353,3 +353,51 @@ def test_m14_train_skips_singular_grid_cells(tmp_path):
     assert all(cell["state_discount"] == 0.9 for cell in failed)
     assert _run("generate", "--model", run / "M14_model.json", "--n", "1",
                 "--seed", "0", "--out", tmp_path / "b") == 0
+
+
+def _train_and_corrupt(tmp_path, piece, model, corrupt):
+    """Train a small model, check it generates, then corrupt its params."""
+    run = tmp_path / "run"
+    assert _run("train", "--input", piece, "--model", model, "--states", "3",
+                "--seed", "0", "--max-iter", "1", "--out", run) == 0
+    path = run / f"{model}_model.json"
+    assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
+                "--out", tmp_path / "ok") == 0
+    data = json.loads(path.read_text())
+    corrupt(data["params"])
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("model,name", [("M2", "init_transitions"), ("M12", "chain_sizes")])
+def test_scalar_in_array_field_rejected_on_load(tmp_path, toy_piece, capsys, model, name):
+    piece, _ = toy_piece
+    path = _train_and_corrupt(tmp_path, piece, model, lambda params: params.update({name: 5}))
+    capsys.readouterr()
+    assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
+                "--out", tmp_path / "b") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: corrupt model file: params.{name} is not a JSON array"]
+
+
+def _cut_chain_initials(params):
+    params["chain_initials"] = [[1.0], [1.0], [1.0]]
+
+
+def _cut_layer_1_initial(params):
+    params["layers"][1]["initial"] = [1.0]
+
+
+@pytest.mark.parametrize("model,corrupt", [
+    ("M7", _cut_initial), ("M10", _cut_initial), ("M12", _cut_chain_initials),
+    ("M13", _cut_layer_1_initial),
+])
+def test_inconsistent_arhmm_tshmm_fhmm_lhmm_params_rejected_on_load(tmp_path, toy_piece,
+                                                                    capsys, model, corrupt):
+    piece, _ = toy_piece
+    path = _train_and_corrupt(tmp_path, piece, model, corrupt)
+    capsys.readouterr()
+    assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
+                "--out", tmp_path / "b") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: corrupt model file: params:")

@@ -164,3 +164,23 @@ def test_lhmm_sample_deterministic():
 def test_lhmm_needs_a_layer():
     with pytest.raises(ValueError):
         hierarchical.train_lhmm([0, 1], 2, 0, 2, seed=0)
+
+
+def test_tshmm_fhmm_lhmm_params_validate():
+    obs = np.random.default_rng(9).integers(0, 4, 40)
+    tshmm, _ = hierarchical.train_tshmm(obs, 3, 2, 4, seed=0, max_iter=3)
+    fhmm, _ = hierarchical.train_fhmm(obs, (3, 2), 4, seed=0, max_iter=3)
+    lhmm, _ = hierarchical.train_lhmm(obs, 3, 2, 4, seed=0, max_iter=3)
+    for params in (tshmm, fhmm, lhmm):
+        params.validate(atol=1e-9, n_symbols=4)
+        with pytest.raises(ValueError, match="emission has shape"):
+            params.validate(n_symbols=5)
+    tshmm.D = tshmm.D[:, :-1]
+    with pytest.raises(ValueError, match="D has shape"):
+        tshmm.validate()
+    fhmm.chain_transitions[1] = fhmm.chain_transitions[0]
+    with pytest.raises(ValueError, match=r"chain_transitions\[1\] has shape"):
+        fhmm.validate()
+    lhmm.layers[1].emission = lhmm.layers[1].emission[:, :-1]
+    with pytest.raises(ValueError, match=r"layers\[1\]: emission has shape"):
+        lhmm.validate()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import enum_arhmm_loglik, enum_khmm_loglik
+from oracles import enum_arhmm_loglik, enum_khmm_loglik, enum_khmm_transition_counts
 from sscompose import hmm, variants
 
 
@@ -153,4 +153,51 @@ def test_khmm_params_validate(order, left_right):
         params.validate(n_symbols=6)
     params.transition = params.transition[:-1]
     with pytest.raises(ValueError, match="transition has shape"):
+        params.validate()
+
+
+def _enumerated_m_step(params, obs, left_right):
+    """The transition table one exact EM step gives: enumerated posterior
+    counts, masked and smoothed as the library does, row-normalised."""
+    n, rows = params.n_states, params.n_states ** params.order
+    mask = np.ones((rows, n))
+    if left_right:  # next state no lower than the prefix's last state
+        mask = (np.arange(n)[None, :] >= (np.arange(rows) % n)[:, None]).astype(float)
+    acc = enum_khmm_transition_counts(params, obs) * mask + hmm.SMOOTHING * mask
+    return acc / acc.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("left_right", [False, True])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_khmm_m_step_matches_enumerated_counts(order, left_right):
+    rng = np.random.default_rng(20 + order)
+    for _ in range(3):
+        params = variants.random_khmm_params(3, order, 4, rng, left_right=left_right)
+        obs = rng.integers(0, 4, 7)
+        fitted, _ = variants.train_khmm(obs, 3, order, 4, init=params, max_iter=1,
+                                        left_right=left_right)
+        expected = _enumerated_m_step(params, obs, left_right)
+        assert fitted.transition == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("left_right", [False, True])
+def test_baum_welch_m_step_matches_enumerated_counts(left_right):
+    rng = np.random.default_rng(30)
+    for _ in range(3):
+        init = variants.random_lr_params(3, 4, rng) if left_right else hmm.random_params(3, 4, rng)
+        obs = rng.integers(0, 4, 7)
+        mask = variants.lr_transition_mask(3) if left_right else None
+        fitted, _ = hmm.baum_welch(init, obs, max_iter=1, transition_mask=mask)
+        expected = _enumerated_m_step(_matched_khmm_init(init), obs, left_right)
+        assert fitted.transition == pytest.approx(expected, rel=1e-10)
+
+
+def test_arhmm_params_validate():
+    obs = np.random.default_rng(10).integers(0, 4, 40)
+    params, _ = variants.train_arhmm(obs, 3, 4, seed=0, max_iter=3)
+    params.validate(atol=1e-9, n_symbols=4)
+    with pytest.raises(ValueError, match="emission has shape"):
+        params.validate(n_symbols=5)
+    params.emission = params.emission[:, :-1]
+    with pytest.raises(ValueError, match="emission has shape"):
         params.validate()
