@@ -96,11 +96,15 @@ def cmd_train(args):
 
 def cmd_generate(args):
     started = time.time()
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
+    if args.length is not None and args.length < 1:
+        raise ValueError("--length must be >= 1")
     out_dir = _resolve_out(args.out)
     pieces_dir = os.path.join(out_dir, "pieces")
     os.makedirs(pieces_dir, exist_ok=True)
     model = persist.load_model(args.model)
-    length = args.length if args.length else len(model.training_symbols)
+    length = len(model.training_symbols) if args.length is None else args.length
     seeds = [args.seed + i for i in range(args.n)]
     piece_paths = []
     for i, seed_i in enumerate(seeds):
@@ -255,6 +259,8 @@ def cmd_rank(args):
 
 def cmd_export(args):
     started = time.time()
+    if args.top < 0:
+        raise ValueError("--top must be >= 0")
     out_dir = _resolve_out(args.out)
     os.makedirs(out_dir, exist_ok=True)
     train_seq = _read_piece(args.input)

@@ -3,12 +3,15 @@
 Scaled (normalized-alpha) forward-backward, Baum-Welch with optional
 transition masks, Viterbi, ancestral sampling and the random-parameter
 baseline.  The private helpers operate on a per-time observation
-likelihood matrix so variants with richer emission structure can reuse
-the same recursions; they touch the transition only through ``@``, so it
-may be a matrix or an operator supporting ``alpha @ A`` and ``A @ v``
-(the order-k tuple chain passes one).  ``run_em`` is the EM loop every
-model kind shares: each trainer hands it a step function and gets back
-the fitted parameters and the FitReport.
+likelihood table so variants with richer emission structure can reuse
+the same recursions.  Each step's alpha takes the shape of the initial
+distribution ((n,) for a plain chain, (n, D) for the (state, dwell)
+chains in ``semimarkov``), and obs_lik[t] only has to broadcast to it.
+The helpers touch the transition only through ``@``, so it may be a
+matrix or an operator supporting ``alpha @ A`` and ``A @ v`` (the
+order-k tuple chain and the dwell chains pass one).  ``run_em`` is the
+EM loop every model kind shares: each trainer hands it a step function
+and gets back the fitted parameters and the FitReport.
 """
 
 from __future__ import annotations
@@ -113,44 +116,34 @@ def _check_obs(obs, n_symbols):
 
 def _scaled_forward(initial, transition, obs_lik):
     """Scaled forward pass.  Returns (log_likelihood, alpha, scale)."""
-    T, n = obs_lik.shape
-    alpha = np.empty((T, n))
+    T = len(obs_lik)
+    alpha = np.empty((T,) + np.shape(initial))
     scale = np.empty(T)
-    a = initial * obs_lik[0]
-    scale[0] = a.sum()
-    if scale[0] <= 0.0:
-        raise ZeroProbabilityError("sequence has probability zero at step 0")
-    alpha[0] = a / scale[0]
-    for t in range(1, T):
-        a = (alpha[t - 1] @ transition) * obs_lik[t]
-        scale[t] = a.sum()
-        if scale[t] <= 0.0:
+    for t in range(T):
+        a = (initial if t == 0 else alpha[t - 1] @ transition) * obs_lik[t]
+        scale[t] = c = np.add.reduce(a, axis=None)  # a.sum() without its Python wrapper
+        if c <= 0.0:
             raise ZeroProbabilityError(f"sequence has probability zero at step {t}")
-        alpha[t] = a / scale[t]
+        alpha[t] = a / c
     return float(np.log(scale).sum()), alpha, scale
 
 
-def _scaled_backward(transition, obs_lik, scale):
-    T, n = obs_lik.shape
-    beta = np.empty((T, n))
-    beta[-1] = 1.0
-    for t in range(T - 2, -1, -1):
-        beta[t] = (transition @ (obs_lik[t + 1] * beta[t + 1])) / scale[t + 1]
-    return beta
-
-
 def _posteriors(initial, transition, obs_lik):
-    """Full scaled forward-backward on an observation-likelihood matrix.
+    """Full scaled forward-backward.  Every step's alpha, beta and gamma
+    take the shape of `initial`, which obs_lik[t] must broadcast to.
 
     Returns (log_likelihood, alpha, right, gamma), where
     right[t] = obs_lik[t + 1] * beta[t + 1] / scale[t + 1], so that
     xi_t(i, j) = alpha[t, i] * A[i, j] * right[t, j].
     """
     loglik, alpha, scale = _scaled_forward(initial, transition, obs_lik)
-    beta = _scaled_backward(transition, obs_lik, scale)
+    beta = np.ones_like(alpha)
+    for t in range(len(alpha) - 2, -1, -1):
+        beta[t] = (transition @ (obs_lik[t + 1] * beta[t + 1])) / scale[t + 1]
+    per_step = (-1,) + (1,) * (alpha.ndim - 1)  # broadcasts scale over a step's states
     gamma = alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    return loglik, alpha, obs_lik[1:] * beta[1:] / scale[1:, None], gamma
+    gamma /= gamma.sum(axis=tuple(range(1, gamma.ndim))).reshape(per_step)
+    return loglik, alpha, obs_lik[1:] * beta[1:] / scale[1:].reshape(per_step), gamma
 
 
 def _pairwise_sum(alpha, right, transition):

@@ -123,11 +123,10 @@ def _model_from_dict_checked(data):
     report = data.get("report")
     alphabet = PitchAlphabet(np.asarray(data["alphabet"], dtype=np.int64))
     params = _decode(PARAM_TAGS[tag], data["params"], "params")
-    if hasattr(params, "validate"):
-        try:
-            params.validate(atol=1e-8, n_symbols=alphabet.size)
-        except ValueError as exc:
-            raise ValueError(f"corrupt model file: params: {exc}") from None
+    try:
+        params.validate(atol=1e-8, n_symbols=alphabet.size)
+    except ValueError as exc:
+        raise ValueError(f"corrupt model file: params: {exc}") from None
     return TrainedModel(
         spec,
         alphabet,

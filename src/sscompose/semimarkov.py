@@ -1,13 +1,18 @@
 """Duration-explicit variants: hidden semi-Markov EM and the
 non-stationary HMM fitted by Metropolis-within-Gibbs.
 
-The HSMM uses the standard explicit-duration forward-backward in log
-space (segments end exactly at T; right-censoring corrections are out
-of scope).  The NSHMM makes the self-transition probability a logistic
-function of the current dwell time and is estimated by MCMC: forward
-filter backward sample of the state path, conjugate Dirichlet draws for
-the categorical parameters and random-walk Metropolis on the dwell
-logits.
+Both models are first-order chains on (state, dwell index) pairs, so
+both run through the scaled recursions in ``hmm`` with one transition
+operator, ``_DwellChain``.  The explicit-duration HSMM is that chain with
+stay and leave probabilities read off the survival function of its
+duration pmf (Yu 2010, *Hidden semi-Markov models*); the last step ends
+every segment, so segments end exactly at T (right-censoring corrections
+are out of scope), and EM reads its expected counts off the chain's
+posteriors.
+The NSHMM makes the stay probability a logistic function of the current
+dwell time and is estimated by MCMC: forward filter backward sample of
+the state path, conjugate Dirichlet draws for the categorical parameters
+and random-walk Metropolis on the dwell logits.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .hmm import (
     SMOOTHING,
@@ -25,6 +30,8 @@ from .hmm import (
     _as_rng,
     _check_obs,
     _draw,
+    _posteriors,
+    _scaled_forward,
     check_distributions,
     run_em,
 )
@@ -85,101 +92,83 @@ def random_hsmm_params(n_states, alphabet_size, d_max, seed):
     )
 
 
-def _hsmm_tables(params, obs):
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(params.initial)
-        log_trans = np.log(params.transition)
-        log_dur = np.log(params.duration)
-        log_emis = np.log(params.emission)
-    T = len(obs)
-    n = params.n_states
-    ce = np.zeros((T + 1, n))  # cumulative per-state log emission
-    np.cumsum(log_emis[:, obs].T, axis=0, out=ce[1:])
-    return log_pi, log_trans, log_dur, log_emis, ce
+class _DwellChain:
+    """A chain on (state, dwell index) as an operator for ``@``: state j at
+    dwell index d stays, moving to dwell index min(d + 1, D - 1), with
+    probability stay[j, d], or leaves with probability leave[j, d]
+    (1 - stay unless given) for state k at dwell index 0 with probability
+    switch[j, k]."""
+
+    __array_ufunc__ = None  # numpy then hands `alpha @ op` to __rmatmul__
+
+    def __init__(self, stay, switch, leave=None):
+        self.stay, self.switch = stay, switch
+        self.leave = 1.0 - stay if leave is None else leave
+        D = stay.shape[1]
+        self.next_dwell = np.minimum(np.arange(1, D + 1), D - 1)
+
+    def __rmatmul__(self, alpha):  # alpha @ op, alpha of shape (n, D)
+        kept = alpha * self.stay
+        nxt = np.empty_like(alpha)
+        nxt[:, 1:] = kept[:, :-1]
+        # np.add.reduce is ndarray.sum without its Python-level wrapper
+        nxt[:, 0] = np.add.reduce(alpha * self.leave, axis=1) @ self.switch
+        # the saturated counter keeps its mass; added after column 0 is set
+        # because for D == 1 that is column 0
+        nxt[:, -1] += kept[:, -1]
+        return nxt
+
+    def __matmul__(self, v):  # op @ v: (j, d) collects v over its successors
+        return (self.stay * v[:, self.next_dwell]
+                + self.leave * (self.switch @ v[:, 0])[:, None])
 
 
-def _hsmm_forward(params, obs):
-    """Segment-end forward pass.
-
-    A[t, j] = log P(x_1..x_t, a segment ends at t in state j);
-    S[t, j]  = log sum_i A[t, i] + log trans[i, j], with S[0] = log pi.
-    """
-    log_pi, log_trans, log_dur, _, ce = _hsmm_tables(params, obs)
-    T = len(obs)
+def _hsmm_chain(params, obs):
+    """The HSMM as a first-order chain on (state, dwell index d): a segment
+    that has lasted d + 1 steps goes on with probability surv[d + 1] /
+    surv[d] and ends with probability duration[d] / surv[d], where
+    surv[d] = P(duration >= d + 1); both are quotients, not one minus the
+    other, so a hazard near 0 or 1 keeps its relative precision.  The last
+    step's likelihood carries the probability of ending, so every segment
+    ends at T.  Returns (initial, operator, observation likelihood)."""
     n, D = params.n_states, params.d_max
-    A = np.full((T + 1, n), -np.inf)
-    S = np.full((T + 1, n), -np.inf)
-    S[0] = log_pi
-    for t in range(1, T + 1):
-        d = min(D, t)
-        # rows: duration 1..d (most recent start last -> reverse slice)
-        seg = ce[t][None, :] - ce[t - d:t][::-1]
-        arr = log_dur.T[:d] + seg + S[t - d:t][::-1]
-        A[t] = logsumexp(arr, axis=0)
-        S[t] = logsumexp(A[t][:, None] + log_trans, axis=0)
-    loglik = float(logsumexp(A[T]))
-    if not np.isfinite(loglik):
-        raise ZeroProbabilityError("sequence has probability zero under the HSMM")
-    return A, S, ce, loglik
-
-
-def _hsmm_backward(params, obs, ce):
-    """B[t, j] = log P(x_{t+1}..x_T | segment ended at t in state j);
-    U[t, k] = log sum over next-segment durations starting at t+1 in state k."""
-    _, log_trans, log_dur, _, _ = _hsmm_tables(params, obs)
-    T = len(obs)
-    n, D = params.n_states, params.d_max
-    B = np.full((T + 1, n), -np.inf)
-    U = np.full((T + 1, n), -np.inf)
-    B[T] = 0.0
-    for t in range(T - 1, -1, -1):
-        d = min(D, T - t)
-        seg = ce[t + 1:t + d + 1] - ce[t][None, :]
-        arr = log_dur.T[:d] + seg + B[t + 1:t + d + 1]
-        U[t] = logsumexp(arr, axis=0)
-        B[t] = logsumexp(log_trans + U[t][None, :], axis=1)
-    return B, U
+    surv = np.zeros((n, D + 1))
+    surv[:, :-1] = np.cumsum(params.duration[:, ::-1], axis=1)[:, ::-1]
+    with np.errstate(invalid="ignore"):  # 0 / 0 where no segment lasts d + 1 steps
+        stay = np.nan_to_num(surv[:, 1:] / surv[:, :-1])
+        leave = np.nan_to_num(params.duration / surv[:, :-1])
+    lik = params.emission.T[obs][:, :, None] * np.ones(D)
+    lik[-1] *= leave
+    return (params.initial[:, None] * np.eye(1, D),
+            _DwellChain(stay, params.transition, leave), lik)
 
 
 def hsmm_log_likelihood(params, obs):
     obs = _check_obs(obs, params.n_symbols)
-    _, _, _, loglik = _hsmm_forward(params, obs)
+    loglik, _, _ = _scaled_forward(*_hsmm_chain(params, obs))
     return loglik
 
 
 def _hsmm_em_step(params, obs):
     """One exact EM iteration on the explicit-duration model."""
-    T = len(obs)
-    n, D, K = params.n_states, params.d_max, params.n_symbols
-    log_pi, log_trans, log_dur, _, ce = _hsmm_tables(params, obs)
-    A, S, ce, loglik = _hsmm_forward(params, obs)
-    B, U = _hsmm_backward(params, obs, ce)
-
-    dur_acc = np.zeros((n, D))
-    pi_acc = np.zeros(n)
-    occ = np.zeros((T, n))
-    for d in range(1, D + 1):
-        if d > T:
-            break
-        # segments starting at 0-based s0 = 0..T-d, state-major columns
-        seg = ce[d:T + 1] - ce[:T - d + 1]
-        log_z = S[:T - d + 1] + log_dur[:, d - 1][None, :] + seg + B[d:T + 1] - loglik
-        z = np.exp(log_z)
-        dur_acc[:, d - 1] = z.sum(axis=0)
-        pi_acc += z[0]
-        for offset in range(d):
-            occ[offset:offset + T - d + 1] += z
-    trans_acc = (np.exp(A[1:T, :, None] + U[1:T, None, :] - loglik)
-                 * params.transition[None, :, :]).sum(axis=0)
+    n, K = params.n_states, params.n_symbols
+    initial, chain, lik = _hsmm_chain(params, obs)
+    loglik, alpha, right, gamma = _posteriors(initial, chain, lik)
+    # a segment of state j ends at dwell index d at step t < T - 1 and state k
+    # follows with posterior mass ends[t, j, d] * transition[j, k] * enter[t, k]
+    ends, enter = alpha[:-1] * chain.leave, right[:, :, 0]
+    trans_acc = params.transition * (ends.sum(axis=2).T @ enter)
+    # segments that end at T carry the last step's posterior gamma[-1]
+    dur_acc = (ends * (enter @ params.transition.T)[:, :, None]).sum(axis=0) + gamma[-1]
+    dur_acc += SMOOTHING
 
     offdiag = 1.0 - np.eye(n)
     trans_acc = trans_acc * offdiag + SMOOTHING * offdiag
-    dur_acc += SMOOTHING
     emis_acc = np.zeros((n, K))
-    np.add.at(emis_acc.T, obs, occ)
+    np.add.at(emis_acc.T, obs, gamma.sum(axis=2))
     emis_acc += SMOOTHING
     new = HsmmParams(
-        pi_acc / pi_acc.sum(),
+        gamma[0, :, 0].copy(),
         trans_acc / trans_acc.sum(axis=1, keepdims=True),
         emis_acc / emis_acc.sum(axis=1, keepdims=True),
         dur_acc / dur_acc.sum(axis=1, keepdims=True),
@@ -189,7 +178,7 @@ def _hsmm_em_step(params, obs):
 
 def train_hsmm(obs, n_states, n_symbols, d_max, init=None, seed=None,
                tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """EM via the explicit-duration forward-backward."""
+    """EM via the forward-backward on the (state, dwell) chain."""
     obs = _check_obs(obs, n_symbols)
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
@@ -246,48 +235,38 @@ class NshmmParams:
     def d_max(self):
         return self.stay_profile.shape[1]
 
+    def validate(self, atol=1e-12, n_symbols=None):
+        """Raise ValueError unless the shapes agree ((n,), (n, n), (n, K),
+        (n, D) with D >= 1, and K == n_symbols when given), the initial,
+        switch and emission rows are distributions and every stay
+        probability is finite and in [0, 1]."""
+        tables = (self.initial, self.switch, self.emission, self.stay_profile)
+        if tuple(np.ndim(t) for t in tables) != (1, 2, 2, 2):
+            raise ValueError("initial, switch, emission and stay_profile must have "
+                             "1, 2, 2 and 2 axes")
+        n = len(self.initial)
+        K = np.shape(self.emission)[1] if n_symbols is None else n_symbols
+        check_distributions(atol, [("initial", self.initial, (n,)),
+                                   ("switch", self.switch, (n, n)),
+                                   ("emission", self.emission, (n, K))])
+        stay = np.asarray(self.stay_profile, dtype=float)
+        if stay.shape[0] != n or stay.shape[1] < 1:
+            raise ValueError(f"stay_profile has shape {stay.shape}, expected ({n}, D), D >= 1")
+        if not np.all((stay >= 0) & (stay <= 1)):  # NaN fails both comparisons
+            raise ValueError("stay_profile entries must be finite and lie in [0, 1]")
 
-def _nshmm_forward(params, obs, keep_alphas=False):
-    """Scaled forward on the dwell-augmented chain (state, dwell).
 
-    Returns (loglik, alphas) with alphas the (T, n, D) filtered
-    distributions when keep_alphas, else None.
-    """
-    T = len(obs)
-    n, D = params.n_states, params.d_max
-    lik = params.emission.T[obs][:, :, None]  # (T, n, 1)
-    stay = params.stay_profile
-    leave_prob = 1.0 - stay
-    stay_on, stay_saturated = stay[:, :-1], stay[:, -1]
-    alphas = np.empty((T if keep_alphas else 2, n, D))
-    alpha = alphas[0]
-    alpha.fill(0.0)
-    alpha[:, 0] = params.initial * lik[0, :, 0]
-    c0 = alpha.sum()
-    if c0 <= 0:
-        raise ZeroProbabilityError("sequence has probability zero at step 0")
-    alpha /= c0
-    loglik = np.log(c0)
-    for t in range(1, T):
-        nxt = alphas[t if keep_alphas else t % 2]
-        np.multiply(alpha[:, :-1], stay_on, out=nxt[:, 1:])
-        nxt[:, 0] = (alpha * leave_prob).sum(axis=1) @ params.switch
-        # the dwell counter saturates: staying at index D - 1 keeps it there;
-        # added after column 0 is set because for D == 1 that is column 0
-        nxt[:, -1] += alpha[:, -1] * stay_saturated
-        nxt *= lik[t]
-        ct = nxt.sum()
-        if ct <= 0:
-            raise ZeroProbabilityError(f"sequence has probability zero at step {t}")
-        nxt /= ct
-        loglik += np.log(ct)
-        alpha = nxt
-    return float(loglik), (alphas if keep_alphas else None)
+def _nshmm_chain(params, obs):
+    """(initial, operator, observation likelihood) of the dwell-augmented
+    chain for the shared recursions; every state starts at dwell index 0."""
+    return (params.initial[:, None] * np.eye(1, params.d_max),
+            _DwellChain(params.stay_profile, params.switch),
+            params.emission.T[obs][:, :, None])
 
 
 def nshmm_log_likelihood(params, obs):
     obs = _check_obs(obs, params.n_symbols)
-    loglik, _ = _nshmm_forward(params, obs)
+    loglik, _, _ = _scaled_forward(*_nshmm_chain(params, obs))
     return loglik
 
 
@@ -301,9 +280,9 @@ def _nshmm_ffbs(params, obs, rng):
     """
     T = len(obs)
     n, D = params.n_states, params.d_max
-    _, alphas = _nshmm_forward(params, obs, keep_alphas=True)
-    stay = params.stay_profile
-    leave_prob = 1.0 - stay
+    initial, chain, lik = _nshmm_chain(params, obs)
+    _, alphas, _ = _scaled_forward(initial, chain, lik)
+    stay, leave_prob = chain.stay, chain.leave
     switch_to = params.switch.T.copy()  # row j = switch[:, j]
     u = rng.random(T)[::-1].tolist()  # u[t] draws step t; the last step draws first
     path = np.empty(T, dtype=np.int64)

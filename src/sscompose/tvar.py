@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .hmm import _as_rng
+from .hmm import _as_rng, check_positive_ints
 
 DEFAULT_ORDERS = tuple(range(7, 15))
 DEFAULT_STATE_DISCOUNTS = (0.90, 0.95, 0.99, 1.0)
@@ -54,6 +54,34 @@ class TvarFit:
     @property
     def n_steps(self):
         return len(self.s)
+
+    def validate(self, atol=None, n_symbols=None):
+        """Raise ValueError unless the fit is one the filter could give: a
+        positive integer order, discounts in (0, 1], coeff_means (steps,
+        order), coeff_covs (steps, order, order), s and dof (steps,) with
+        steps >= 1, a series of steps + order values, every entry finite
+        and s and dof positive.  atol and n_symbols belong to the shared
+        validate signature and do not apply to a TVAR fit."""
+        check_positive_ints([("order", self.order)])
+        for name in ("state_discount", "var_discount"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not 0.0 < value <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1]")
+        s = np.asarray(self.s, dtype=float)
+        if s.ndim != 1 or len(s) < 1:
+            raise ValueError("s must be a non-empty 1-d array")
+        steps, d = len(s), self.order
+        for name, value, shape in [("coeff_means", self.coeff_means, (steps, d)),
+                                   ("coeff_covs", self.coeff_covs, (steps, d, d)),
+                                   ("s", s, (steps,)), ("dof", self.dof, (steps,)),
+                                   ("series", self.series, (steps + d,))]:
+            value = np.asarray(value, dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} has non-finite entries")
+        if np.any(s <= 0) or np.any(np.asarray(self.dof, dtype=float) <= 0):
+            raise ValueError("s and dof must be positive")
 
 
 def fit_tvar(series, order, state_discount, var_discount,

@@ -159,6 +159,51 @@ def enum_hsmm_loglik(params, obs):
     return float(np.log(rec(0, None)))
 
 
+def _hsmm_segmentations(params, obs):
+    """Every labelled segmentation that covers obs exactly, as a list of
+    (start, duration, state) segments, with its joint probability."""
+    T = len(obs)
+    n, D = params.n_states, params.duration.shape[1]
+    out = []
+
+    def rec(t, prev_state, segments, prob):
+        if t == T:
+            out.append((segments, prob))
+            return
+        for j in range(n):
+            entry = params.initial[j] if prev_state is None else params.transition[prev_state, j]
+            for d in range(1, min(D, T - t) + 1):
+                p = entry * params.duration[j, d - 1] * np.prod(params.emission[j, obs[t:t + d]])
+                if p > 0.0:
+                    rec(t + d, j, segments + [(t, d, j)], prob * p)
+
+    rec(0, None, [], 1.0)
+    return out
+
+
+def enum_hsmm_counts(params, obs):
+    """Posterior-expected counts of the explicit-duration HSMM, summed over
+    every labelled segmentation that covers obs exactly: (initial (n,),
+    transition (n, n), duration (n, D), emission (n, K)), where duration[j,
+    d - 1] counts segments of state j lasting d steps and emission[j, x]
+    counts steps spent in j emitting x.  An exact EM step normalises these."""
+    n, D = params.n_states, params.duration.shape[1]
+    initial, transition = np.zeros(n), np.zeros((n, n))
+    duration, emission = np.zeros((n, D)), np.zeros(params.emission.shape)
+    segmentations = _hsmm_segmentations(params, obs)
+    total = sum(prob for _, prob in segmentations)
+    for segments, prob in segmentations:
+        w = prob / total
+        initial[segments[0][2]] += w
+        for (_, _, i), (_, _, j) in zip(segments, segments[1:]):
+            transition[i, j] += w
+        for start, d, j in segments:
+            duration[j, d - 1] += w
+            for x in obs[start:start + d]:
+                emission[j, x] += w
+    return initial, transition, duration, emission
+
+
 def brute_edit_distance(a, b):
     """Plain recursive Levenshtein with memoization."""
     a, b = list(a), list(b)

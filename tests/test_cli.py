@@ -401,3 +401,39 @@ def test_inconsistent_arhmm_tshmm_fhmm_lhmm_params_rejected_on_load(tmp_path, to
                 "--out", tmp_path / "b") == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: corrupt model file: params:")
+
+
+def _cut_coeff_means(params):
+    params["coeff_means"] = params["coeff_means"][:1]
+
+
+@pytest.mark.parametrize("model,corrupt", [("M9", _cut_initial), ("M14", _cut_coeff_means)])
+def test_inconsistent_nshmm_tvar_params_rejected_on_load(tmp_path, toy_piece, capsys,
+                                                         model, corrupt):
+    piece, _ = toy_piece
+    path = _train_and_corrupt(tmp_path, piece, model, corrupt)
+    capsys.readouterr()
+    assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
+                "--out", tmp_path / "b") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: corrupt model file: params:")
+
+
+def test_count_arguments_range_checked(tmp_path, toy_piece, capsys):
+    piece, _ = toy_piece
+    run, batch, bad = tmp_path / "run", tmp_path / "batch", tmp_path / "bad"
+    assert _run("train", "--input", piece, "--model", "M1", "--states", "3",
+                "--seed", "0", "--max-iter", "1", "--out", run) == 0
+    model = run / "M1_model.json"
+    assert _run("generate", "--model", model, "--n", "2", "--seed", "0", "--out", batch) == 0
+    for argv, message in [
+            (["generate", "--model", model, "--n", "-1"], "--n must be >= 1"),
+            (["generate", "--model", model, "--n", "0"], "--n must be >= 1"),
+            (["generate", "--model", model, "--length", "0"], "--length must be >= 1"),
+            (["generate", "--model", model, "--length", "-3"], "--length must be >= 1"),
+            (["export", "--input", piece, "--batch", batch, "--top", "-1"],
+             "--top must be >= 0")]:
+        capsys.readouterr()
+        assert _run(*argv, "--out", bad) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+    assert not bad.exists()

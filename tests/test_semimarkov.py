@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
 
-from oracles import dense_nshmm_ffbs, enum_hsmm_loglik, enum_nshmm_loglik
+from oracles import dense_nshmm_ffbs, enum_hsmm_counts, enum_hsmm_loglik, enum_nshmm_loglik
 from sscompose import hmm, semimarkov
+
+# duration rows with leading and trailing zeros (D = 3), and D = 1
+ZERO_ENTRY_DURATIONS = {
+    "zeros-a": np.array([[0.0, 0.4, 0.6], [0.7, 0.3, 0.0], [0.0, 1.0, 0.0]]),
+    "zeros-b": np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]),
+    "dmax1": np.ones((3, 1)),
+}
+
+
+def _hsmm_with_duration(rng, duration, K):
+    params = semimarkov.random_hsmm_params(len(duration), K, duration.shape[1], rng)
+    params.duration = duration.copy()
+    return params
 
 
 def test_hsmm_dmax1_equals_zero_diagonal_hmm_likelihood():
@@ -27,6 +40,45 @@ def test_hsmm_matches_segmentation_enumeration():
         obs = rng.integers(0, 3, 6)
         got = semimarkov.hsmm_log_likelihood(params, obs)
         assert got == pytest.approx(enum_hsmm_loglik(params, obs), rel=1e-10)
+    for duration in ZERO_ENTRY_DURATIONS.values():
+        for _ in range(3):
+            params = _hsmm_with_duration(rng, duration, 3)
+            obs = rng.integers(0, 3, 7)
+            got = semimarkov.hsmm_log_likelihood(params, obs)
+            assert got == pytest.approx(enum_hsmm_loglik(params, obs), rel=1e-10)
+    # the data force a last segment of one step in state 0, whose duration
+    # probability is eps: its end probability must not come out of 1 - (1 - eps)
+    for eps in (1e-6, 1e-8, 1e-10):
+        duration = np.array([[eps, eps, 1 - 2 * eps], [1 - 2 * eps, eps, eps]])
+        params = semimarkov.HsmmParams(np.array([0.5, 0.5]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                       np.eye(2) * (1 - 1e-9) + 0.5e-9, duration)
+        obs = np.array([0, 0, 0, 1, 0, 0, 0, 1, 0])
+        got = semimarkov.hsmm_log_likelihood(params, obs)
+        assert got == pytest.approx(enum_hsmm_loglik(params, obs), rel=1e-10)
+
+
+@pytest.mark.parametrize("case", ["random", *ZERO_ENTRY_DURATIONS])
+def test_hsmm_em_step_matches_enumerated_counts(case):
+    rng = np.random.default_rng(9)
+    offdiag = 1.0 - np.eye(3)
+
+    def normalised(acc):
+        return acc / acc.sum(axis=-1, keepdims=True)
+
+    for _ in range(3):
+        if case == "random":
+            params = semimarkov.random_hsmm_params(3, 3, 3, rng)
+        else:
+            params = _hsmm_with_duration(rng, ZERO_ENTRY_DURATIONS[case], 3)
+        obs = rng.integers(0, 3, 7)
+        new, loglik = semimarkov._hsmm_em_step(params, obs)
+        initial, transition, duration, emission = enum_hsmm_counts(params, obs)
+        assert loglik == pytest.approx(enum_hsmm_loglik(params, obs), rel=1e-10)
+        assert new.initial == pytest.approx(normalised(initial), rel=1e-10)
+        assert new.transition == pytest.approx(
+            normalised(transition * offdiag + hmm.SMOOTHING * offdiag), rel=1e-10)
+        assert new.duration == pytest.approx(normalised(duration + hmm.SMOOTHING), rel=1e-10)
+        assert new.emission == pytest.approx(normalised(emission + hmm.SMOOTHING), rel=1e-10)
 
 
 def test_hsmm_em_monotone():
@@ -198,3 +250,25 @@ def test_hsmm_params_validate():
     params.transition = np.full((3, 3), 1 / 3)
     with pytest.raises(ValueError, match="diagonal"):
         params.validate()
+
+
+def test_nshmm_params_validate():
+    rng = np.random.default_rng(8)
+    params = _random_nshmm(rng, 3, 4, 5)
+    params.validate(n_symbols=4)
+    obs = rng.integers(0, 4, 40)
+    fitted, _ = semimarkov.train_nshmm(obs, 3, 4, 5, seed=0, n_iter=20, burn_in=5)
+    fitted.validate(atol=1e-9, n_symbols=4)
+    with pytest.raises(ValueError, match="emission has shape"):
+        params.validate(n_symbols=5)
+    for name, value, message in [
+            ("initial", np.full(2, 0.5), "switch has shape"),
+            ("switch", np.full((3, 3), 0.5), "switch rows do not sum to 1"),
+            ("stay_profile", np.full((3, 0), 0.5), "stay_profile has shape"),
+            ("stay_profile", np.full((3, 5), 1.5), "stay_profile entries"),
+            ("stay_profile", np.full((3, 5), np.nan), "stay_profile entries"),
+            ("stay_profile", np.full(3, 0.5), "must have 1, 2, 2 and 2 axes")]:
+        bad = _random_nshmm(np.random.default_rng(8), 3, 4, 5)
+        setattr(bad, name, value)
+        with pytest.raises(ValueError, match=message):
+            bad.validate()

@@ -191,3 +191,27 @@ def test_grid_search_raises_when_every_cell_fails():
     spec = tvar.TvarSpec(orders=(7,), state_discounts=(0.9,), var_discounts=(0.95,))
     with pytest.raises(FloatingPointError, match="every TVAR grid cell failed"):
         tvar.grid_search(spec, _walk_then_repeats())
+
+
+def test_tvar_fit_validate():
+    rng = np.random.default_rng(12)
+    series = np.cumsum(rng.standard_normal(60))
+    tvar.fit_tvar(series, 3, 0.95, 0.99).validate()
+    for name, value, message in [
+            ("order", 0, "order must be a positive integer"),
+            ("order", 2, "coeff_means has shape"),
+            ("state_discount", 0.0, "state_discount must lie in"),
+            ("var_discount", 1.5, "var_discount must lie in"),
+            ("s", np.ones((57, 1)), "s must be a non-empty 1-d array"),
+            ("coeff_means", np.zeros((1, 3)), "coeff_means has shape"),
+            ("coeff_covs", np.zeros((57, 3)), "coeff_covs has shape"),
+            ("dof", np.ones(56), "dof has shape"),
+            ("series", None, "series has shape"),
+            ("series", np.ones(59), "series has shape"),
+            ("coeff_means", np.full((57, 3), np.inf), "coeff_means has non-finite"),
+            ("s", np.zeros(57), "s and dof must be positive"),
+            ("dof", -np.ones(57), "s and dof must be positive")]:
+        fit = tvar.fit_tvar(series, 3, 0.95, 0.99)
+        setattr(fit, name, value)
+        with pytest.raises(ValueError, match=message):
+            fit.validate()
