@@ -22,7 +22,6 @@ from . import persist, registry
 from .midi_codec import MidiCsvError, PitchSequence, emit_midi_csv, parse_midi_csv
 
 OUTPUT_ROOT_ENV = "SSCOMPOSE_OUTPUT_ROOT"
-CRITERIA = ("entropy-rmse", "musicality-avg", "temporal-avg")
 DEFAULT_TOP = 3
 
 
@@ -54,11 +53,11 @@ def _write_manifest(out_dir, command, config, artifacts, started):
 
 def cmd_train(args):
     started = time.time()
-    out_dir = _resolve_out(args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    seq = _read_piece(args.input)
     if args.restarts < 1:
         raise ValueError("--restarts must be >= 1")
+    if args.max_iter < 1:
+        raise ValueError("--max-iter must be >= 1")
+    seq = _read_piece(args.input)
     model, loglik = None, -np.inf
     for r in range(args.restarts):
         candidate = registry.train_model(
@@ -68,6 +67,8 @@ def cmd_train(args):
         ll = registry.model_log_likelihood(candidate)
         if model is None or ll > loglik:
             model, loglik = candidate, ll
+    out_dir = _resolve_out(args.out)
+    os.makedirs(out_dir, exist_ok=True)
     model_path = os.path.join(out_dir, f"{args.model}_model.json")
     persist.save_model(model, model_path)
     report_path = os.path.join(out_dir, f"{args.model}_fit_report.json")
@@ -187,8 +188,7 @@ def _write_report_files(out_dir, report, model_name):
     with open(per_piece_path, "w") as fh:
         fh.write("piece,metric,value\n")
         for row in scores:
-            for key in ("entropy-rmse", "musicality-avg", "temporal-avg",
-                        "mutual_information", "edit_distance"):
+            for key in (*metrics_mod.CRITERIA, "mutual_information", "edit_distance"):
                 fh.write(f"{row['piece']},{key},{row[key]!r}\n")
 
     curves_path = os.path.join(out_dir, "acf_pacf.csv")
@@ -238,11 +238,7 @@ def cmd_evaluate(args):
 
 
 def cmd_rank(args):
-    if args.criterion not in CRITERIA:
-        raise ValueError(f"unknown criterion {args.criterion!r}; valid: {list(CRITERIA)}")
-    key_field = {"entropy-rmse": "entropy_rmse",
-                 "musicality-avg": "musicality_average",
-                 "temporal-avg": "temporal_average"}[args.criterion]
+    key_field = metrics_mod.criterion_field(args.criterion)
     entries = []
     for path in args.reports:
         with open(path) as fh:
@@ -273,7 +269,7 @@ def cmd_export(args):
     scores = metrics_mod.piece_scores(report)
     chosen = []  # (criterion, piece index); a piece appears at most once
     taken = set()
-    for criterion in CRITERIA:
+    for criterion in metrics_mod.CRITERIA:
         ordered = sorted(scores, key=lambda r: (r[criterion], r["piece"]))
         picked = 0
         for row in ordered:
@@ -337,7 +333,7 @@ def build_parser():
 
     rank = sub.add_parser("rank", help="order evaluation reports by a criterion")
     rank.add_argument("--criterion", default="entropy-rmse",
-                      help="one of entropy-rmse, musicality-avg, temporal-avg")
+                      help=f"one of {', '.join(metrics_mod.CRITERIA)}")
     rank.add_argument("--reports", nargs="+", required=True, help="report.json files")
     rank.set_defaults(func=cmd_rank)
 

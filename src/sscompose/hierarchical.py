@@ -17,7 +17,6 @@ from functools import reduce
 import numpy as np
 
 from .hmm import (
-    SMOOTHING,
     DEFAULT_TOL,
     DEFAULT_MAX_ITER,
     FitReport,
@@ -25,6 +24,8 @@ from .hmm import (
     _as_rng,
     _check_obs,
     _draw,
+    _emission_counts,
+    _normalized,
     _pairwise_sum,
     _posteriors,
     _scaled_forward,
@@ -38,7 +39,7 @@ from .hmm import (
     viterbi,
 )
 
-DEFAULT_PRODUCT_CAP = 10_000
+PRODUCT_CAP = 10_000  # largest product state space a TSHMM or FHMM fit builds
 
 
 # ---------------------------------------------------------------------------
@@ -111,29 +112,21 @@ def tshmm_em_step(params, obs):
     xi_sum = _pairwise_sum(alpha, right, A)
     xi4 = xi_sum.reshape(m2, m1, m2, m1)  # [i, k, j, l]
 
-    c_acc = xi4.sum(axis=(1, 3)) + SMOOTHING
-    d_acc = xi4.sum(axis=0).transpose(1, 0, 2) + SMOOTHING  # -> [j, k, l]
-    emis_acc = np.zeros((m1, K))
     gamma_s = gamma.reshape(len(obs), m2, m1).sum(axis=1)
-    np.add.at(emis_acc.T, obs, gamma_s)
-    emis_acc += SMOOTHING
-    new = TshmmParams(
-        m1, m2,
-        c_acc / c_acc.sum(axis=1, keepdims=True),
-        d_acc / d_acc.sum(axis=2, keepdims=True),
-        gamma[0],
-        emis_acc / emis_acc.sum(axis=1, keepdims=True),
-    )
+    new = TshmmParams(m1, m2,
+                      _normalized(xi4.sum(axis=(1, 3))),
+                      _normalized(xi4.sum(axis=0).transpose(1, 0, 2)),  # -> [j, k, l]
+                      gamma[0],
+                      _normalized(_emission_counts(obs, gamma_s, K)))
     return new, loglik
 
 
 def train_tshmm(obs, m1, m2, n_symbols, init=None, seed=None,
-                tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-                product_cap=DEFAULT_PRODUCT_CAP):
+                tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     if m1 < 1 or m2 < 1:
         raise ValueError("state counts must be >= 1")
-    if m1 * m2 > product_cap:
-        raise ValueError(f"product state space {m1 * m2} exceeds cap {product_cap}")
+    if m1 * m2 > PRODUCT_CAP:
+        raise ValueError(f"product state space {m1 * m2} exceeds cap {PRODUCT_CAP}")
     obs = _check_obs(obs, n_symbols)
     if init is None:
         init = random_tshmm_params(m1, m2, n_symbols, seed)
@@ -205,10 +198,10 @@ def _product_levels(chain_sizes):
     return emission_level(grids)  # 1-based levels per product state
 
 
-def random_fhmm_params(chain_sizes, alphabet_size, seed, product_cap=DEFAULT_PRODUCT_CAP):
-    if int(np.prod(chain_sizes)) > product_cap:
+def random_fhmm_params(chain_sizes, alphabet_size, seed):
+    if int(np.prod(chain_sizes)) > PRODUCT_CAP:
         raise ValueError(f"product state space {int(np.prod(chain_sizes))} exceeds cap "
-                         f"{product_cap}; structured approximations are out of scope")
+                         f"{PRODUCT_CAP}; structured approximations are out of scope")
     rng = _as_rng(seed)
     return FhmmParams(
         tuple(chain_sizes),
@@ -247,30 +240,24 @@ def _fhmm_em_step(params, obs):
     g0 = gamma[0].reshape(sizes)
     for j in range(m):
         axes = tuple(a for a in range(2 * m) if a not in (j, m + j))
-        acc = xi_full.sum(axis=axes) + SMOOTHING
-        chain_transitions.append(acc / acc.sum(axis=1, keepdims=True))
+        chain_transitions.append(_normalized(xi_full.sum(axis=axes)))
         chain_initials.append(g0.sum(axis=tuple(a for a in range(m) if a != j)))
 
     n_levels = params.emission.shape[0]
-    level_onehot = np.eye(n_levels)[levels - 1]        # (P, n_levels)
-    gamma_lvl = gamma @ level_onehot                   # (T, n_levels)
-    emis_acc = np.zeros((n_levels, K))
-    np.add.at(emis_acc.T, obs, gamma_lvl)
-    emis_acc += SMOOTHING
+    gamma_lvl = gamma @ np.eye(n_levels)[levels - 1]   # (T, n_levels)
     new = FhmmParams(tuple(sizes), chain_initials, chain_transitions,
-                     emis_acc / emis_acc.sum(axis=1, keepdims=True))
+                     _normalized(_emission_counts(obs, gamma_lvl, K)))
     return new, loglik
 
 
 def train_fhmm(obs, chain_sizes, n_symbols, init=None, seed=None,
-               tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-               product_cap=DEFAULT_PRODUCT_CAP):
+               tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Exact EM on the Cartesian-product chain of independent factors."""
     obs = _check_obs(obs, n_symbols)
     if init is None:
-        init = random_fhmm_params(chain_sizes, n_symbols, seed, product_cap)
-    if init.n_product > product_cap:
-        raise ValueError(f"product state space {init.n_product} exceeds cap {product_cap}; "
+        init = random_fhmm_params(chain_sizes, n_symbols, seed)
+    if init.n_product > PRODUCT_CAP:
+        raise ValueError(f"product state space {init.n_product} exceeds cap {PRODUCT_CAP}; "
                          "structured approximations are out of scope")
     return run_em(lambda params: _fhmm_em_step(params, obs), init, tol, max_iter, seed)
 

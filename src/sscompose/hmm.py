@@ -11,7 +11,10 @@ The helpers touch the transition only through ``@``, so it may be a
 matrix or an operator supporting ``alpha @ A`` and ``A @ v`` (the
 order-k tuple chain and the dwell chains pass one).  ``run_em`` is the
 EM loop every model kind shares: each trainer hands it a step function
-and gets back the fitted parameters and the FitReport.
+and gets back the fitted parameters and the FitReport.  Every M-step
+turns its expected counts into rows with ``_normalized``, so SMOOTHING is
+applied here and nowhere else, and tallies emissions with
+``_emission_counts``.
 """
 
 from __future__ import annotations
@@ -151,6 +154,22 @@ def _pairwise_sum(alpha, right, transition):
     return transition * (alpha[:-1].T @ right)
 
 
+def _normalized(acc, mask=1.0):
+    """The M-step row update every model kind shares: expected counts acc
+    plus SMOOTHING, both zeroed where mask is 0 (a disallowed entry stays
+    0), with each last-axis row divided by its sum."""
+    acc = acc * mask + SMOOTHING * mask
+    return acc / acc.sum(axis=-1, keepdims=True)
+
+
+def _emission_counts(obs, weights, n_symbols):
+    """Expected emission counts (n, K): weights[t, i] added to state i's
+    count of symbol obs[t], in the order of t."""
+    acc = np.zeros((np.shape(weights)[1], n_symbols))
+    np.add.at(acc.T, obs, weights)
+    return acc
+
+
 def forward_backward(params, obs):
     """E-step quantities: exact log-likelihood, gamma_t(i) and xi_t(i, j)."""
     obs = _check_obs(obs, params.n_symbols)
@@ -198,22 +217,16 @@ def baum_welch(init, obs, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     transition_mask zeroes out (and keeps zero) disallowed transitions;
     the left-right and zero-self-transition variants rely on it.
     """
-    obs = _check_obs(obs, init.n_symbols)
-    n, K = init.n_states, init.n_symbols
-    mask = np.ones((n, n)) if transition_mask is None else np.asarray(transition_mask, dtype=float)
+    K = init.n_symbols
+    obs = _check_obs(obs, K)
+    mask = 1.0 if transition_mask is None else np.asarray(transition_mask, dtype=float)
 
     def step(params):
         obs_lik = params.emission[:, obs].T
         loglik, alpha, right, gamma = _posteriors(params.initial, params.transition, obs_lik)
-        trans_acc = _pairwise_sum(alpha, right, params.transition) * mask + SMOOTHING * mask
-        emis_acc = np.zeros((n, K))
-        np.add.at(emis_acc.T, obs, gamma)
-        emis_acc += SMOOTHING
-        new = HmmParams(
-            gamma[0],
-            trans_acc / trans_acc.sum(axis=1, keepdims=True),
-            emis_acc / emis_acc.sum(axis=1, keepdims=True),
-        )
+        new = HmmParams(gamma[0],
+                        _normalized(_pairwise_sum(alpha, right, params.transition), mask),
+                        _normalized(_emission_counts(obs, gamma, K)))
         return new, loglik
 
     start = HmmParams(init.initial.copy(), init.transition.copy(), init.emission.copy())

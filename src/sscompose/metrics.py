@@ -18,6 +18,17 @@ THIRD_CLASSES = frozenset({3, 4})
 FOURTH_FIFTH_CLASSES = frozenset({5, 7})
 OCTAVE = 12
 DEFAULT_MAX_LAG = 40
+# ranking criterion -> the EvaluationReport field it reads
+CRITERIA = {"entropy-rmse": "entropy_rmse",
+            "musicality-avg": "musicality_average",
+            "temporal-avg": "temporal_average"}
+
+
+def criterion_field(name):
+    """The EvaluationReport field a ranking criterion reads."""
+    if name not in CRITERIA:
+        raise ValueError(f"unknown criterion {name!r}; valid: {sorted(CRITERIA)}")
+    return CRITERIA[name]
 
 
 @dataclass
@@ -55,12 +66,7 @@ class EvaluationReport:
     training_metrics: MetricVector | None = None
 
     def criterion(self, name):
-        table = {"entropy-rmse": self.entropy_rmse,
-                 "musicality-avg": self.musicality_average,
-                 "temporal-avg": self.temporal_average}
-        if name not in table:
-            raise ValueError(f"unknown criterion {name!r}; valid: {sorted(table)}")
-        return table[name]
+        return getattr(self, criterion_field(name))
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,6 @@ class MidiCsvError(ValueError):
 
 
 @dataclass
-class PitchEvent:
-    pitch: int
-    timestamp: int
-    kind: str  # "on" or "off"
-    track: int
-    velocity: int
-
-
-@dataclass
 class PitchSequence:
     """Flat note-on stream: one pitch per event, chords share a timestamp."""
 
@@ -43,10 +34,6 @@ class PitchSequence:
 
     def __len__(self):
         return len(self.pitches)
-
-    @property
-    def events(self):
-        return list(zip(self.pitches.tolist(), self.timestamps.tolist()))
 
 
 @dataclass

@@ -23,18 +23,22 @@ import numpy as np
 from scipy.special import expit
 
 from .hmm import (
-    SMOOTHING,
     DEFAULT_TOL,
     DEFAULT_MAX_ITER,
     ZeroProbabilityError,
     _as_rng,
     _check_obs,
     _draw,
+    _emission_counts,
+    _normalized,
     _posteriors,
     _scaled_forward,
     check_distributions,
     run_em,
 )
+
+PROPOSAL_SCALE = 0.3  # standard deviation of the random-walk steps on the dwell logits
+PRIOR_SCALE = 3.0     # standard deviation of the normal prior on the dwell logits
 
 # ---------------------------------------------------------------------------
 # HSMM
@@ -160,19 +164,10 @@ def _hsmm_em_step(params, obs):
     trans_acc = params.transition * (ends.sum(axis=2).T @ enter)
     # segments that end at T carry the last step's posterior gamma[-1]
     dur_acc = (ends * (enter @ params.transition.T)[:, :, None]).sum(axis=0) + gamma[-1]
-    dur_acc += SMOOTHING
-
-    offdiag = 1.0 - np.eye(n)
-    trans_acc = trans_acc * offdiag + SMOOTHING * offdiag
-    emis_acc = np.zeros((n, K))
-    np.add.at(emis_acc.T, obs, gamma.sum(axis=2))
-    emis_acc += SMOOTHING
-    new = HsmmParams(
-        gamma[0, :, 0].copy(),
-        trans_acc / trans_acc.sum(axis=1, keepdims=True),
-        emis_acc / emis_acc.sum(axis=1, keepdims=True),
-        dur_acc / dur_acc.sum(axis=1, keepdims=True),
-    )
+    new = HsmmParams(gamma[0, :, 0].copy(),
+                     _normalized(trans_acc, 1.0 - np.eye(n)),
+                     _normalized(_emission_counts(obs, gamma.sum(axis=2), K)),
+                     _normalized(dur_acc))
     return new, loglik
 
 
@@ -318,16 +313,16 @@ def _nshmm_ffbs(params, obs, rng):
     return path, dwell
 
 
-def _dwell_loglik(a, b, dwells, stays, prior_scale):
+def _dwell_loglik(a, b, dwells, stays):
     s = expit(a + b * dwells)
     s = np.clip(s, 1e-12, 1.0 - 1e-12)
     ll = np.sum(np.where(stays, np.log(s), np.log1p(-s)))
-    ll -= 0.5 * (a * a + b * b) / prior_scale ** 2
+    ll -= 0.5 * (a * a + b * b) / PRIOR_SCALE ** 2
     return ll
 
 
 def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
-                burn_in=100, flat_dwell=False, proposal_scale=0.3, prior_scale=3.0):
+                burn_in=100, flat_dwell=False):
     """Posterior-mean fit by Metropolis-within-Gibbs.
 
     Returns (NshmmParams, info) where info carries the Metropolis
@@ -384,10 +379,10 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
         for i in range(n):
             sel = prev_state == i
             dw, st = prev_dwell[sel], stays[sel]
-            cur = _dwell_loglik(a[i], b[i], dw, st, prior_scale)
-            a_prop = a[i] + proposal_scale * rng.standard_normal()
-            b_prop = b[i] if flat_dwell else b[i] + proposal_scale * rng.standard_normal()
-            prop = _dwell_loglik(a_prop, b_prop, dw, st, prior_scale)
+            cur = _dwell_loglik(a[i], b[i], dw, st)
+            a_prop = a[i] + PROPOSAL_SCALE * rng.standard_normal()
+            b_prop = b[i] if flat_dwell else b[i] + PROPOSAL_SCALE * rng.standard_normal()
+            prop = _dwell_loglik(a_prop, b_prop, dw, st)
             proposed += 1
             if np.log(rng.random()) < prop - cur:
                 a[i], b[i] = a_prop, b_prop

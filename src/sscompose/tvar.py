@@ -21,6 +21,9 @@ from .hmm import _as_rng, check_positive_ints
 DEFAULT_ORDERS = tuple(range(7, 15))
 DEFAULT_STATE_DISCOUNTS = (0.90, 0.95, 0.99, 1.0)
 DEFAULT_VAR_DISCOUNTS = (0.90, 0.95, 0.99)
+PRIOR_SCALE = 1.0    # diagonal of the coefficient prior covariance
+PRIOR_DF = 1.0       # degrees of freedom of the variance prior
+PRIOR_OBS_VAR = 1.0  # prior point estimate of the innovation variance
 
 
 @dataclass
@@ -28,9 +31,6 @@ class TvarSpec:
     orders: tuple = DEFAULT_ORDERS
     state_discounts: tuple = DEFAULT_STATE_DISCOUNTS
     var_discounts: tuple = DEFAULT_VAR_DISCOUNTS
-    prior_scale: float = 1.0       # diagonal of the coefficient prior covariance
-    prior_df: float = 1.0          # degrees of freedom of the variance prior
-    prior_obs_var: float = 1.0     # prior point estimate of the innovation variance
 
     def __post_init__(self):
         if any(not (0.0 < d <= 1.0) for d in self.state_discounts + self.var_discounts):
@@ -84,8 +84,7 @@ class TvarFit:
             raise ValueError("s and dof must be positive")
 
 
-def fit_tvar(series, order, state_discount, var_discount,
-             prior_scale=1.0, prior_df=1.0, prior_obs_var=1.0):
+def fit_tvar(series, order, state_discount, var_discount):
     """Discounted DLM forward filter over a real-valued series.
 
     The log marginal likelihood accumulates the one-step predictive
@@ -98,9 +97,9 @@ def fit_tvar(series, order, state_discount, var_discount,
     delta, beta = float(state_discount), float(var_discount)
 
     m = np.zeros(d)
-    C = np.eye(d) * prior_scale
-    n_dof = float(prior_df)
-    s_est = float(prior_obs_var)
+    C = np.eye(d) * PRIOR_SCALE
+    n_dof = PRIOR_DF
+    s_est = PRIOR_OBS_VAR
 
     steps = len(y) - d
     means = np.empty((steps, d))
@@ -157,8 +156,7 @@ def grid_search(spec, series):
             for vd in spec.var_discounts:
                 cell = {"order": order, "state_discount": sd, "var_discount": vd}
                 try:
-                    fit = fit_tvar(series, order, sd, vd, spec.prior_scale,
-                                   spec.prior_df, spec.prior_obs_var)
+                    fit = fit_tvar(series, order, sd, vd)
                 except FloatingPointError as exc:
                     audit.append({**cell, "log_marginal": None, "error": str(exc)})
                     continue

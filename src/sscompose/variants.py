@@ -12,18 +12,19 @@ updates preserve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hmm import (
-    SMOOTHING,
     DEFAULT_TOL,
     DEFAULT_MAX_ITER,
     HmmParams,
     _as_rng,
     _check_obs,
     _draw,
+    _emission_counts,
+    _normalized,
     _pairwise_sum,
     _posteriors,
     _scaled_forward,
@@ -33,7 +34,7 @@ from .hmm import (
     run_em,
 )
 
-DEFAULT_STATE_CAP = 10_000
+STATE_CAP = 10_000  # largest tuple state space n**k an order-k fit builds
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +95,9 @@ def _masked_dirichlet(rng, mask):
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def random_khmm_params(n_states, order, alphabet_size, seed, left_right=False,
-                       state_cap=DEFAULT_STATE_CAP):
-    if n_states ** order > state_cap:
-        raise ValueError(f"tuple state space {n_states}**{order} exceeds cap {state_cap}; "
+def random_khmm_params(n_states, order, alphabet_size, seed, left_right=False):
+    if n_states ** order > STATE_CAP:
+        raise ValueError(f"tuple state space {n_states}**{order} exceeds cap {STATE_CAP}; "
                          "reduce the number of states or the order")
     rng = _as_rng(seed)
     initial = rng.dirichlet(np.ones(n_states))
@@ -170,45 +170,36 @@ def _khmm_em_step(params, obs, masks):
     # xi mass of prefix tuple (a, b) moving on to tuple (b, z), summed over t
     counts = np.einsum("tab,tbz->abz", alpha[:-1].reshape(T_emb - 1, n, P // n),
                        right.reshape(T_emb - 1, P // n, n), optimize=True).reshape(P, n)
-    trans_acc = params.transition * counts * masks[-1] + SMOOTHING * masks[-1]
-    transition = trans_acc / trans_acc.sum(axis=1, keepdims=True)
+    transition = _normalized(params.transition * counts, masks[-1])
 
     # initial distributions from the first tuple posterior
     g0 = gamma[0].reshape((n,) * k)
     initial = g0.reshape(n, -1).sum(axis=1) if k > 1 else g0.copy()
-    init_transitions = []
-    for i in range(2, k + 1):
-        joint = g0.reshape((n ** i, -1)).sum(axis=1).reshape(n ** (i - 1), n)
-        joint = joint * masks[i - 2] + SMOOTHING * masks[i - 2]
-        init_transitions.append(joint / joint.sum(axis=1, keepdims=True))
+    init_transitions = [
+        _normalized(g0.reshape((n ** i, -1)).sum(axis=1).reshape(n ** (i - 1), n), mask)
+        for i, mask in enumerate(masks[:-1], start=2)]
 
-    # emission counts: first tuple covers x_1..x_k, later rows the last coordinate
-    emis_acc = np.zeros((n, K))
-    for i in range(k):
-        axes = tuple(a for a in range(k) if a != i)
-        marg = g0.sum(axis=axes) if axes else g0
-        emis_acc[:, obs[i]] += marg
-    if T_emb > 1:
-        last_marg = gamma[1:].reshape(T_emb - 1, -1, n).sum(axis=1)
-        np.add.at(emis_acc.T, obs[k:], last_marg)
-    emis_acc += SMOOTHING
-    emission = emis_acc / emis_acc.sum(axis=1, keepdims=True)
+    # emission weights: the first tuple's k coordinate marginals cover
+    # x_1..x_k, each later tuple's last coordinate covers one more symbol
+    firsts = [g0.sum(axis=tuple(a for a in range(k) if a != i)) for i in range(k)]
+    lasts = gamma[1:].reshape(T_emb - 1, P // n, n).sum(axis=1)
+    emission = _normalized(_emission_counts(obs, np.vstack([*firsts, lasts]), K))
 
     new = KhmmParams(k, n, initial, init_transitions, transition, emission)
     return new, loglik
 
 
 def train_khmm(obs, n_states, order, n_symbols, init=None, seed=None,
-               tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, left_right=False,
-               state_cap=DEFAULT_STATE_CAP):
+               tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, left_right=False):
     """EM on the order-k chain via the exact tuple embedding."""
+    check_positive_ints([("order", order)])
     obs = _check_obs(obs, n_symbols)
     if len(obs) <= order:
         raise ValueError("sequence must be longer than the model order")
     if init is None:
-        init = random_khmm_params(n_states, order, n_symbols, seed, left_right, state_cap)
-    if init.n_tuples > state_cap:
-        raise ValueError(f"tuple state space {init.n_tuples} exceeds cap {state_cap}; "
+        init = random_khmm_params(n_states, order, n_symbols, seed, left_right)
+    if init.n_tuples > STATE_CAP:
+        raise ValueError(f"tuple state space {init.n_tuples} exceeds cap {STATE_CAP}; "
                          "reduce the number of states or the order")
     masks = _tuple_masks(n_states, order, left_right)
     return run_em(lambda params: _khmm_em_step(params, obs, masks), init, tol, max_iter, seed)
@@ -262,11 +253,12 @@ def random_lr_params(n_states, alphabet_size, seed):
 
 
 def train_lrhmm(obs, n_states, n_symbols, order=1, init=None, seed=None,
-                tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, state_cap=DEFAULT_STATE_CAP):
+                tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Upper-triangular-constrained fit; order > 1 uses the tuple embedding."""
+    check_positive_ints([("order", order)])
     if order > 1:
         return train_khmm(obs, n_states, order, n_symbols, init=init, seed=seed,
-                          tol=tol, max_iter=max_iter, left_right=True, state_cap=state_cap)
+                          tol=tol, max_iter=max_iter, left_right=True)
     if init is None:
         init = random_lr_params(n_states, n_symbols, seed)
     return baum_welch(init, obs, tol=tol, max_iter=max_iter,
@@ -343,18 +335,12 @@ def train_arhmm(obs, n_states, n_symbols, init=None, seed=None,
     def step(params):
         obs_lik = _arhmm_obs_lik(params, obs)
         loglik, alpha, right, gamma = _posteriors(params.initial, params.transition, obs_lik)
-        trans_acc = _pairwise_sum(alpha, right, params.transition) + SMOOTHING
-        emis_acc = np.zeros((n, K, K))
+        emis_acc = np.zeros((n, K, K))  # [state, previous symbol, symbol]
         np.add.at(emis_acc.transpose(1, 2, 0), (obs[:-1], obs[1:]), gamma[1:])
-        emis_acc += SMOOTHING
-        init_emis_acc = np.full((n, K), SMOOTHING)
-        init_emis_acc[:, obs[0]] += gamma[0]
-        new = ArhmmParams(
-            gamma[0],
-            trans_acc / trans_acc.sum(axis=1, keepdims=True),
-            emis_acc / emis_acc.sum(axis=2, keepdims=True),
-            init_emis_acc / init_emis_acc.sum(axis=1, keepdims=True),
-        )
+        new = ArhmmParams(gamma[0],
+                          _normalized(_pairwise_sum(alpha, right, params.transition)),
+                          _normalized(emis_acc),
+                          _normalized(_emission_counts(obs[:1], gamma[:1], K)))
         return new, loglik
 
     return run_em(step, init, tol, max_iter, seed)

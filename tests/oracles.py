@@ -88,16 +88,50 @@ def enum_khmm_transition_counts(params, obs):
     return counts
 
 
-def enum_arhmm_loglik(params, obs):
+def smoothed_rows(counts, smoothing, mask=1.0):
+    """The rows an exact M-step gives from expected counts: the counts plus
+    `smoothing` under the zero mask, each last-axis row normalised."""
+    acc = counts * mask + smoothing * mask
+    return acc / acc.sum(axis=-1, keepdims=True)
+
+
+def _arhmm_path_probs(params, obs):
+    """Every hidden path of the ARHMM with its joint probability."""
     paths = all_paths(params.n_states, len(obs))
     prob = params.initial[paths[:, 0]] * params.init_emission[paths[:, 0], obs[0]]
     for t in range(1, len(obs)):
         prob = prob * params.transition[paths[:, t - 1], paths[:, t]]
         prob = prob * params.emission[paths[:, t], obs[t - 1], obs[t]]
+    return paths, prob
+
+
+def enum_arhmm_loglik(params, obs):
+    _, prob = _arhmm_path_probs(params, obs)
     return float(np.log(prob.sum()))
 
 
-def enum_tshmm_loglik(params, obs):
+def enum_arhmm_counts(params, obs):
+    """Posterior-expected counts of the ARHMM over every hidden path:
+    (initial (n,), transition (n, n), emission (n, K, K), init_emission
+    (n, K)), where emission[j, x, y] counts steps t >= 1 in state j that
+    emit y after x and init_emission[j, x] counts a first step in j
+    emitting x.  An exact EM step normalises these."""
+    paths, prob = _arhmm_path_probs(params, obs)
+    w = prob / prob.sum()
+    n, K = params.n_states, params.init_emission.shape[1]
+    initial, transition = np.zeros(n), np.zeros((n, n))
+    emission, init_emission = np.zeros((n, K, K)), np.zeros((n, K))
+    np.add.at(initial, paths[:, 0], w)
+    np.add.at(init_emission, (paths[:, 0], obs[0]), w)
+    for t in range(1, len(obs)):
+        np.add.at(transition, (paths[:, t - 1], paths[:, t]), w)
+        np.add.at(emission, (paths[:, t], obs[t - 1], obs[t]), w)
+    return initial, transition, emission, init_emission
+
+
+def _tshmm_path_probs(params, obs):
+    """Every (R, S) path of the two-hidden-state chain with its joint
+    probability, as the R path, the S path and the probabilities."""
     m1, m2 = params.m1, params.m2
     paths = all_paths(m1 * m2, len(obs))  # pair index r * m1 + s
     r, s = paths // m1, paths % m1
@@ -106,11 +140,37 @@ def enum_tshmm_loglik(params, obs):
         prob = prob * params.C[r[:, t - 1], r[:, t]]
         prob = prob * params.D[r[:, t], s[:, t - 1], s[:, t]]
         prob = prob * params.emission[s[:, t], obs[t]]
+    return r, s, prob
+
+
+def enum_tshmm_loglik(params, obs):
+    _, _, prob = _tshmm_path_probs(params, obs)
     return float(np.log(prob.sum()))
 
 
-def enum_fhmm_loglik(params, obs):
-    """Sum over every joint path of all chains of the factorial chain likelihood.
+def enum_tshmm_counts(params, obs):
+    """Posterior-expected counts of the two-hidden-state HMM over every
+    (R, S) path: (C (m2, m2), D (m2, m1, m1), emission (m1, K)), where
+    C[i, j] counts R moving from i to j, D[j, k, l] counts S moving from k
+    to l while R is in j, and emission[k, x] counts steps in S state k
+    emitting x.  An exact EM step normalises these."""
+    m1, m2 = params.m1, params.m2
+    r, s, prob = _tshmm_path_probs(params, obs)
+    w = prob / prob.sum()
+    C, D = np.zeros((m2, m2)), np.zeros((m2, m1, m1))
+    emission = np.zeros(params.emission.shape)
+    np.add.at(emission, (s[:, 0], obs[0]), w)
+    for t in range(1, len(obs)):
+        np.add.at(C, (r[:, t - 1], r[:, t]), w)
+        np.add.at(D, (r[:, t], s[:, t - 1], s[:, t]), w)
+        np.add.at(emission, (s[:, t], obs[t]), w)
+    return C, D, emission
+
+
+def _fhmm_path_probs(params, obs):
+    """Every joint path of the factorial chain with its joint probability,
+    as the per-chain state paths, the emission level path and the
+    probabilities.
 
     A joint state is one mixed-radix index over the chain sizes. Each time
     step emits from level floor(mean of the 1-based chain ordinals + 0.5),
@@ -132,7 +192,31 @@ def enum_fhmm_loglik(params, obs):
         for c, s in enumerate(states):
             prob = prob * params.chain_transitions[c][s[:, t - 1], s[:, t]]
         prob = prob * params.emission[level[:, t] - 1, obs[t]]
+    return states, level, prob
+
+
+def enum_fhmm_loglik(params, obs):
+    """Sum over every joint path of all chains of the factorial chain likelihood."""
+    _, _, prob = _fhmm_path_probs(params, obs)
     return float(np.log(prob.sum()))
+
+
+def enum_fhmm_counts(params, obs):
+    """Posterior-expected counts of the factorial HMM over every joint
+    path: (chain_transitions, a list of (n_j, n_j) counts of chain j
+    moving between its states, and emission (n_levels, K), counting steps
+    at 1-based level l emitting x in row l - 1).  An exact EM step
+    normalises these."""
+    states, level, prob = _fhmm_path_probs(params, obs)
+    w = prob / prob.sum()
+    transitions = [np.zeros((nj, nj)) for nj in params.chain_sizes]
+    emission = np.zeros(params.emission.shape)
+    for t in range(len(obs)):
+        np.add.at(emission, (level[:, t] - 1, obs[t]), w)
+        if t:
+            for counts, s in zip(transitions, states):
+                np.add.at(counts, (s[:, t - 1], s[:, t]), w)
+    return transitions, emission
 
 
 def enum_hsmm_loglik(params, obs):

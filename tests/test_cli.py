@@ -432,7 +432,17 @@ def test_count_arguments_range_checked(tmp_path, toy_piece, capsys):
             (["generate", "--model", model, "--length", "0"], "--length must be >= 1"),
             (["generate", "--model", model, "--length", "-3"], "--length must be >= 1"),
             (["export", "--input", piece, "--batch", batch, "--top", "-1"],
-             "--top must be >= 0")]:
+             "--top must be >= 0"),
+            (["train", "--input", piece, "--model", "M1", "--max-iter", "0"],
+             "--max-iter must be >= 1"),
+            (["train", "--input", piece, "--model", "M1", "--max-iter", "-2"],
+             "--max-iter must be >= 1"),
+            (["train", "--input", piece, "--model", "M1", "--restarts", "0"],
+             "--restarts must be >= 1"),
+            (["train", "--input", piece, "--model", "M2", "--states", "2", "--order", "0"],
+             "order must be a positive integer"),
+            (["train", "--input", piece, "--model", "M5", "--states", "2", "--order", "-1"],
+             "order must be a positive integer")]:
         capsys.readouterr()
         assert _run(*argv, "--out", bad) == 2
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import enum_fhmm_loglik, enum_tshmm_loglik
+from oracles import (enum_fhmm_counts, enum_fhmm_loglik, enum_tshmm_counts,
+                     enum_tshmm_loglik, smoothed_rows)
 from sscompose import hierarchical, hmm
 
 
@@ -30,6 +31,19 @@ def test_tshmm_matches_enumeration():
         obs = rng.integers(0, 3, 6)
         got = hierarchical.tshmm_log_likelihood(params, obs)
         assert got == pytest.approx(enum_tshmm_loglik(params, obs), rel=1e-10)
+
+
+def test_tshmm_m_step_matches_enumerated_counts():
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        params = hierarchical.random_tshmm_params(2, 2, 3, rng)
+        obs = rng.integers(0, 3, 6)
+        new, _ = hierarchical.tshmm_em_step(params, obs)
+        C, D, emission = enum_tshmm_counts(params, obs)
+        assert new.C == pytest.approx(smoothed_rows(C, hmm.SMOOTHING), rel=1e-10)
+        assert new.D == pytest.approx(smoothed_rows(D, hmm.SMOOTHING), rel=1e-10)
+        assert new.emission == pytest.approx(smoothed_rows(emission, hmm.SMOOTHING),
+                                             rel=1e-10)
 
 
 def test_tshmm_em_monotone():
@@ -84,6 +98,19 @@ def test_fhmm_matches_enumeration():
         obs = rng.integers(0, 3, 5)
         got = hierarchical.fhmm_log_likelihood(params, obs)
         assert got == pytest.approx(enum_fhmm_loglik(params, obs), rel=1e-10)
+
+
+def test_fhmm_m_step_matches_enumerated_counts():
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        params = hierarchical.random_fhmm_params((2, 3), 3, rng)
+        obs = rng.integers(0, 3, 5)
+        fitted, _ = hierarchical.train_fhmm(obs, (2, 3), 3, init=params, max_iter=1)
+        transitions, emission = enum_fhmm_counts(params, obs)
+        for got, counts in zip(fitted.chain_transitions, transitions):
+            assert got == pytest.approx(smoothed_rows(counts, hmm.SMOOTHING), rel=1e-10)
+        assert fitted.emission == pytest.approx(smoothed_rows(emission, hmm.SMOOTHING),
+                                                rel=1e-10)
 
 
 def test_fhmm_em_monotone():

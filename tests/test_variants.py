@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import enum_arhmm_loglik, enum_khmm_loglik, enum_khmm_transition_counts
+from oracles import (enum_arhmm_counts, enum_arhmm_loglik, enum_khmm_loglik,
+                     enum_khmm_transition_counts, smoothed_rows)
 from sscompose import hmm, variants
 
 
@@ -201,3 +202,19 @@ def test_arhmm_params_validate():
     params.emission = params.emission[:, :-1]
     with pytest.raises(ValueError, match="emission has shape"):
         params.validate()
+
+
+def test_arhmm_m_step_matches_enumerated_counts():
+    rng = np.random.default_rng(40)
+    for _ in range(3):
+        params = variants.random_arhmm_params(3, 3, rng)
+        obs = rng.integers(0, 3, 6)
+        fitted, _ = variants.train_arhmm(obs, 3, 3, init=params, max_iter=1)
+        initial, transition, emission, init_emission = enum_arhmm_counts(params, obs)
+        assert fitted.initial == pytest.approx(initial, rel=1e-10)
+        assert fitted.transition == pytest.approx(
+            smoothed_rows(transition, hmm.SMOOTHING), rel=1e-10)
+        assert fitted.emission == pytest.approx(
+            smoothed_rows(emission, hmm.SMOOTHING), rel=1e-10)
+        assert fitted.init_emission == pytest.approx(
+            smoothed_rows(init_emission, hmm.SMOOTHING), rel=1e-10)
