@@ -19,7 +19,9 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import persist, registry
-from .midi_codec import MidiCsvError, PitchSequence, emit_midi_csv, parse_midi_csv
+from .hmm import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .midi_codec import (TICKS_PER_QUARTER, MidiCsvError, PitchSequence, emit_midi_csv,
+                         parse_midi_csv)
 
 OUTPUT_ROOT_ENV = "SSCOMPOSE_OUTPUT_ROOT"
 DEFAULT_TOP = 3
@@ -37,18 +39,20 @@ def _read_piece(path):
     return parse_midi_csv(text, source_name=os.path.basename(path))
 
 
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    return path
+
+
 def _write_manifest(out_dir, command, config, artifacts, started):
-    manifest = {
+    return _write_json(os.path.join(out_dir, f"{command}_manifest.json"), {
         "command": command,
         "config": config,
         "artifacts": artifacts,
         "wall_clock_seconds": time.time() - started,
-    }
-    path = os.path.join(out_dir, f"{command}_manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return path
+    })
 
 
 def cmd_train(args):
@@ -71,7 +75,6 @@ def cmd_train(args):
     os.makedirs(out_dir, exist_ok=True)
     model_path = os.path.join(out_dir, f"{args.model}_model.json")
     persist.save_model(model, model_path)
-    report_path = os.path.join(out_dir, f"{args.model}_fit_report.json")
     report = {"model": args.model, "final_log_likelihood": loglik}
     if model.report is not None:
         report.update(iterations=model.report.iterations,
@@ -82,15 +85,16 @@ def cmd_train(args):
     if "sampler" in model.extra:
         report["sampler"] = {k: v for k, v in model.extra["sampler"].items()
                              if np.isscalar(v)}
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    report["warnings"] = model.extra.get("warnings", [])
+    report_path = _write_json(os.path.join(out_dir, f"{args.model}_fit_report.json"), report)
     config = {"input": args.input, "model": args.model, "seed": args.seed,
               "restarts": args.restarts, "tol": args.tol,
               "max_iter": args.max_iter, "states": args.states,
               "order": args.order, "layers": args.layers, "dmax": args.dmax}
     _write_manifest(out_dir, "train", config,
                     {"model_file": model_path, "fit_report": report_path}, started)
+    for warning in report["warnings"]:
+        print(f"warning: {warning}", file=sys.stderr)
     print(f"{args.model}: final log-likelihood {loglik:.6f}")
     return 0
 
@@ -101,11 +105,11 @@ def cmd_generate(args):
         raise ValueError("--n must be >= 1")
     if args.length is not None and args.length < 1:
         raise ValueError("--length must be >= 1")
+    model = persist.load_model(args.model)
+    length = len(model.training_symbols) if args.length is None else args.length
     out_dir = _resolve_out(args.out)
     pieces_dir = os.path.join(out_dir, "pieces")
     os.makedirs(pieces_dir, exist_ok=True)
-    model = persist.load_model(args.model)
-    length = len(model.training_symbols) if args.length is None else args.length
     seeds = [args.seed + i for i in range(args.n)]
     piece_paths = []
     for i, seed_i in enumerate(seeds):
@@ -120,11 +124,8 @@ def cmd_generate(args):
                 fh.write(emit_midi_csv(seq))
     batch = {"model": model.spec.name, "model_file": args.model,
              "master_seed": args.seed, "n": args.n, "length": length,
-             "ticks_per_quarter": 480, "seeds": seeds, "pieces": piece_paths}
-    batch_path = os.path.join(out_dir, "batch.json")
-    with open(batch_path, "w") as fh:
-        json.dump(batch, fh, indent=2)
-        fh.write("\n")
+             "ticks_per_quarter": TICKS_PER_QUARTER, "seeds": seeds, "pieces": piece_paths}
+    batch_path = _write_json(os.path.join(out_dir, "batch.json"), batch)
     config = {"model_file": args.model, "n": args.n, "seed": args.seed,
               "length": length, "midi": args.midi}
     _write_manifest(out_dir, "generate", config, {"batch": batch_path}, started)
@@ -143,11 +144,10 @@ def _load_batch(batch_dir):
                          "with a \"pieces\" list")
     if not all(isinstance(rel, str) for rel in batch["pieces"]):
         raise ValueError(f"{batch_path}: every \"pieces\" entry must be a file name string")
-    tpq = batch.get("ticks_per_quarter", 480)
+    tpq = batch.get("ticks_per_quarter", TICKS_PER_QUARTER)
     if not isinstance(tpq, int) or isinstance(tpq, bool) or tpq <= 0:
         raise ValueError(f"{batch_path}: ticks_per_quarter, the pieces' time base, "
                          f"must be a positive integer, not {tpq!r}")
-    step = tpq // 2
     pieces, problems = [], []
     for rel in batch["pieces"]:
         path = os.path.join(batch_dir, rel)
@@ -157,30 +157,30 @@ def _load_batch(batch_dir):
                                    dtype=np.int64)
             if len(pitches) == 0:
                 raise ValueError("empty piece file")
-            times = np.arange(len(pitches), dtype=np.int64) * step
-            pieces.append(PitchSequence(pitches, times, tpq, os.path.basename(path)))
+            pieces.append(PitchSequence.eighths(pitches, tpq, os.path.basename(path)))
         except (OSError, ValueError) as exc:
             problems.append(f"{rel}: {exc}")
     return batch, pieces, problems
 
 
+def _score_batch(args):
+    """Score the pieces of batch directory args.batch against the training
+    piece args.input; return the batch file, its pieces and the report."""
+    train_seq = _read_piece(args.input)
+    batch, pieces, problems = _load_batch(args.batch)
+    for problem in problems:
+        print(f"skipping piece: {problem}", file=sys.stderr)
+    if not pieces:
+        raise ValueError("no readable pieces in the batch")
+    return batch, pieces, metrics_mod.evaluate_batch(train_seq, pieces)
+
+
 def _write_report_files(out_dir, report, model_name):
-    rows = [
-        ("entropy_rmse", report.entropy_rmse),
-        ("mutual_information_mean", report.mutual_information_mean),
-        ("edit_distance_mean", report.edit_distance_mean),
-        ("dissonance_rmse", report.dissonance_rmse),
-        ("large_interval_rmse", report.large_interval_rmse),
-        ("note_count_rmse", report.note_count_rmse),
-        ("acf_rmse", report.acf_rmse),
-        ("pacf_rmse", report.pacf_rmse),
-        ("musicality_average", report.musicality_average),
-        ("temporal_average", report.temporal_average),
-    ]
+    summary = report.summary()
     table_path = os.path.join(out_dir, "metrics.csv")
     with open(table_path, "w") as fh:
         fh.write("metric,value\n")
-        for name, value in rows:
+        for name, value in summary.items():
             fh.write(f"{name},{value!r}\n")
 
     per_piece_path = os.path.join(out_dir, "per_piece.csv")
@@ -203,29 +203,18 @@ def _write_report_files(out_dir, report, model_name):
             mp = mean_pacf[lag] if mean_pacf is not None else float("nan")
             fh.write(f"{lag + 1},{ref.acf[lag]!r},{ref.pacf[lag]!r},{ma!r},{mp!r}\n")
 
-    report_path = os.path.join(out_dir, "report.json")
-    payload = {"model": model_name}
-    payload.update({name: value for name, value in rows})
-    payload["skipped"] = report.skipped
-    with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    report_path = _write_json(os.path.join(out_dir, "report.json"),
+                              {"model": model_name, **summary, "skipped": report.skipped})
     return table_path, per_piece_path, curves_path, report_path
 
 
 def cmd_evaluate(args):
     started = time.time()
-    out_dir = _resolve_out(args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    train_seq = _read_piece(args.input)
-    batch, pieces, problems = _load_batch(args.batch)
-    for problem in problems:
-        print(f"skipping piece: {problem}", file=sys.stderr)
-    if not pieces:
-        raise ValueError("no readable pieces in the batch")
-    report = metrics_mod.evaluate_batch(train_seq, pieces)
+    batch, _, report = _score_batch(args)
     for idx, reason in report.skipped:
         print(f"piece {idx} excluded from ACF/PACF pooling: {reason}", file=sys.stderr)
+    out_dir = _resolve_out(args.out)
+    os.makedirs(out_dir, exist_ok=True)
     paths = _write_report_files(out_dir, report, batch.get("model", "?"))
     config = {"input": args.input, "batch": args.batch}
     _write_manifest(out_dir, "evaluate", config,
@@ -257,15 +246,7 @@ def cmd_export(args):
     started = time.time()
     if args.top < 0:
         raise ValueError("--top must be >= 0")
-    out_dir = _resolve_out(args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    train_seq = _read_piece(args.input)
-    batch, pieces, problems = _load_batch(args.batch)
-    for problem in problems:
-        print(f"skipping piece: {problem}", file=sys.stderr)
-    if not pieces:
-        raise ValueError("no readable pieces in the batch")
-    report = metrics_mod.evaluate_batch(train_seq, pieces)
+    _, pieces, report = _score_batch(args)
     scores = metrics_mod.piece_scores(report)
     chosen = []  # (criterion, piece index); a piece appears at most once
     taken = set()
@@ -280,6 +261,8 @@ def cmd_export(args):
             taken.add(row["piece"])
             chosen.append((criterion, row["piece"]))
             picked += 1
+    out_dir = _resolve_out(args.out)
+    os.makedirs(out_dir, exist_ok=True)
     exports = []
     for criterion, idx in chosen:
         seq = pieces[idx]
@@ -311,8 +294,10 @@ def build_parser():
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--restarts", type=int, default=1,
                        help="independent restarts, keeping the best likelihood")
-    train.add_argument("--tol", type=float, default=1e-6)
-    train.add_argument("--max-iter", type=int, default=500)
+    train.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help="EM convergence tolerance (EM kinds only)")
+    train.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                       help="EM iteration cap (EM kinds only)")
     train.add_argument("--out", help="output directory")
     train.set_defaults(func=cmd_train)
 

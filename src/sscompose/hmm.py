@@ -277,6 +277,12 @@ def sample(params, length, seed):
     return obs
 
 
+def _masked_dirichlet(rng, mask):
+    """Flat-Dirichlet rows restricted to mask's nonzero entries and renormalised."""
+    rows = rng.dirichlet(np.ones(mask.shape[1]), size=mask.shape[0]) * mask
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
 def random_params(n_states, alphabet_size, seed):
     """Flat-Dirichlet random parameters (the random-HMM baseline and EM inits)."""
     if n_states < 1 or alphabet_size < 1:

@@ -9,7 +9,7 @@ extracted per timestamp: treble = highest pitch, bass = lowest pitch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,14 +51,15 @@ class PairMetrics:
 
 @dataclass
 class EvaluationReport:
+    # the batch scores, in the order metrics.csv and report.json list them
     entropy_rmse: float
+    mutual_information_mean: float
+    edit_distance_mean: float
     dissonance_rmse: float
     large_interval_rmse: float
     note_count_rmse: float
     acf_rmse: float
     pacf_rmse: float
-    mutual_information_mean: float
-    edit_distance_mean: float
     musicality_average: float
     temporal_average: float
     per_piece: list = field(default_factory=list)      # (MetricVector, PairMetrics)
@@ -67,6 +68,10 @@ class EvaluationReport:
 
     def criterion(self, name):
         return getattr(self, criterion_field(name))
+
+    def summary(self):
+        """The batch scores by name, in file order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"}
 
 
 # ---------------------------------------------------------------------------

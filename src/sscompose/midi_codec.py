@@ -13,8 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+TICKS_PER_QUARTER = 480  # time base of generated pieces
+
+
 class MidiCsvError(ValueError):
     """Malformed MIDI-CSV input."""
+
+
+def eighth(ticks_per_quarter):
+    """Ticks in an eighth note: generated pieces place one note per eighth."""
+    return ticks_per_quarter // 2
 
 
 @dataclass
@@ -23,7 +31,7 @@ class PitchSequence:
 
     pitches: np.ndarray
     timestamps: np.ndarray
-    ticks_per_quarter: int = 480
+    ticks_per_quarter: int = TICKS_PER_QUARTER
     source_name: str = ""
 
     def __post_init__(self):
@@ -34,6 +42,12 @@ class PitchSequence:
 
     def __len__(self):
         return len(self.pitches)
+
+    @classmethod
+    def eighths(cls, pitches, ticks_per_quarter=TICKS_PER_QUARTER, source_name=""):
+        """A melody of one note per eighth, starting at tick 0."""
+        times = np.arange(len(pitches), dtype=np.int64) * eighth(ticks_per_quarter)
+        return cls(pitches, times, ticks_per_quarter, source_name)
 
 
 @dataclass
@@ -127,7 +141,7 @@ def emit_midi_csv(seq, note_duration=None):
     if len(seq) == 0:
         raise ValueError("cannot emit an empty PitchSequence")
     if note_duration is None:
-        note_duration = max(1, seq.ticks_per_quarter // 2)
+        note_duration = max(1, eighth(seq.ticks_per_quarter))
     if note_duration <= 0:
         raise ValueError("note_duration must be positive")
     events = []  # (time, order, record); offs sort before ons at equal ticks

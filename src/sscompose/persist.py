@@ -20,7 +20,7 @@ import numpy as np
 
 from .hmm import FitReport
 from .midi_codec import PitchAlphabet
-from .registry import PARAM_TYPES, REGISTRY, ModelSpec, TrainedModel
+from .registry import PARAM_TYPES, ModelSpec, TrainedModel
 
 FORMAT_NAME = "sscompose-model"
 FORMAT_VERSION = 1
@@ -114,9 +114,6 @@ def model_from_dict(data):
 
 def _model_from_dict_checked(data):
     spec = _decode(ModelSpec, data["spec"], "spec")
-    registered = REGISTRY.get(spec.name)
-    if registered is not None and registered.kind == spec.kind:
-        spec = registered
     tag = _object(data["params"], "params")["param_type"]
     if not isinstance(tag, str) or tag not in PARAM_TAGS:
         raise ValueError(f"unknown parameter type {tag!r} in model file")

@@ -8,14 +8,13 @@ requested length from the fitted parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import hierarchical, hmm, semimarkov, tvar, variants
 from .midi_codec import PitchSequence, build_alphabet
 
-DEFAULT_STATES = 25
 DEFAULT_D_MAX = 20
 
 
@@ -76,12 +75,18 @@ class TrainedModel:
         return self.spec.kind
 
 
-def _merged_options(spec, overrides):
-    opts = dict(spec.options)
+def _resolved_options(spec, overrides):
+    """The spec with each given override its kind reads applied, and one
+    warning per override it does not read."""
+    opts, warnings = dict(spec.options), []
     for key, value in overrides.items():
-        if value is not None:
+        if value is None:
+            continue
+        if key in opts:
             opts[key] = value
-    return opts
+        else:
+            warnings.append(f"option {key!r} is not used by {spec.name}; ignored")
+    return replace(spec, options=opts), warnings
 
 
 def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
@@ -89,16 +94,14 @@ def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
     """Fit the named model to a PitchSequence (or a raw pitch array)."""
     if name not in REGISTRY:
         raise ValueError(f"unknown model {name!r}; valid names: {sorted(REGISTRY)}")
-    spec = REGISTRY[name]
+    spec, warnings = _resolved_options(REGISTRY[name], overrides)
     if not isinstance(sequence, PitchSequence):
         pitches = np.asarray(sequence, dtype=np.int64)
         sequence = PitchSequence(pitches, np.arange(len(pitches), dtype=np.int64))
     alphabet = build_alphabet(sequence)
     obs = alphabet.to_indices(sequence.pitches)
     K = alphabet.size
-    opts = _merged_options(spec, overrides)
-    kind = spec.kind
-    extra = {}
+    opts, kind, extra = spec.options, spec.kind, {}
 
     if kind == "hmm":
         init = hmm.random_params(opts["states"], K, seed)
@@ -129,7 +132,8 @@ def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
     elif kind == "lhmm":
         params, report = hierarchical.train_lhmm(obs, opts["states"], opts["layers"], K,
                                                  seed=seed, tol=tol, max_iter=max_iter)
-        extra["warnings"] = list(params.warnings)
+        warnings += params.warnings
+        extra["warnings"] = warnings  # LHMM files record the list even when empty
     elif kind == "tvar":
         spec_grid = tvar.TvarSpec()
         params, audit = tvar.grid_search(spec_grid, sequence.pitches.astype(float))
@@ -140,7 +144,8 @@ def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
         report = None
     else:  # pragma: no cover
         raise ValueError(f"unhandled model kind {kind!r}")
-
+    if warnings:
+        extra["warnings"] = warnings
     return TrainedModel(spec, alphabet, params, report, obs,
                         seed if isinstance(seed, int) else None, extra)
 
@@ -186,10 +191,6 @@ def sample_model(model, length, seed):
     return model.alphabet.to_pitches(draw)
 
 
-def sample_sequence(model, length, seed, ticks_per_quarter=480, name=""):
-    """Sample pitches and wrap them as a melody with uniform note spacing."""
-    pitches = sample_model(model, length, seed)
-    step = ticks_per_quarter // 2
-    times = np.arange(length, dtype=np.int64) * step
-    return PitchSequence(np.asarray(pitches, dtype=np.int64), times,
-                         ticks_per_quarter=ticks_per_quarter, source_name=name)
+def sample_sequence(model, length, seed, name=""):
+    """Sample pitches and wrap them as a melody of one note per eighth."""
+    return PitchSequence.eighths(sample_model(model, length, seed), source_name=name)

@@ -30,6 +30,7 @@ from .hmm import (
     _check_obs,
     _draw,
     _emission_counts,
+    _masked_dirichlet,
     _normalized,
     _posteriors,
     _scaled_forward,
@@ -85,9 +86,8 @@ def random_hsmm_params(n_states, alphabet_size, d_max, seed):
     if n_states < 2:
         raise ValueError("HSMM needs at least 2 states (no self-transitions)")
     rng = _as_rng(seed)
-    offdiag = 1.0 - np.eye(n_states)
-    trans = rng.dirichlet(np.ones(n_states), size=n_states) * offdiag
-    trans /= trans.sum(axis=1, keepdims=True)
+    # drawn before the initial distribution: seeded fits depend on the order
+    trans = _masked_dirichlet(rng, 1.0 - np.eye(n_states))
     return HsmmParams(
         rng.dirichlet(np.ones(n_states)),
         trans,
@@ -336,16 +336,16 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
         raise ValueError("d_max must be >= 1")
     if d_max >= len(obs):
         raise ValueError("d_max must be smaller than the sequence length")
+    if n_iter <= max(burn_in, 0):
+        raise ValueError("n_iter must exceed burn_in")
     rng = _as_rng(seed)
-    T = len(obs)
     n, K, D = n_states, n_symbols, d_max
     offdiag = 1.0 - np.eye(n)
     dwell_grid = np.arange(1, D + 1, dtype=float)
 
     a = np.zeros(n)
     b = np.zeros(n)
-    switch = rng.dirichlet(np.ones(n), size=n) * offdiag
-    switch /= switch.sum(axis=1, keepdims=True)
+    switch = _masked_dirichlet(rng, offdiag)
     emission = rng.dirichlet(np.ones(K), size=n)
     initial = rng.dirichlet(np.ones(n))
 
@@ -395,8 +395,6 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
             sums["profile"] += expit(a[:, None] + b[:, None] * dwell_grid[None, :])
             kept += 1
 
-    if kept == 0:
-        raise ValueError("n_iter must exceed burn_in")
     params = NshmmParams(sums["initial"] / kept, sums["switch"] / kept,
                          sums["emission"] / kept, sums["profile"] / kept)
     info = {"acceptance_rate": accepted / max(proposed, 1), "iterations": n_iter,

@@ -24,6 +24,7 @@ from .hmm import (
     _check_obs,
     _draw,
     _emission_counts,
+    _masked_dirichlet,
     _normalized,
     _pairwise_sum,
     _posteriors,
@@ -90,11 +91,6 @@ def _tuple_masks(n, order, left_right):
     return [(np.arange(n)[None, :] >= (np.arange(r) % n)[:, None]).astype(float) for r in rows]
 
 
-def _masked_dirichlet(rng, mask):
-    rows = rng.dirichlet(np.ones(mask.shape[1]), size=mask.shape[0]) * mask
-    return rows / rows.sum(axis=1, keepdims=True)
-
-
 def random_khmm_params(n_states, order, alphabet_size, seed, left_right=False):
     if n_states ** order > STATE_CAP:
         raise ValueError(f"tuple state space {n_states}**{order} exceeds cap {STATE_CAP}; "
@@ -119,16 +115,11 @@ def _khmm_obs_lik(params, obs):
     """Embedded observation likelihoods: row 0 emits x_1..x_k jointly."""
     n, k = params.n_states, params.order
     P = params.n_tuples
-    T = len(obs)
     first = params.emission[:, obs[0]]
     for i in range(1, k):
         first = (first[:, None] * params.emission[:, obs[i]][None, :]).ravel()
     last_coord = np.arange(P) % n
-    rows = np.empty((T - k + 1, P))
-    rows[0] = first
-    for tau in range(1, T - k + 1):
-        rows[tau] = params.emission[last_coord, obs[k + tau - 1]]
-    return rows
+    return np.vstack([first, params.emission[:, obs[k:]][last_coord].T])
 
 
 class _TupleShift:

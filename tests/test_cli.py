@@ -447,3 +447,41 @@ def test_count_arguments_range_checked(tmp_path, toy_piece, capsys):
         assert _run(*argv, "--out", bad) == 2
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
     assert not bad.exists()
+
+
+@pytest.mark.parametrize("model,warning", [
+    ("M10", "option 'states' is not used by M10; ignored"),
+    ("M13", "layer 2 Viterbi path uses a single state"),
+])
+def test_train_shows_fit_warnings(tmp_path, toy_piece, capsys, model, warning):
+    piece, _ = toy_piece
+    run = tmp_path / "run"
+    assert _run("train", "--input", piece, "--model", model, "--states", "3",
+                "--seed", "0", "--max-iter", "1", "--out", run) == 0
+    assert capsys.readouterr().err.strip().splitlines() == [f"warning: {warning}"]
+    report = json.loads((run / f"{model}_fit_report.json").read_text())
+    assert report["warnings"] == [warning]
+
+
+def test_failed_generate_creates_no_output_dir(tmp_path, toy_piece):
+    piece, _ = toy_piece
+    run = tmp_path / "run"
+    assert _run("train", "--input", piece, "--model", "M15", "--out", run) == 0
+    path = run / "M15_model.json"
+    data = json.loads(path.read_text())
+    del data["params"]["transition"]
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert _run("generate", "--model", path, "--n", "1", "--out", out) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export"])
+def test_failed_scoring_creates_no_output_dir(tmp_path, toy_piece, command):
+    piece, _ = toy_piece
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "batch.json").write_text('{"model": "M1"}')
+    out = tmp_path / "out"
+    assert _run(command, "--input", piece, "--batch", batch, "--out", out) == 2
+    assert not out.exists()

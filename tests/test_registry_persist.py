@@ -50,6 +50,22 @@ def test_overrides_apply():
     assert model.params.n_states == 4
 
 
+def test_unused_override_dropped_with_a_warning():
+    model = registry.train_model("M10", _toy_sequence(), seed=0, max_iter=1,
+                                 states=3, d_max=4)
+    assert model.spec == registry.REGISTRY["M10"]
+    assert model.extra["warnings"] == ["option 'states' is not used by M10; ignored",
+                                       "option 'd_max' is not used by M10; ignored"]
+
+
+def test_model_file_records_the_options_used(tmp_path):
+    model = registry.train_model("M1", _toy_sequence(), seed=0, max_iter=1, states=3)
+    assert model.spec.options == {"states": 3}
+    assert "warnings" not in model.extra
+    persist.save_model(model, tmp_path / "m1.json")
+    assert persist.load_model(tmp_path / "m1.json").spec.options == {"states": 3}
+
+
 def test_sample_sequence_shape():
     seq = _toy_sequence()
     model = registry.train_model("M1", seq, seed=0, max_iter=3, states=3)

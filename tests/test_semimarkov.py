@@ -156,6 +156,16 @@ def test_nshmm_dmax_validation():
         semimarkov.train_nshmm([0, 1, 0], 2, 2, 3, seed=0)
 
 
+def test_nshmm_checks_burn_in_before_sweeping(monkeypatch):
+    def sweep(*args):
+        raise AssertionError("a sweep ran")
+    monkeypatch.setattr(semimarkov, "_nshmm_ffbs", sweep)
+    for n_iter, burn_in in [(5, 5), (3, 10)]:
+        with pytest.raises(ValueError, match="n_iter must exceed burn_in"):
+            semimarkov.train_nshmm([0, 1, 0, 1, 1, 0], 2, 2, 2, seed=0,
+                                   n_iter=n_iter, burn_in=burn_in)
+
+
 def test_nshmm_sample_deterministic_and_length():
     rng = np.random.default_rng(7)
     offdiag = 1.0 - np.eye(2)
