@@ -67,7 +67,7 @@ def cmd_train(args):
         candidate = registry.train_model(
             args.model, seq, seed=args.seed + r, tol=args.tol,
             max_iter=args.max_iter, states=args.states, order=args.order,
-            layers=args.layers, d_max=args.dmax)
+            layers=args.layers, dmax=args.dmax)
         ll = registry.model_log_likelihood(candidate)
         if model is None or ll > loglik:
             model, loglik = candidate, ll
@@ -232,9 +232,15 @@ def cmd_rank(args):
     for path in args.reports:
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path} is not a report: it needs a JSON object")
         if key_field not in payload:
             raise ValueError(f"{path}: report missing field {key_field!r}")
-        entries.append((payload[key_field], payload.get("model", "?"), path))
+        value = payload[key_field]
+        # NaN passes: an all-skipped batch writes NaN temporal scores
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"{path}: {key_field} must be a number, not {value!r}")
+        entries.append((value, payload.get("model", "?"), path))
     entries.sort(key=lambda e: (e[0], e[1]))
     print(f"rank,model,{key_field},report")
     for place, (value, model, path) in enumerate(entries, start=1):

@@ -259,22 +259,33 @@ def _draw(cumulative, u):
     return min(int(np.searchsorted(cumulative, u, side="right")), len(cumulative) - 1)
 
 
-def sample(params, length, seed):
-    """Ancestral sampling: z_1 ~ pi, z_t ~ transition row, x_t ~ emission row."""
+def _sample_order_k(cum_steps, cum_emission, length, seed):
+    """Ancestral sampling of an order-k chain, k = len(cum_steps) - 1.
+
+    cum_steps[i] holds the cumulative next-state rows after i states,
+    indexed by those states read as base-n digits; cum_steps[k] applies
+    from step k on, indexed by the last k states.  Step t draws its state
+    with uniform 2t and its symbol with uniform 2t + 1.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
-    rng = _as_rng(seed)
-    cum_init = np.cumsum(params.initial)
-    cum_trans = np.cumsum(params.transition, axis=1)
-    cum_emis = np.cumsum(params.emission, axis=1)
-    u = rng.random(2 * length)
+    u = _as_rng(seed).random(2 * length).tolist()
+    k, n = len(cum_steps) - 1, len(cum_emission)
+    keep = n ** (k - 1)  # contexts keep the last k - 1 states before the next is appended
     obs = np.empty(length, dtype=np.int64)
-    z = _draw(cum_init, u[0])
-    obs[0] = _draw(cum_emis[z], u[1])
-    for t in range(1, length):
-        z = _draw(cum_trans[z], u[2 * t])
-        obs[t] = _draw(cum_emis[z], u[2 * t + 1])
+    context = 0
+    for t in range(length):
+        z = _draw(cum_steps[min(t, k)][context], u[2 * t])
+        obs[t] = _draw(cum_emission[z], u[2 * t + 1])
+        context = context % keep * n + z
     return obs
+
+
+def sample(params, length, seed):
+    """Ancestral sampling: z_1 ~ pi, z_t ~ transition row, x_t ~ emission row."""
+    return _sample_order_k([np.cumsum(params.initial[None], axis=1),
+                            np.cumsum(params.transition, axis=1)],
+                           np.cumsum(params.emission, axis=1), length, seed)
 
 
 def _masked_dirichlet(rng, mask):

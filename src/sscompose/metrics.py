@@ -183,20 +183,22 @@ def _lines(seq):
     return treble, bass, chords
 
 
+def _chord_interval_classes(chords):
+    """Simple interval classes (mod 12) of every note pair within each chord,
+    chord by chord."""
+    pairs = [np.abs(chunk[:, None] - chunk[None, :])[np.triu_indices(len(chunk), 1)]
+             for chunk in chords]
+    return np.concatenate(pairs) % OCTAVE if pairs else np.zeros(0, dtype=np.int64)
+
+
 def dissonance_rate(seq):
     """Dissonant harmonic pairs within chords plus dissonant melodic steps of
     the treble line, normalized by the total note count."""
     if len(seq) == 0:
         raise ValueError("empty sequence")
     treble, _, chords = _lines(seq)
-    count = 0
-    for chunk in chords:
-        diffs = np.abs(chunk[:, None] - chunk[None, :])[np.triu_indices(len(chunk), 1)]
-        count += int(np.isin(diffs % OCTAVE, list(DISSONANT_CLASSES)).sum())
-    if len(treble) > 1:
-        steps = np.abs(np.diff(treble)) % OCTAVE
-        count += int(np.isin(steps, list(DISSONANT_CLASSES)).sum())
-    return count / len(seq)
+    classes = np.concatenate([_chord_interval_classes(chords), np.abs(np.diff(treble)) % OCTAVE])
+    return int(np.isin(classes, list(DISSONANT_CLASSES)).sum()) / len(seq)
 
 
 def large_interval_rate(seq):
@@ -235,19 +237,13 @@ def interval_class_table(seq, mode):
     if mode not in ("harmonic", "melodic"):
         raise ValueError("mode must be 'harmonic' or 'melodic'")
     treble, bass, chords = _lines(seq)
-    intervals = []
     if mode == "harmonic":
-        for chunk in chords:
-            diffs = np.abs(chunk[:, None] - chunk[None, :])[np.triu_indices(len(chunk), 1)]
-            intervals.extend((diffs % OCTAVE).tolist())
+        classes = _chord_interval_classes(chords)
     else:
-        if len(treble) > 1:
-            intervals.extend((np.abs(np.diff(treble)) % OCTAVE).tolist())
-            intervals.extend((np.abs(np.diff(bass)) % OCTAVE).tolist())
-    if not intervals:
-        raise ValueError(f"piece contains no {mode} intervals")
-    classes = np.asarray(intervals)
+        classes = np.abs(np.concatenate([np.diff(treble), np.diff(bass)])) % OCTAVE
     n = len(classes)
+    if n == 0:
+        raise ValueError(f"piece contains no {mode} intervals")
     return {
         "thirds": float(np.isin(classes, list(THIRD_CLASSES)).sum() / n),
         "fourths_fifths": float(np.isin(classes, list(FOURTH_FIFTH_CLASSES)).sum() / n),
@@ -327,7 +323,7 @@ def compute_metrics(seq, union_symbols, max_lag=DEFAULT_MAX_LAG):
 def evaluate_batch(train_seq, batch, max_lag=DEFAULT_MAX_LAG):
     """Score a batch of generated pieces against the training piece.
 
-    RMSE per Eq.-style aggregation for entropy/dissonance/large-interval;
+    Each RMSE is `rmse` over the stacked per-piece values, so the
     note-count and ACF/PACF RMSEs pool over (piece x pitch) and
     (piece x lag) cells; MI and edit distance are reported as batch
     means.  Pieces whose ACF is undefined are excluded from the temporal
@@ -342,52 +338,39 @@ def evaluate_batch(train_seq, batch, max_lag=DEFAULT_MAX_LAG):
     if ref.acf is None:
         raise ValueError("training piece has undefined ACF (constant or too short)")
 
-    per_piece = []
-    skipped = []
-    ent, dis, li = [], [], []
-    hist_sq = []
-    acf_sq, pacf_sq = [], []
-    mi, ed = [], []
-    for i, piece in enumerate(batch):
-        mv = compute_metrics(piece, union, max_lag)
-        pm = PairMetrics(
-            mutual_information(train_seq.pitches, piece.pitches),
-            edit_distance(train_seq.pitches, piece.pitches),
-        )
-        per_piece.append((mv, pm))
-        ent.append(mv.entropy)
-        dis.append(mv.dissonance_rate)
-        li.append(mv.large_interval_rate)
-        hist_sq.append((mv.pitch_histogram - ref.pitch_histogram) ** 2)
-        mi.append(pm.mutual_information)
-        ed.append(pm.edit_distance_normalized)
-        if mv.acf is None:
-            skipped.append((i, "undefined ACF (constant or too-short piece)"))
-        else:
-            acf_sq.append((mv.acf - ref.acf) ** 2)
-            pacf_sq.append((mv.pacf - ref.pacf) ** 2)
+    per_piece = [(compute_metrics(piece, union, max_lag),
+                  PairMetrics(mutual_information(train_seq.pitches, piece.pitches),
+                              edit_distance(train_seq.pitches, piece.pitches)))
+                 for piece in batch]
+    vectors = [mv for mv, _ in per_piece]
+    timed = [mv for mv in vectors if mv.acf is not None]
 
-    entropy_rmse = rmse(ent, ref.entropy)
-    dissonance_rmse = rmse(dis, ref.dissonance_rate)
-    li_rmse = rmse(li, ref.large_interval_rate)
-    note_count_rmse = float(np.sqrt(np.mean(np.stack(hist_sq))))
-    acf_rmse = float(np.sqrt(np.mean(np.stack(acf_sq)))) if acf_sq else float("nan")
-    pacf_rmse = float(np.sqrt(np.mean(np.stack(pacf_sq)))) if pacf_sq else float("nan")
-    musicality = float(np.mean([dissonance_rmse, li_rmse, note_count_rmse]))
-    temporal = float(np.mean([acf_rmse, pacf_rmse]))
+    def pooled(name, pieces):
+        """RMSE over every cell of the pieces' `name` values; NaN for no pieces."""
+        if not pieces:
+            return float("nan")
+        return rmse([getattr(mv, name) for mv in pieces], getattr(ref, name))
+
+    dissonance_rmse = pooled("dissonance_rate", vectors)
+    large_interval_rmse = pooled("large_interval_rate", vectors)
+    note_count_rmse = pooled("pitch_histogram", vectors)
+    acf_rmse = pooled("acf", timed)
+    pacf_rmse = pooled("pacf", timed)
     return EvaluationReport(
-        entropy_rmse=entropy_rmse,
+        entropy_rmse=pooled("entropy", vectors),
+        mutual_information_mean=float(np.mean([pm.mutual_information for _, pm in per_piece])),
+        edit_distance_mean=float(np.mean([pm.edit_distance_normalized for _, pm in per_piece])),
         dissonance_rmse=dissonance_rmse,
-        large_interval_rmse=li_rmse,
+        large_interval_rmse=large_interval_rmse,
         note_count_rmse=note_count_rmse,
         acf_rmse=acf_rmse,
         pacf_rmse=pacf_rmse,
-        mutual_information_mean=float(np.mean(mi)),
-        edit_distance_mean=float(np.mean(ed)),
-        musicality_average=musicality,
-        temporal_average=temporal,
+        musicality_average=float(np.mean([dissonance_rmse, large_interval_rmse,
+                                          note_count_rmse])),
+        temporal_average=float(np.mean([acf_rmse, pacf_rmse])),
         per_piece=per_piece,
-        skipped=skipped,
+        skipped=[(i, "undefined ACF (constant or too-short piece)")
+                 for i, mv in enumerate(vectors) if mv.acf is None],
         training_metrics=ref,
     )
 
@@ -398,13 +381,11 @@ def piece_scores(report):
     ref = report.training_metrics
     rows = []
     for i, (mv, pm) in enumerate(report.per_piece):
-        nc = float(np.sqrt(np.mean((mv.pitch_histogram - ref.pitch_histogram) ** 2)))
         music = float(np.mean([abs(mv.dissonance_rate - ref.dissonance_rate),
-                               abs(mv.large_interval_rate - ref.large_interval_rate), nc]))
+                               abs(mv.large_interval_rate - ref.large_interval_rate),
+                               rmse(mv.pitch_histogram, ref.pitch_histogram)]))
         if mv.acf is not None:
-            acf_dev = float(np.sqrt(np.mean((mv.acf - ref.acf) ** 2)))
-            pacf_dev = float(np.sqrt(np.mean((mv.pacf - ref.pacf) ** 2)))
-            temporal = (acf_dev + pacf_dev) / 2.0
+            temporal = (rmse(mv.acf, ref.acf) + rmse(mv.pacf, ref.pacf)) / 2.0
         else:
             temporal = float("inf")
         rows.append({

@@ -118,7 +118,7 @@ def _model_from_dict_checked(data):
     if not isinstance(tag, str) or tag not in PARAM_TAGS:
         raise ValueError(f"unknown parameter type {tag!r} in model file")
     report = data.get("report")
-    alphabet = PitchAlphabet(np.asarray(data["alphabet"], dtype=np.int64))
+    alphabet = PitchAlphabet(_decode_value(np.ndarray, data["alphabet"], "alphabet"))
     params = _decode(PARAM_TAGS[tag], data["params"], "params")
     try:
         params.validate(atol=1e-8, n_symbols=alphabet.size)
@@ -129,9 +129,10 @@ def _model_from_dict_checked(data):
         alphabet,
         params,
         None if report is None else _decode(FitReport, report, "report"),
-        np.asarray(data["training_symbols"], dtype=np.int64),
+        np.asarray(_decode_value(np.ndarray, data["training_symbols"], "training_symbols"),
+                   dtype=np.int64),
         data.get("seed"),
-        dict(data.get("extra", {})),
+        dict(_object(data.get("extra", {}), "extra")),
     )
 
 

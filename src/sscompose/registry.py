@@ -16,6 +16,9 @@ from . import hierarchical, hmm, semimarkov, tvar, variants
 from .midi_codec import PitchSequence, build_alphabet
 
 DEFAULT_D_MAX = 20
+# override names that spell a spec option differently: the train command's
+# --dmax flag arrives as dmax and sets option d_max
+OVERRIDE_SPELLINGS = {"dmax": "d_max"}
 
 
 @dataclass(frozen=True)
@@ -77,15 +80,17 @@ class TrainedModel:
 
 def _resolved_options(spec, overrides):
     """The spec with each given override its kind reads applied, and one
-    warning per override it does not read."""
+    warning, naming the override as the caller spelled it, per override it
+    does not read."""
     opts, warnings = dict(spec.options), []
-    for key, value in overrides.items():
+    for name, value in overrides.items():
         if value is None:
             continue
+        key = OVERRIDE_SPELLINGS.get(name, name)
         if key in opts:
             opts[key] = value
         else:
-            warnings.append(f"option {key!r} is not used by {spec.name}; ignored")
+            warnings.append(f"option {name!r} is not used by {spec.name}; ignored")
     return replace(spec, options=opts), warnings
 
 

@@ -28,6 +28,7 @@ from .hmm import (
     _normalized,
     _pairwise_sum,
     _posteriors,
+    _sample_order_k,
     _scaled_forward,
     baum_welch,
     check_distributions,
@@ -197,32 +198,11 @@ def train_khmm(obs, n_states, order, n_symbols, init=None, seed=None,
 
 
 def sample_khmm(params, length, seed):
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    rng = _as_rng(seed)
-    n, k = params.n_states, params.order
-    cum_init = np.cumsum(params.initial)
-    cum_inits = [np.cumsum(t, axis=1) for t in params.init_transitions]
-    cum_trans = np.cumsum(params.transition, axis=1)
-    cum_emis = np.cumsum(params.emission, axis=1)
-    states = []
-    obs = np.empty(length, dtype=np.int64)
-    z = _draw(cum_init, rng.random())
-    states.append(z)
-    obs[0] = _draw(cum_emis[z], rng.random())
-    prefix = z
-    for i in range(1, min(k, length)):
-        z = _draw(cum_inits[i - 1][prefix], rng.random())
-        states.append(z)
-        obs[i] = _draw(cum_emis[z], rng.random())
-        prefix = prefix * n + z
-    tup = prefix
-    P = params.n_tuples
-    for t in range(k, length):
-        z = _draw(cum_trans[tup], rng.random())
-        obs[t] = _draw(cum_emis[z], rng.random())
-        tup = (tup % (P // n)) * n + z
-    return obs
+    """Ancestral sampling: state i < k from pi or init table i, every later
+    state from the transition row of the previous k states."""
+    tables = [params.initial[None], *params.init_transitions, params.transition]
+    return _sample_order_k([np.cumsum(table, axis=1) for table in tables],
+                           np.cumsum(params.emission, axis=1), length, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ all alignments) or uses closed-form conjugate formulas, so agreement with
 the recursive implementations is meaningful evidence of correctness.
 `rowwise_levenshtein`, `per_group_lines`, `dense_nshmm_ffbs` and
 `stepwise_tvar_log_marginal` are the plain per-step loops that faster
-library code must reproduce bit for bit.
+library code must reproduce bit for bit; the `stepwise_*_sample` samplers
+are the separate first-order and order-k loops the shared sampler must
+reproduce draw for draw.
 """
 
 import itertools
@@ -499,3 +501,71 @@ def stepwise_tvar_log_marginal(y, order, state_discount, var_discount,
         C = 0.5 * (C + C.T)
         s_est = s_new
     return float(log_marginal)
+
+
+def _draw_from(cumulative, u):
+    """Inverse-cdf draw from a cumulative row, clipped to its last entry."""
+    return min(int(np.searchsorted(cumulative, u, side="right")), len(cumulative) - 1)
+
+
+def stepwise_hmm_sample(params, length, seed):
+    """First-order ancestral sampling, one state and one symbol per step:
+    z_1 ~ pi, z_t ~ transition row, x_t ~ emission row, with step t using
+    uniforms 2t and 2t + 1 of one block."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    cum_init = np.cumsum(params.initial)
+    cum_trans = np.cumsum(params.transition, axis=1)
+    cum_emis = np.cumsum(params.emission, axis=1)
+    u = rng.random(2 * length)
+    obs = np.empty(length, dtype=np.int64)
+    z = _draw_from(cum_init, u[0])
+    obs[0] = _draw_from(cum_emis[z], u[1])
+    for t in range(1, length):
+        z = _draw_from(cum_trans[z], u[2 * t])
+        obs[t] = _draw_from(cum_emis[z], u[2 * t + 1])
+    return obs
+
+
+def stepwise_khmm_sample(params, length, seed):
+    """Order-k ancestral sampling with one scalar uniform per draw: the
+    first k states from pi and the init tables, each later state from the
+    transition row of the tuple of the previous k states."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    rng = np.random.default_rng(seed)
+    n, k = params.n_states, params.order
+    cum_init = np.cumsum(params.initial)
+    cum_inits = [np.cumsum(t, axis=1) for t in params.init_transitions]
+    cum_trans = np.cumsum(params.transition, axis=1)
+    cum_emis = np.cumsum(params.emission, axis=1)
+    obs = np.empty(length, dtype=np.int64)
+    z = _draw_from(cum_init, rng.random())
+    obs[0] = _draw_from(cum_emis[z], rng.random())
+    prefix = z
+    for i in range(1, min(k, length)):
+        z = _draw_from(cum_inits[i - 1][prefix], rng.random())
+        obs[i] = _draw_from(cum_emis[z], rng.random())
+        prefix = prefix * n + z
+    tup = prefix
+    P = n ** k
+    for t in range(k, length):
+        z = _draw_from(cum_trans[tup], rng.random())
+        obs[t] = _draw_from(cum_emis[z], rng.random())
+        tup = (tup % (P // n)) * n + z
+    return obs
+
+
+def stepwise_lhmm_sample(params, length, seed):
+    """Top-down layered sampling on one generator: the top layer as a
+    first-order chain, then each lower layer emits one symbol per symbol
+    of the layer above, drawing its length uniforms after the layer above."""
+    rng = np.random.default_rng(seed)
+    seq = stepwise_hmm_sample(params.layers[-1], length, rng)
+    for layer in reversed(params.layers[:-1]):
+        cum_emis = np.cumsum(layer.emission, axis=1)
+        u = rng.random(length)
+        seq = np.array([_draw_from(cum_emis[s], u[t]) for t, s in enumerate(seq)],
+                       dtype=np.int64)
+    return seq

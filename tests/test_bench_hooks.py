@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from sscompose import registry, tvar
+from sscompose import cli, persist, registry, tvar
 from sscompose.midi_codec import PitchSequence, build_alphabet
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -55,3 +55,21 @@ def test_wrapped_em_and_sampling_calls_are_seen(spans):
     names = {span["name"] for span in tracer.dump()}
     assert {"registry.train_model", "hmm.baum_welch", "hierarchical.tshmm_em_step",
             "tvar.backward_sample"} <= names
+
+
+def test_generate_samples_each_piece_through_sample_sequence(spans, tmp_path):
+    """The benchmark's per-piece sampling time divides by the number of
+    registry.sample_sequence spans, so generate must call it once a piece."""
+    pitches = 55 + np.arange(40) % 5
+    model = registry.train_model("M15", PitchSequence(pitches, np.arange(40) * 240), seed=0)
+    model_path = tmp_path / "M15_model.json"
+    persist.save_model(model, model_path)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        assert cli.main(["generate", "--model", str(model_path), "--n", "3",
+                         "--seed", "1", "--out", str(tmp_path / "batch")]) == 0
+    finally:
+        tracer.restore()
+    names = [span["name"] for span in tracer.dump()]
+    assert names.count("registry.sample_sequence") == 3

@@ -140,6 +140,29 @@ def test_rank_unknown_criterion(tmp_path, capsys):
     assert "entropy-rmse" in err and "musicality-avg" in err
 
 
+@pytest.mark.parametrize("payload,message", [
+    (5, " is not a report: it needs a JSON object"),
+    ({"model": "M1", "entropy_rmse": "0.1"}, ": entropy_rmse must be a number, not '0.1'"),
+    ({"model": "M1", "entropy_rmse": None}, ": entropy_rmse must be a number, not None"),
+], ids=["number", "string-value", "null-value"])
+def test_rank_rejects_malformed_report(tmp_path, capsys, payload, message):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"model": "M2", "entropy_rmse": 0.2}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert _run("rank", "--criterion", "entropy-rmse", "--reports", good, bad) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [f"error: {bad}{message}"]
+
+
+def test_rank_accepts_nan_scores(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"model": "M1", "temporal_average": float("nan")}))
+    assert _run("rank", "--criterion", "temporal-avg", "--reports", a) == 0
+    assert capsys.readouterr().out.strip().splitlines()[1] == f"1,M1,nan,{a}"
+
+
 def test_missing_batch_dir_clean_error(tmp_path, toy_piece, capsys):
     piece, _ = toy_piece
     assert _run("evaluate", "--input", piece, "--batch", tmp_path / "nope",
@@ -485,3 +508,39 @@ def test_failed_scoring_creates_no_output_dir(tmp_path, toy_piece, command):
     out = tmp_path / "out"
     assert _run(command, "--input", piece, "--batch", batch, "--out", out) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("extra", 5, "extra is not a JSON object"),
+    ("alphabet", {"a": 1}, "alphabet is not a JSON array"),
+    ("training_symbols", 7, "training_symbols is not a JSON array"),
+], ids=["extra", "alphabet", "training_symbols"])
+def test_non_container_model_field_rejected_on_load(tmp_path, toy_piece, capsys,
+                                                    field, value, message):
+    piece, _ = toy_piece
+    run = tmp_path / "run"
+    assert _run("train", "--input", piece, "--model", "M1", "--states", "3",
+                "--seed", "0", "--max-iter", "1", "--out", run) == 0
+    path = run / "M1_model.json"
+    data = json.loads(path.read_text())
+    data[field] = value
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _run("generate", "--model", path, "--n", "1", "--out", tmp_path / "b") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: corrupt model file: {message}"]
+
+
+def test_unused_override_warning_names_the_flag(tmp_path, toy_piece, capsys):
+    piece, _ = toy_piece
+    run = tmp_path / "run"
+    assert _run("train", "--input", piece, "--model", "M10", "--dmax", "4",
+                "--seed", "0", "--max-iter", "1", "--out", run) == 0
+    warning = "option 'dmax' is not used by M10; ignored"
+    assert capsys.readouterr().err.strip().splitlines() == [f"warning: {warning}"]
+    assert json.loads((run / "M10_fit_report.json").read_text())["warnings"] == [warning]
+    assert _run("train", "--input", piece, "--model", "M8", "--states", "2", "--dmax", "4",
+                "--seed", "0", "--max-iter", "1", "--out", run) == 0
+    assert capsys.readouterr().err == ""
+    spec = json.loads((run / "M8_model.json").read_text())["spec"]
+    assert spec["options"] == {"states": 2, "d_max": 4}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (enum_fhmm_counts, enum_fhmm_loglik, enum_tshmm_counts,
-                     enum_tshmm_loglik, smoothed_rows)
+                     enum_tshmm_loglik, smoothed_rows, stepwise_lhmm_sample)
 from sscompose import hierarchical, hmm
 
 
@@ -186,6 +186,15 @@ def test_lhmm_sample_deterministic():
     params, _ = hierarchical.train_lhmm(obs, 3, 2, 3, seed=2, max_iter=5)
     assert np.array_equal(hierarchical.sample_lhmm(params, 40, seed=3),
                           hierarchical.sample_lhmm(params, 40, seed=3))
+
+
+def test_lhmm_sample_draws_lower_layers_after_the_top_layer():
+    rng = np.random.default_rng(12)
+    obs = rng.integers(0, 3, 100)
+    params, _ = hierarchical.train_lhmm(obs, 3, 3, 3, seed=4, max_iter=3)
+    for length in (1, 2, 3, 200):
+        assert np.array_equal(hierarchical.sample_lhmm(params, length, seed=5),
+                              stepwise_lhmm_sample(params, length, seed=5))
 
 
 def test_lhmm_needs_a_layer():

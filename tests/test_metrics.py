@@ -362,3 +362,33 @@ def test_lines_match_per_group_loop_on_random_pieces():
         times = rng.integers(0, rng.integers(1, 30), n) * 120
         seq = PitchSequence(rng.integers(30, 90, n), times)
         _assert_lines_match_per_group_loop(seq)
+
+
+def test_piece_scores_by_hand():
+    train = _melody([60, 62, 64, 67] * 5)
+    moving = _melody([60, 64] * 10)
+    constant = _melody([60] * 20)
+    report = metrics.evaluate_batch(train, [moving, constant])
+    assert report.skipped == [(1, "undefined ACF (constant or too-short piece)")]
+    rows = metrics.piece_scores(report)
+    assert [row["piece"] for row in rows] == [0, 1]
+
+    # train: histogram 1/4 each over {60, 62, 64, 67}; 10 of its 19 steps
+    # are seconds; no piece has a jump above an octave
+    assert rows[0]["entropy-rmse"] == pytest.approx(np.log(4) - np.log(2), abs=1e-15)
+    assert rows[1]["entropy-rmse"] == pytest.approx(np.log(4), abs=1e-15)
+    # |0 - 0.5| dissonance, 0 large intervals, note-count deviations
+    # sqrt(mean(4 x 1/16)) = 1/4 and sqrt((9/16 + 3/16) / 4) = sqrt(3) / 4
+    assert rows[0]["musicality-avg"] == pytest.approx((0.5 + 0.0 + 0.25) / 3, rel=1e-15)
+    assert rows[1]["musicality-avg"] == pytest.approx((0.5 + 0.0 + np.sqrt(3) / 4) / 3,
+                                                      rel=1e-15)
+    acf, pacf = metrics.acf_pacf(moving.pitches, 18)
+    ref_acf, ref_pacf = metrics.acf_pacf(train.pitches, 18)
+    temporal = (np.sqrt(np.mean((acf - ref_acf) ** 2))
+                + np.sqrt(np.mean((pacf - ref_pacf) ** 2))) / 2
+    assert rows[0]["temporal-avg"] == pytest.approx(temporal, rel=1e-15)
+    assert rows[1]["temporal-avg"] == float("inf")
+    # the pairs (60,60), (62,64), (64,60), (67,64) each make a quarter
+    assert rows[0]["mutual_information"] == pytest.approx(np.log(2), abs=1e-15)
+    assert rows[1]["mutual_information"] == 0.0
+    assert rows[1]["edit_distance"] == 15 / 20

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import (enum_arhmm_counts, enum_arhmm_loglik, enum_khmm_loglik,
-                     enum_khmm_transition_counts, smoothed_rows)
+                     enum_khmm_transition_counts, smoothed_rows, stepwise_hmm_sample,
+                     stepwise_khmm_sample)
 from sscompose import hmm, variants
 
 
@@ -60,6 +61,28 @@ def test_khmm_sample_deterministic():
     a = variants.sample_khmm(params, 40, seed=7)
     b = variants.sample_khmm(params, 40, seed=7)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("left_right", [False, True])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_khmm_sample_matches_stepwise_sampler(order, left_right):
+    for n in (1, 3):
+        params = variants.random_khmm_params(n, order, 4, seed=order + n, left_right=left_right)
+        for length in [*range(1, order + 2), 200]:
+            for seed in (0, 11):
+                assert np.array_equal(variants.sample_khmm(params, length, seed),
+                                      stepwise_khmm_sample(params, length, seed))
+
+
+@pytest.mark.parametrize("left_right", [False, True])
+def test_hmm_sample_matches_stepwise_sampler(left_right):
+    for n in (1, 3):
+        params = (variants.random_lr_params(n, 4, n) if left_right
+                  else hmm.random_params(n, 4, n))
+        for length in (1, 2, 200):
+            for seed in (0, 11):
+                assert np.array_equal(hmm.sample(params, length, seed),
+                                      stepwise_hmm_sample(params, length, seed))
 
 
 def test_lrhmm_upper_triangular():
