@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -80,12 +81,8 @@ def cmd_train(args):
         report.update(iterations=model.report.iterations,
                       converged=model.report.converged,
                       log_likelihood_trace=list(model.report.log_likelihood_trace))
-    if "grid_audit" in model.extra:
-        report["grid_audit"] = model.extra["grid_audit"]
-    if "sampler" in model.extra:
-        report["sampler"] = {k: v for k, v in model.extra["sampler"].items()
-                             if np.isscalar(v)}
-    report["warnings"] = model.extra.get("warnings", [])
+    report.update(model.extra)
+    report.setdefault("warnings", [])
     report_path = _write_json(os.path.join(out_dir, f"{args.model}_fit_report.json"), report)
     config = {"input": args.input, "model": args.model, "seed": args.seed,
               "restarts": args.restarts, "tol": args.tol,
@@ -175,37 +172,33 @@ def _score_batch(args):
     return batch, pieces, metrics_mod.evaluate_batch(train_seq, pieces)
 
 
+def _write_csv(path, header, rows):
+    """Write a CSV file; every float cell, numpy's included, is repr(float(v))."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                              else str(v) for v in row) + "\n")
+    return path
+
+
 def _write_report_files(out_dir, report, model_name):
     summary = report.summary()
-    table_path = os.path.join(out_dir, "metrics.csv")
-    with open(table_path, "w") as fh:
-        fh.write("metric,value\n")
-        for name, value in summary.items():
-            fh.write(f"{name},{value!r}\n")
-
-    per_piece_path = os.path.join(out_dir, "per_piece.csv")
-    scores = metrics_mod.piece_scores(report)
-    with open(per_piece_path, "w") as fh:
-        fh.write("piece,metric,value\n")
-        for row in scores:
-            for key in (*metrics_mod.CRITERIA, "mutual_information", "edit_distance"):
-                fh.write(f"{row['piece']},{key},{row[key]!r}\n")
-
-    curves_path = os.path.join(out_dir, "acf_pacf.csv")
+    keys = (*metrics_mod.CRITERIA, "mutual_information", "edit_distance")
     ref = report.training_metrics
     valid = [mv for mv, _ in report.per_piece if mv.acf is not None]
-    mean_acf = np.mean([mv.acf for mv in valid], axis=0) if valid else None
-    mean_pacf = np.mean([mv.pacf for mv in valid], axis=0) if valid else None
-    with open(curves_path, "w") as fh:
-        fh.write("lag,train_acf,train_pacf,batch_mean_acf,batch_mean_pacf\n")
-        for lag in range(len(ref.acf)):
-            ma = mean_acf[lag] if mean_acf is not None else float("nan")
-            mp = mean_pacf[lag] if mean_pacf is not None else float("nan")
-            fh.write(f"{lag + 1},{ref.acf[lag]!r},{ref.pacf[lag]!r},{ma!r},{mp!r}\n")
-
-    report_path = _write_json(os.path.join(out_dir, "report.json"),
-                              {"model": model_name, **summary, "skipped": report.skipped})
-    return table_path, per_piece_path, curves_path, report_path
+    mean_acf, mean_pacf = (np.mean([(mv.acf, mv.pacf) for mv in valid], axis=0) if valid
+                           else np.full((2, len(ref.acf)), np.nan))
+    return (
+        _write_csv(os.path.join(out_dir, "metrics.csv"), "metric,value", summary.items()),
+        _write_csv(os.path.join(out_dir, "per_piece.csv"), "piece,metric,value",
+                   ((row["piece"], key, row[key])
+                    for row in metrics_mod.piece_scores(report) for key in keys)),
+        _write_csv(os.path.join(out_dir, "acf_pacf.csv"),
+                   "lag,train_acf,train_pacf,batch_mean_acf,batch_mean_pacf",
+                   zip(range(1, len(ref.acf) + 1), ref.acf, ref.pacf, mean_acf, mean_pacf)),
+        _write_json(os.path.join(out_dir, "report.json"),
+                    {"model": model_name, **summary, "skipped": report.skipped}))
 
 
 def cmd_evaluate(args):
@@ -241,7 +234,8 @@ def cmd_rank(args):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"{path}: {key_field} must be a number, not {value!r}")
         entries.append((value, payload.get("model", "?"), path))
-    entries.sort(key=lambda e: (e[0], e[1]))
+    # NaN sorts after every number; equal scores break ties by model id, then path
+    entries.sort(key=lambda e: (math.isnan(e[0]), 0.0 if math.isnan(e[0]) else e[0], *e[1:]))
     print(f"rank,model,{key_field},report")
     for place, (value, model, path) in enumerate(entries, start=1):
         print(f"{place},{model},{value!r},{path}")
@@ -258,15 +252,9 @@ def cmd_export(args):
     taken = set()
     for criterion in metrics_mod.CRITERIA:
         ordered = sorted(scores, key=lambda r: (r[criterion], r["piece"]))
-        picked = 0
-        for row in ordered:
-            if picked == args.top:
-                break
-            if row["piece"] in taken:
-                continue
-            taken.add(row["piece"])
-            chosen.append((criterion, row["piece"]))
-            picked += 1
+        picked = [row["piece"] for row in ordered if row["piece"] not in taken][:args.top]
+        taken.update(picked)
+        chosen += [(criterion, idx) for idx in picked]
     out_dir = _resolve_out(args.out)
     os.makedirs(out_dir, exist_ok=True)
     exports = []

@@ -28,7 +28,6 @@ from .hmm import (
     _normalized,
     _pairwise_sum,
     _posteriors,
-    _scaled_forward,
     baum_welch,
     check_distributions,
     check_positive_ints,
@@ -88,16 +87,14 @@ def random_tshmm_params(m1, m2, alphabet_size, seed):
     )
 
 
-def _tshmm_obs_lik(params, obs):
-    per_s = params.emission[:, obs]              # (m1, T)
-    return np.tile(per_s.T, (1, params.m2))      # (T, m2*m1)
+def _tshmm_flat(params):
+    """The (R, S) product chain as a first-order HMM; state r * m1 + s emits from s."""
+    return HmmParams(params.initial, params.composite_transition(),
+                     np.tile(params.emission, (params.m2, 1)))
 
 
 def tshmm_log_likelihood(params, obs):
-    obs = _check_obs(obs, params.n_symbols)
-    loglik, _, _ = _scaled_forward(params.initial, params.composite_transition(),
-                                   _tshmm_obs_lik(params, obs))
-    return loglik
+    return log_likelihood(_tshmm_flat(params), obs)
 
 
 def tshmm_em_step(params, obs):
@@ -105,19 +102,17 @@ def tshmm_em_step(params, obs):
     composite-chain expected counts imply."""
     obs = _check_obs(obs, params.n_symbols)
     m1, m2 = params.m1, params.m2
-    K = params.n_symbols
-    A = params.composite_transition()
-    obs_lik = _tshmm_obs_lik(params, obs)
-    loglik, alpha, right, gamma = _posteriors(params.initial, A, obs_lik)
-    xi_sum = _pairwise_sum(alpha, right, A)
-    xi4 = xi_sum.reshape(m2, m1, m2, m1)  # [i, k, j, l]
+    flat = _tshmm_flat(params)
+    loglik, alpha, right, gamma = _posteriors(flat.initial, flat.transition,
+                                              flat.emission[:, obs].T)
+    xi4 = _pairwise_sum(alpha, right, flat.transition).reshape(m2, m1, m2, m1)  # [i, k, j, l]
 
     gamma_s = gamma.reshape(len(obs), m2, m1).sum(axis=1)
     new = TshmmParams(m1, m2,
                       _normalized(xi4.sum(axis=(1, 3))),
                       _normalized(xi4.sum(axis=0).transpose(1, 0, 2)),  # -> [j, k, l]
                       gamma[0],
-                      _normalized(_emission_counts(obs, gamma_s, K)))
+                      _normalized(_emission_counts(obs, gamma_s, params.n_symbols)))
     return new, loglik
 
 
@@ -135,9 +130,7 @@ def train_tshmm(obs, m1, m2, n_symbols, init=None, seed=None,
 
 
 def sample_tshmm(params, length, seed):
-    flat = HmmParams(params.initial, params.composite_transition(),
-                     np.tile(params.emission, (params.m2, 1)))
-    return sample(flat, length, seed)
+    return sample(_tshmm_flat(params), length, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +213,6 @@ def _fhmm_flat(params):
 
 
 def fhmm_log_likelihood(params, obs):
-    obs = _check_obs(obs, params.n_symbols)
     flat, _ = _fhmm_flat(params)
     return log_likelihood(flat, obs)
 

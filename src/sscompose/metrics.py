@@ -258,6 +258,8 @@ def interval_class_table(seq, mode):
 def acf_pacf(values, max_lag=DEFAULT_MAX_LAG):
     """Sample ACF (biased 1/T autocovariances) at lags 1..max_lag and the
     PACF obtained from it by the Durbin-Levinson recursion."""
+    if max_lag < 1:
+        raise ValueError("max_lag must be >= 1")
     x = np.asarray(values, dtype=float)
     T = len(x)
     if T <= max_lag + 1:

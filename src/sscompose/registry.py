@@ -106,7 +106,7 @@ def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
     alphabet = build_alphabet(sequence)
     obs = alphabet.to_indices(sequence.pitches)
     K = alphabet.size
-    opts, kind, extra = spec.options, spec.kind, {}
+    opts, kind, extra, report = spec.options, spec.kind, {}, None
 
     if kind == "hmm":
         init = hmm.random_params(opts["states"], K, seed)
@@ -126,7 +126,6 @@ def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
     elif kind == "nshmm":
         params, info = semimarkov.train_nshmm(obs, opts["states"], K, opts["d_max"],
                                               seed=seed)
-        report = None
         extra["sampler"] = info
     elif kind == "tshmm":
         params, report = hierarchical.train_tshmm(obs, opts["m1"], opts["m2"], K,
@@ -142,11 +141,9 @@ def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
     elif kind == "tvar":
         spec_grid = tvar.TvarSpec()
         params, audit = tvar.grid_search(spec_grid, sequence.pitches.astype(float))
-        report = None
         extra["grid_audit"] = audit
     elif kind == "random":
         params = hmm.random_params(opts["states"], K, seed)
-        report = None
     else:  # pragma: no cover
         raise ValueError(f"unhandled model kind {kind!r}")
     if warnings:

@@ -349,15 +349,11 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
     emission = rng.dirichlet(np.ones(K), size=n)
     initial = rng.dirichlet(np.ones(n))
 
-    sums = {"initial": np.zeros(n), "switch": np.zeros((n, n)),
-            "emission": np.zeros((n, K)), "profile": np.zeros((n, D))}
-    kept = 0
+    profile = expit(a[:, None] + b[:, None] * dwell_grid[None, :])
+    sums = [np.zeros(n), np.zeros((n, n)), np.zeros((n, K)), np.zeros((n, D))]
     accepted = 0
-    proposed = 0
     for it in range(n_iter):
-        profile = expit(a[:, None] + b[:, None] * dwell_grid[None, :])
-        params = NshmmParams(initial, switch, emission, profile)
-        path, dwell = _nshmm_ffbs(params, obs, rng)
+        path, dwell = _nshmm_ffbs(NshmmParams(initial, switch, emission, profile), obs, rng)
 
         # conjugate draws
         init_counts = np.ones(n)
@@ -373,7 +369,7 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
         switch /= switch.sum(axis=1, keepdims=True)
 
         # Metropolis on the dwell logits, one walk per state
-        prev_dwell = np.minimum(dwell[:-1], D - 1) + 1.0
+        prev_dwell = dwell[:-1] + 1.0
         stays = ~moves
         prev_state = path[:-1]
         for i in range(n):
@@ -383,22 +379,19 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
             a_prop = a[i] + PROPOSAL_SCALE * rng.standard_normal()
             b_prop = b[i] if flat_dwell else b[i] + PROPOSAL_SCALE * rng.standard_normal()
             prop = _dwell_loglik(a_prop, b_prop, dw, st)
-            proposed += 1
             if np.log(rng.random()) < prop - cur:
                 a[i], b[i] = a_prop, b_prop
                 accepted += 1
+        profile = expit(a[:, None] + b[:, None] * dwell_grid[None, :])
 
         if it >= burn_in:
-            sums["initial"] += initial
-            sums["switch"] += switch
-            sums["emission"] += emission
-            sums["profile"] += expit(a[:, None] + b[:, None] * dwell_grid[None, :])
-            kept += 1
+            for total, draw in zip(sums, (initial, switch, emission, profile)):
+                total += draw
 
-    params = NshmmParams(sums["initial"] / kept, sums["switch"] / kept,
-                         sums["emission"] / kept, sums["profile"] / kept)
-    info = {"acceptance_rate": accepted / max(proposed, 1), "iterations": n_iter,
-            "burn_in": burn_in, "kept_draws": kept,
+    n_kept = n_iter - max(burn_in, 0)
+    params = NshmmParams(*(total / n_kept for total in sums))
+    info = {"acceptance_rate": accepted / (n_iter * n), "iterations": n_iter,
+            "burn_in": burn_in, "kept_draws": n_kept,
             "seed": seed if isinstance(seed, int) else None}
     return params, info
 

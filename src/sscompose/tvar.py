@@ -11,6 +11,7 @@ alphabet.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,19 +152,18 @@ def grid_search(spec, series):
     audit = []
     best = None
     best_key = None
-    for order in spec.orders:
-        for sd in spec.state_discounts:
-            for vd in spec.var_discounts:
-                cell = {"order": order, "state_discount": sd, "var_discount": vd}
-                try:
-                    fit = fit_tvar(series, order, sd, vd)
-                except FloatingPointError as exc:
-                    audit.append({**cell, "log_marginal": None, "error": str(exc)})
-                    continue
-                audit.append({**cell, "log_marginal": fit.log_marginal})
-                key = (fit.log_marginal, -order, sd, vd)
-                if best_key is None or key > best_key:
-                    best, best_key = fit, key
+    for order, sd, vd in itertools.product(spec.orders, spec.state_discounts,
+                                           spec.var_discounts):
+        cell = {"order": order, "state_discount": sd, "var_discount": vd}
+        try:
+            fit = fit_tvar(series, order, sd, vd)
+        except FloatingPointError as exc:
+            audit.append({**cell, "log_marginal": None, "error": str(exc)})
+            continue
+        audit.append({**cell, "log_marginal": fit.log_marginal})
+        key = (fit.log_marginal, -order, sd, vd)
+        if best_key is None or key > best_key:
+            best, best_key = fit, key
     if best is None:
         raise FloatingPointError(f"every TVAR grid cell failed; first: {audit[0]['error']}")
     return best, audit
@@ -221,8 +221,6 @@ def bin_to_alphabet(series, alphabet):
     symbols = np.asarray(alphabet.symbols, dtype=float)
     if len(symbols) == 0:
         raise ValueError("alphabet is empty")
-    if len(symbols) == 1:
-        return np.full(len(values), int(symbols[0]), dtype=np.int64)
     midpoints = (symbols[:-1] + symbols[1:]) / 2.0
     idx = np.searchsorted(midpoints, values, side="left")
     return alphabet.symbols[idx]

@@ -163,6 +163,60 @@ def test_rank_accepts_nan_scores(tmp_path, capsys):
     assert capsys.readouterr().out.strip().splitlines()[1] == f"1,M1,nan,{a}"
 
 
+def test_rank_orders_nan_scores_last_whatever_the_input_order(tmp_path, capsys):
+    paths = []
+    for name, model, value in [("a", "M3", 0.3), ("b", "M5", float("nan")), ("c", "M1", 0.1),
+                               ("d", "M2", float("nan"))]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"model": model, "temporal_average": value}))
+        paths.append(path)
+    rankings = []
+    for order in (paths, paths[::-1]):
+        assert _run("rank", "--criterion", "temporal-avg", "--reports", *order) == 0
+        rankings.append(capsys.readouterr().out.strip().splitlines())
+    assert rankings[0] == rankings[1]
+    assert [line.split(",")[1:3] for line in rankings[0][1:]] == [
+        ["M1", "0.1"], ["M3", "0.3"], ["M2", "nan"], ["M5", "nan"]]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export"])
+def test_two_note_training_piece_clean_error(tmp_path, capsys, command):
+    piece = tmp_path / "two.csv"
+    piece.write_text(emit_midi_csv(PitchSequence(np.array([60, 62]), np.array([0, 240]))))
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "piece_0000.txt").write_text("60\n62\n")
+    (batch / "batch.json").write_text('{"pieces": ["piece_0000.txt"]}')
+    out = tmp_path / "out"
+    assert _run(command, "--input", piece, "--batch", batch, "--out", out) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: training piece has undefined ACF")
+    assert not out.exists()
+
+
+def test_evaluation_csv_cells_are_numbers(tmp_path, toy_piece):
+    piece, _ = toy_piece
+    run = tmp_path / "run"
+    assert _run("train", "--input", piece, "--model", "M1", "--states", "3",
+                "--seed", "0", "--max-iter", "2", "--out", run) == 0
+    assert _run("generate", "--model", run / "M1_model.json", "--n", "2",
+                "--out", run / "batch") == 0
+    assert _run("evaluate", "--input", piece, "--batch", run / "batch",
+                "--out", run / "ev") == 0
+    # per file: the columns that hold integers and the columns that hold floats
+    columns = {"metrics.csv": ((), (1,)), "per_piece.csv": ((0,), (2,)),
+               "acf_pacf.csv": ((0,), (1, 2, 3, 4))}
+    for name, (int_cols, float_cols) in columns.items():
+        rows = (run / "ev" / name).read_text().splitlines()[1:]
+        assert rows
+        for row in rows:
+            cells = row.split(",")
+            for col in int_cols:
+                int(cells[col])
+            for col in float_cols:
+                float(cells[col])
+
+
 def test_missing_batch_dir_clean_error(tmp_path, toy_piece, capsys):
     piece, _ = toy_piece
     assert _run("evaluate", "--input", piece, "--batch", tmp_path / "nope",

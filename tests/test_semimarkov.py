@@ -138,6 +138,16 @@ def test_nshmm_acceptance_rate_logged():
     assert 0.0 < info["acceptance_rate"] < 1.0
 
 
+def test_nshmm_kept_draws_and_acceptances_follow_from_the_settings():
+    obs = np.random.default_rng(6).integers(0, 3, 80)
+    n, n_iter = 3, 20
+    for burn_in in (5, 0, -3):
+        _, info = semimarkov.train_nshmm(obs, n, 3, 4, seed=2, n_iter=n_iter, burn_in=burn_in)
+        assert info["kept_draws"] == n_iter - max(burn_in, 0)
+        accepted = info["acceptance_rate"] * n_iter * n  # one proposal per state and sweep
+        assert accepted == pytest.approx(round(accepted), abs=1e-9)
+
+
 def test_nshmm_flat_dwell_near_baum_welch():
     # near-deterministic two-state data; compare per-symbol log-likelihoods
     obs = np.array(([0] * 5 + [1] * 5) * 8)
