@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -235,7 +234,7 @@ def cmd_rank(args):
             raise ValueError(f"{path}: {key_field} must be a number, not {value!r}")
         entries.append((value, payload.get("model", "?"), path))
     # NaN sorts after every number; equal scores break ties by model id, then path
-    entries.sort(key=lambda e: (math.isnan(e[0]), 0.0 if math.isnan(e[0]) else e[0], *e[1:]))
+    entries.sort(key=lambda e: (e[0] != e[0], 0.0 if e[0] != e[0] else e[0], *e[1:]))
     print(f"rank,model,{key_field},report")
     for place, (value, model, path) in enumerate(entries, start=1):
         print(f"{place},{model},{value!r},{path}")

@@ -25,9 +25,8 @@ from .hmm import (
     _check_obs,
     _draw,
     _emission_counts,
+    _flat_posteriors,
     _normalized,
-    _pairwise_sum,
-    _posteriors,
     baum_welch,
     check_distributions,
     check_positive_ints,
@@ -102,10 +101,8 @@ def tshmm_em_step(params, obs):
     composite-chain expected counts imply."""
     obs = _check_obs(obs, params.n_symbols)
     m1, m2 = params.m1, params.m2
-    flat = _tshmm_flat(params)
-    loglik, alpha, right, gamma = _posteriors(flat.initial, flat.transition,
-                                              flat.emission[:, obs].T)
-    xi4 = _pairwise_sum(alpha, right, flat.transition).reshape(m2, m1, m2, m1)  # [i, k, j, l]
+    loglik, gamma, xi_sum = _flat_posteriors(_tshmm_flat(params), obs)
+    xi4 = xi_sum.reshape(m2, m1, m2, m1)  # [i, k, j, l]
 
     gamma_s = gamma.reshape(len(obs), m2, m1).sum(axis=1)
     new = TshmmParams(m1, m2,
@@ -222,9 +219,7 @@ def _fhmm_em_step(params, obs):
     m = len(sizes)
     K = params.n_symbols
     flat, levels = _fhmm_flat(params)
-    obs_lik = flat.emission[:, obs].T
-    loglik, alpha, right, gamma = _posteriors(flat.initial, flat.transition, obs_lik)
-    xi_sum = _pairwise_sum(alpha, right, flat.transition)
+    loglik, gamma, xi_sum = _flat_posteriors(flat, obs)
     xi_full = xi_sum.reshape(tuple(sizes) + tuple(sizes))
 
     chain_transitions = []

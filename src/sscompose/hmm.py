@@ -154,6 +154,13 @@ def _pairwise_sum(alpha, right, transition):
     return transition * (alpha[:-1].T @ right)
 
 
+def _flat_posteriors(params, obs):
+    """E-step of a first-order HmmParams: (log-likelihood, gamma, xi summed over t)."""
+    loglik, alpha, right, gamma = _posteriors(params.initial, params.transition,
+                                              params.emission[:, obs].T)
+    return loglik, gamma, _pairwise_sum(alpha, right, params.transition)
+
+
 def _normalized(acc, mask=1.0):
     """The M-step row update every model kind shares: expected counts acc
     plus SMOOTHING, both zeroed where mask is 0 (a disallowed entry stays
@@ -222,10 +229,8 @@ def baum_welch(init, obs, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     mask = 1.0 if transition_mask is None else np.asarray(transition_mask, dtype=float)
 
     def step(params):
-        obs_lik = params.emission[:, obs].T
-        loglik, alpha, right, gamma = _posteriors(params.initial, params.transition, obs_lik)
-        new = HmmParams(gamma[0],
-                        _normalized(_pairwise_sum(alpha, right, params.transition), mask),
+        loglik, gamma, xi_sum = _flat_posteriors(params, obs)
+        new = HmmParams(gamma[0], _normalized(xi_sum, mask),
                         _normalized(_emission_counts(obs, gamma, K)))
         return new, loglik
 

@@ -179,6 +179,18 @@ def test_rank_orders_nan_scores_last_whatever_the_input_order(tmp_path, capsys):
         ["M1", "0.1"], ["M3", "0.3"], ["M2", "nan"], ["M5", "nan"]]
 
 
+def test_rank_orders_an_integer_score_too_large_for_a_float(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    paths = []
+    for name, model, value in [("a", "M1", "NaN"), ("b", "M2", huge), ("c", "M3", "0.5")]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(f'{{"model": "{model}", "temporal_average": {value}}}')
+        paths.append(path)
+    assert _run("rank", "--criterion", "temporal-avg", "--reports", *paths) == 0
+    assert [line.split(",")[1:3] for line in capsys.readouterr().out.strip().splitlines()[1:]] == [
+        ["M3", "0.5"], ["M2", huge], ["M1", "nan"]]
+
+
 @pytest.mark.parametrize("command", ["evaluate", "export"])
 def test_two_note_training_piece_clean_error(tmp_path, capsys, command):
     piece = tmp_path / "two.csv"

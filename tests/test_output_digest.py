@@ -33,3 +33,15 @@ def test_output_digest_covers_the_pipeline_and_ignores_the_work_dir(tmp_path):
     # a second run elsewhere prints the same lines: paths are relative and
     # manifests are hashed without their wall-clock time
     assert tool.digest(["M1", "M15"], tmp_path / "b", n=2) == first
+
+
+def test_manifest_digest_blanks_only_the_wall_clock_value(tmp_path):
+    tool = _load_tool()
+    text = '{\n  "command": "train",\n  "wall_clock_seconds": %s,\n  "seed": 0\n}\n'
+    shas = []
+    for body in (text % "0.25", text % "12.5", (text % "0.25").rstrip("\n"),
+                 (text % "0.25").replace("  ", "    ")):
+        path = tmp_path / "train_manifest.json"
+        path.write_text(body)
+        shas.append(tool._file_digest(str(path)))
+    assert shas[0] == shas[1] and len(set(shas[1:])) == 3

@@ -1,17 +1,18 @@
 """Digest of every file and console line the CLI pipeline produces.
 
-    python3 tools/output_digest.py [M1 M2 ...] [--seed 0] [--n 4] [--top 2]
+    python3 tools/output_digest.py [M1 M2 ...] [--seed 0] [--n 4] [--work DIR]
 
 Runs acceptance criterion 8's piece P500 (``perfbench/workloads.py``)
 through ``sscompose.cli.main`` for each model id: ``train`` (at the
 benchmark's EM budget where it has one), ``generate --midi``,
-``evaluate`` and ``export``, then ``rank`` over the models' reports on
-every criterion.  It prints one ``<sha256>  <name>`` line per output
-file, sorted by name, and one per command for its captured stdout/stderr
-(``<name>.console [exit <code>]``).  Manifests are hashed without
-``wall_clock_seconds``.  Every command runs inside the work directory
-with relative paths, so two runs of the same source print the same lines
-wherever they run: diff the output of two source trees to compare them.
+``evaluate`` and ``export --top 2``, then ``rank`` over the models'
+reports on every criterion.  It prints one ``<sha256>  <name>`` line per
+output file, sorted by name, and one per command for its captured
+stdout/stderr (``<name>.console [exit <code>]``).  Manifests are hashed
+byte for byte with only the value of ``wall_clock_seconds`` blanked out.
+Every command runs inside the work directory with relative paths, so two
+runs of the same source print the same lines wherever they run: diff the
+output of two source trees to compare them.
 
 Run it from the root of a source checkout; it imports the package from
 that checkout's ``src/``.
@@ -23,8 +24,8 @@ import argparse
 import contextlib
 import hashlib
 import io
-import json
 import os
+import re
 import sys
 import tempfile
 
@@ -34,6 +35,10 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 from perfbench.workloads import ALL_MODELS, BUDGETS, p500  # noqa: E402
 from sscompose import cli, metrics  # noqa: E402
 from sscompose.midi_codec import emit_midi_csv  # noqa: E402
+
+
+# the one manifest value that differs between two runs of the same source
+WALL_CLOCK = re.compile(rb'("wall_clock_seconds": )[^,\n}]*')
 
 
 def _sha(data):
@@ -52,13 +57,11 @@ def _file_digest(path):
     with open(path, "rb") as fh:
         data = fh.read()
     if path.endswith("_manifest.json"):
-        payload = json.loads(data)
-        payload.pop("wall_clock_seconds", None)
-        data = json.dumps(payload, indent=2).encode()
+        data = WALL_CLOCK.sub(rb"\1", data)
     return _sha(data)
 
 
-def digest(models, work_dir, seed=0, n=4, top=2):
+def digest(models, work_dir, seed=0, n=4):
     """Run the pipeline in work_dir and return the sorted (name, sha256) pairs."""
     lines = []
     cwd = os.getcwd()
@@ -79,7 +82,7 @@ def digest(models, work_dir, seed=0, n=4, top=2):
                 ("evaluate", ["evaluate", "--input", "p500.csv", "--batch", f"{model}/gen",
                               "--out", f"{model}/eval"]),
                 ("export", ["export", "--input", "p500.csv", "--batch", f"{model}/gen",
-                            "--top", str(top), "--out", f"{model}/export"]),
+                            "--top", "2", "--out", f"{model}/export"]),
             ]
             for step, argv in steps:
                 text, code = _console(argv)
@@ -108,12 +111,11 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0,
                         help="train seed; generate uses seed + 1")
     parser.add_argument("--n", type=int, default=4, help="pieces per model")
-    parser.add_argument("--top", type=int, default=2, help="export --top")
     parser.add_argument("--work", help="work directory (default: a removed temporary one)")
     args = parser.parse_args(argv)
     with contextlib.ExitStack() as stack:
         work = args.work or stack.enter_context(tempfile.TemporaryDirectory())
-        for name, sha in digest(args.models, work, args.seed, args.n, args.top):
+        for name, sha in digest(args.models, work, args.seed, args.n):
             print(f"{sha}  {name}")
     return 0
 
