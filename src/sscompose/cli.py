@@ -35,8 +35,7 @@ def _resolve_out(out):
 
 def _read_piece(path):
     with open(path) as fh:
-        text = fh.read()
-    return parse_midi_csv(text, source_name=os.path.basename(path))
+        return parse_midi_csv(fh.read())
 
 
 def _write_json(path, payload):
@@ -109,7 +108,7 @@ def cmd_generate(args):
     seeds = [args.seed + i for i in range(args.n)]
     piece_paths = []
     for i, seed_i in enumerate(seeds):
-        seq = registry.sample_sequence(model, length, seed_i, name=f"piece_{i:04d}")
+        seq = registry.sample_sequence(model, length, seed_i)
         path = os.path.join(pieces_dir, f"piece_{i:04d}.txt")
         with open(path, "w") as fh:
             fh.write("\n".join(str(int(p)) for p in seq.pitches) + "\n")
@@ -141,19 +140,22 @@ def _load_batch(batch_dir):
     if not all(isinstance(rel, str) for rel in batch["pieces"]):
         raise ValueError(f"{batch_path}: every \"pieces\" entry must be a file name string")
     tpq = batch.get("ticks_per_quarter", TICKS_PER_QUARTER)
-    if not isinstance(tpq, int) or isinstance(tpq, bool) or tpq <= 0:
+    # pieces hold one note per eighth, so 2 is the least; MIDI's division has 15 bits
+    if not isinstance(tpq, int) or isinstance(tpq, bool) or not 2 <= tpq <= 32767:
         raise ValueError(f"{batch_path}: ticks_per_quarter, the pieces' time base, "
-                         f"must be a positive integer, not {tpq!r}")
+                         f"must be an integer from 2 to 32767, not {tpq!r}")
     pieces, problems = [], []
     for rel in batch["pieces"]:
         path = os.path.join(batch_dir, rel)
         try:
             with open(path) as fh:
-                pitches = np.array([int(line) for line in fh if line.strip()],
-                                   dtype=np.int64)
-            if len(pitches) == 0:
+                pitches = [int(line) for line in fh if line.strip()]
+            if not pitches:
                 raise ValueError("empty piece file")
-            pieces.append(PitchSequence.eighths(pitches, tpq, os.path.basename(path)))
+            outside = [p for p in pitches if not 0 <= p <= 127]
+            if outside:
+                raise ValueError(f"pitch {outside[0]} outside 0-127")
+            pieces.append(PitchSequence.eighths(pitches, tpq))
         except (OSError, ValueError) as exc:
             problems.append(f"{rel}: {exc}")
     return batch, pieces, problems
@@ -182,22 +184,25 @@ def _write_csv(path, header, rows):
 
 
 def _write_report_files(out_dir, report, model_name):
+    """Write the evaluation files; return them by manifest artifact name."""
     summary = report.summary()
-    keys = (*metrics_mod.CRITERIA, "mutual_information", "edit_distance")
     ref = report.training_metrics
     valid = [mv for mv, _ in report.per_piece if mv.acf is not None]
     mean_acf, mean_pacf = (np.mean([(mv.acf, mv.pacf) for mv in valid], axis=0) if valid
                            else np.full((2, len(ref.acf)), np.nan))
-    return (
-        _write_csv(os.path.join(out_dir, "metrics.csv"), "metric,value", summary.items()),
-        _write_csv(os.path.join(out_dir, "per_piece.csv"), "piece,metric,value",
-                   ((row["piece"], key, row[key])
-                    for row in metrics_mod.piece_scores(report) for key in keys)),
-        _write_csv(os.path.join(out_dir, "acf_pacf.csv"),
-                   "lag,train_acf,train_pacf,batch_mean_acf,batch_mean_pacf",
-                   zip(range(1, len(ref.acf) + 1), ref.acf, ref.pacf, mean_acf, mean_pacf)),
-        _write_json(os.path.join(out_dir, "report.json"),
-                    {"model": model_name, **summary, "skipped": report.skipped}))
+    return {
+        "metrics": _write_csv(os.path.join(out_dir, "metrics.csv"), "metric,value",
+                              summary.items()),
+        "per_piece": _write_csv(os.path.join(out_dir, "per_piece.csv"), "piece,metric,value",
+                                ((row["piece"], key, value)
+                                 for row in metrics_mod.piece_scores(report)
+                                 for key, value in row.items() if key != "piece")),
+        "curves": _write_csv(os.path.join(out_dir, "acf_pacf.csv"),
+                             "lag,train_acf,train_pacf,batch_mean_acf,batch_mean_pacf",
+                             zip(range(1, len(ref.acf) + 1), ref.acf, ref.pacf,
+                                 mean_acf, mean_pacf)),
+        "report": _write_json(os.path.join(out_dir, "report.json"),
+                              {"model": model_name, **summary, "skipped": report.skipped})}
 
 
 def cmd_evaluate(args):
@@ -207,11 +212,9 @@ def cmd_evaluate(args):
         print(f"piece {idx} excluded from ACF/PACF pooling: {reason}", file=sys.stderr)
     out_dir = _resolve_out(args.out)
     os.makedirs(out_dir, exist_ok=True)
-    paths = _write_report_files(out_dir, report, batch.get("model", "?"))
-    config = {"input": args.input, "batch": args.batch}
-    _write_manifest(out_dir, "evaluate", config,
-                    {"metrics": paths[0], "per_piece": paths[1],
-                     "curves": paths[2], "report": paths[3]}, started)
+    artifacts = _write_report_files(out_dir, report, batch.get("model", "?"))
+    _write_manifest(out_dir, "evaluate", {"input": args.input, "batch": args.batch},
+                    artifacts, started)
     print(f"entropy RMSE {report.entropy_rmse:.6f}, "
           f"musicality avg {report.musicality_average:.6f}, "
           f"temporal avg {report.temporal_average:.6f}")

@@ -101,7 +101,8 @@ def tshmm_em_step(params, obs):
     composite-chain expected counts imply."""
     obs = _check_obs(obs, params.n_symbols)
     m1, m2 = params.m1, params.m2
-    loglik, gamma, xi_sum = _flat_posteriors(_tshmm_flat(params), obs)
+    flat = _tshmm_flat(params)
+    loglik, gamma, xi_sum = _flat_posteriors(flat, flat.emission[:, obs].T)
     xi4 = xi_sum.reshape(m2, m1, m2, m1)  # [i, k, j, l]
 
     gamma_s = gamma.reshape(len(obs), m2, m1).sum(axis=1)
@@ -219,7 +220,7 @@ def _fhmm_em_step(params, obs):
     m = len(sizes)
     K = params.n_symbols
     flat, levels = _fhmm_flat(params)
-    loglik, gamma, xi_sum = _flat_posteriors(flat, obs)
+    loglik, gamma, xi_sum = _flat_posteriors(flat, flat.emission[:, obs].T)
     xi_full = xi_sum.reshape(tuple(sizes) + tuple(sizes))
 
     chain_transitions = []

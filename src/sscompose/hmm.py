@@ -149,16 +149,11 @@ def _posteriors(initial, transition, obs_lik):
     return loglik, alpha, obs_lik[1:] * beta[1:] / scale[1:].reshape(per_step), gamma
 
 
-def _pairwise_sum(alpha, right, transition):
-    """Sum over t of the pairwise posteriors xi_t of a dense chain."""
-    return transition * (alpha[:-1].T @ right)
-
-
-def _flat_posteriors(params, obs):
-    """E-step of a first-order HmmParams: (log-likelihood, gamma, xi summed over t)."""
-    loglik, alpha, right, gamma = _posteriors(params.initial, params.transition,
-                                              params.emission[:, obs].T)
-    return loglik, gamma, _pairwise_sum(alpha, right, params.transition)
+def _flat_posteriors(params, obs_lik):
+    """E-step of a first-order chain with a dense transition matrix, given
+    its observation likelihoods: (log-likelihood, gamma, xi summed over t)."""
+    loglik, alpha, right, gamma = _posteriors(params.initial, params.transition, obs_lik)
+    return loglik, gamma, params.transition * (alpha[:-1].T @ right)
 
 
 def _normalized(acc, mask=1.0):
@@ -229,7 +224,7 @@ def baum_welch(init, obs, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     mask = 1.0 if transition_mask is None else np.asarray(transition_mask, dtype=float)
 
     def step(params):
-        loglik, gamma, xi_sum = _flat_posteriors(params, obs)
+        loglik, gamma, xi_sum = _flat_posteriors(params, params.emission[:, obs].T)
         new = HmmParams(gamma[0], _normalized(xi_sum, mask),
                         _normalized(_emission_counts(obs, gamma, K)))
         return new, loglik

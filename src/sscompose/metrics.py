@@ -39,8 +39,6 @@ class MetricVector:
     pitch_histogram: np.ndarray
     acf: np.ndarray | None
     pacf: np.ndarray | None
-    n_notes: int
-    name: str = ""
 
 
 @dataclass
@@ -283,11 +281,9 @@ def acf_pacf(values, max_lag=DEFAULT_MAX_LAG):
         if abs(denom) < 1e-300:
             raise ValueError(f"Durbin-Levinson breakdown at lag {h}")
         phi_hh = num / denom
-        phi_new = phi.copy()
-        phi_new[h] = phi_hh
-        phi_new[1:h] = phi[1:h] - phi_hh * phi[h - 1:0:-1]
+        phi[h] = phi_hh
+        phi[1:h] = phi[1:h] - phi_hh * phi[h - 1:0:-1]  # right side read before writing
         denom *= 1.0 - phi_hh * phi_hh
-        phi = phi_new
         pacf[h - 1] = phi_hh
     return rho[1:], pacf
 
@@ -317,23 +313,49 @@ def compute_metrics(seq, union_symbols, max_lag=DEFAULT_MAX_LAG):
         pitch_histogram=pitch_histogram(seq.pitches, union_symbols),
         acf=acf,
         pacf=pacf,
-        n_notes=len(seq),
-        name=seq.source_name,
     )
 
 
-def evaluate_batch(train_seq, batch, max_lag=DEFAULT_MAX_LAG):
-    """Score a batch of generated pieces against the training piece.
+def _scores(vectors, pairs, ref):
+    """The ten EvaluationReport scores, by field name, of the metric vectors
+    and PairMetrics of some pieces against the training piece's vector ref.
 
     Each RMSE is `rmse` over the stacked per-piece values, so the
     note-count and ACF/PACF RMSEs pool over (piece x pitch) and
-    (piece x lag) cells; MI and edit distance are reported as batch
-    means.  Pieces whose ACF is undefined are excluded from the temporal
-    pooling and listed in `skipped`.
+    (piece x lag) cells; MI and edit distance are means.  Pieces whose ACF
+    is undefined are left out of the temporal pooling; with none left the
+    temporal scores are NaN.
     """
+    timed = [mv for mv in vectors if mv.acf is not None]
+
+    def pooled(name, pieces):
+        if not pieces:
+            return float("nan")
+        return rmse([getattr(mv, name) for mv in pieces], getattr(ref, name))
+
+    scores = {
+        "entropy_rmse": pooled("entropy", vectors),
+        "mutual_information_mean": float(np.mean([pm.mutual_information for pm in pairs])),
+        "edit_distance_mean": float(np.mean([pm.edit_distance_normalized for pm in pairs])),
+        "dissonance_rmse": pooled("dissonance_rate", vectors),
+        "large_interval_rmse": pooled("large_interval_rate", vectors),
+        "note_count_rmse": pooled("pitch_histogram", vectors),
+        "acf_rmse": pooled("acf", timed),
+        "pacf_rmse": pooled("pacf", timed),
+    }
+    scores["musicality_average"] = float(np.mean(
+        [scores["dissonance_rmse"], scores["large_interval_rmse"], scores["note_count_rmse"]]))
+    scores["temporal_average"] = float(np.mean([scores["acf_rmse"], scores["pacf_rmse"]]))
+    return scores
+
+
+def evaluate_batch(train_seq, batch):
+    """Score a batch of generated pieces against the training piece
+    (`_scores` over every piece).  Pieces whose ACF is undefined are listed
+    in `skipped`."""
     if len(batch) < 1:
         raise ValueError("batch must contain at least one piece")
-    max_lag = min(max_lag, len(train_seq) - 2)
+    max_lag = min(DEFAULT_MAX_LAG, len(train_seq) - 2)
     union = np.unique(np.concatenate([np.asarray(train_seq.pitches)]
                                      + [np.asarray(g.pitches) for g in batch]))
     ref = compute_metrics(train_seq, union, max_lag)
@@ -344,32 +366,9 @@ def evaluate_batch(train_seq, batch, max_lag=DEFAULT_MAX_LAG):
                   PairMetrics(mutual_information(train_seq.pitches, piece.pitches),
                               edit_distance(train_seq.pitches, piece.pitches)))
                  for piece in batch]
-    vectors = [mv for mv, _ in per_piece]
-    timed = [mv for mv in vectors if mv.acf is not None]
-
-    def pooled(name, pieces):
-        """RMSE over every cell of the pieces' `name` values; NaN for no pieces."""
-        if not pieces:
-            return float("nan")
-        return rmse([getattr(mv, name) for mv in pieces], getattr(ref, name))
-
-    dissonance_rmse = pooled("dissonance_rate", vectors)
-    large_interval_rmse = pooled("large_interval_rate", vectors)
-    note_count_rmse = pooled("pitch_histogram", vectors)
-    acf_rmse = pooled("acf", timed)
-    pacf_rmse = pooled("pacf", timed)
+    vectors, pairs = zip(*per_piece)
     return EvaluationReport(
-        entropy_rmse=pooled("entropy", vectors),
-        mutual_information_mean=float(np.mean([pm.mutual_information for _, pm in per_piece])),
-        edit_distance_mean=float(np.mean([pm.edit_distance_normalized for _, pm in per_piece])),
-        dissonance_rmse=dissonance_rmse,
-        large_interval_rmse=large_interval_rmse,
-        note_count_rmse=note_count_rmse,
-        acf_rmse=acf_rmse,
-        pacf_rmse=pacf_rmse,
-        musicality_average=float(np.mean([dissonance_rmse, large_interval_rmse,
-                                          note_count_rmse])),
-        temporal_average=float(np.mean([acf_rmse, pacf_rmse])),
+        **_scores(vectors, pairs, ref),
         per_piece=per_piece,
         skipped=[(i, "undefined ACF (constant or too-short piece)")
                  for i, mv in enumerate(vectors) if mv.acf is None],
@@ -378,24 +377,15 @@ def evaluate_batch(train_seq, batch, max_lag=DEFAULT_MAX_LAG):
 
 
 def piece_scores(report):
-    """Per-piece deviation scores used for top-piece selection: entropy
-    deviation, musicality average and temporal average, one row per piece."""
-    ref = report.training_metrics
+    """Per-piece scores used for top-piece selection, one row per piece:
+    each piece scored alone by `_scores`, as a batch of one.  A piece
+    whose ACF is undefined gets temporal-avg inf, so it ranks last."""
+    columns = {**CRITERIA, "mutual_information": "mutual_information_mean",
+               "edit_distance": "edit_distance_mean"}
     rows = []
     for i, (mv, pm) in enumerate(report.per_piece):
-        music = float(np.mean([abs(mv.dissonance_rate - ref.dissonance_rate),
-                               abs(mv.large_interval_rate - ref.large_interval_rate),
-                               rmse(mv.pitch_histogram, ref.pitch_histogram)]))
-        if mv.acf is not None:
-            temporal = (rmse(mv.acf, ref.acf) + rmse(mv.pacf, ref.pacf)) / 2.0
-        else:
-            temporal = float("inf")
-        rows.append({
-            "piece": i,
-            "entropy-rmse": abs(mv.entropy - ref.entropy),
-            "musicality-avg": music,
-            "temporal-avg": temporal,
-            "mutual_information": pm.mutual_information,
-            "edit_distance": pm.edit_distance_normalized,
-        })
+        scores = _scores([mv], [pm], report.training_metrics)
+        rows.append({"piece": i, **{key: scores[name] for key, name in columns.items()}})
+        if mv.acf is None:
+            rows[-1]["temporal-avg"] = float("inf")
     return rows

@@ -44,10 +44,10 @@ class PitchSequence:
         return len(self.pitches)
 
     @classmethod
-    def eighths(cls, pitches, ticks_per_quarter=TICKS_PER_QUARTER, source_name=""):
+    def eighths(cls, pitches, ticks_per_quarter=TICKS_PER_QUARTER):
         """A melody of one note per eighth, starting at tick 0."""
         times = np.arange(len(pitches), dtype=np.int64) * eighth(ticks_per_quarter)
-        return cls(pitches, times, ticks_per_quarter, source_name)
+        return cls(pitches, times, ticks_per_quarter)
 
 
 @dataclass

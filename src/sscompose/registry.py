@@ -193,6 +193,6 @@ def sample_model(model, length, seed):
     return model.alphabet.to_pitches(draw)
 
 
-def sample_sequence(model, length, seed, name=""):
+def sample_sequence(model, length, seed):
     """Sample pitches and wrap them as a melody of one note per eighth."""
-    return PitchSequence.eighths(sample_model(model, length, seed), source_name=name)
+    return PitchSequence.eighths(sample_model(model, length, seed))

@@ -233,8 +233,8 @@ class NshmmParams:
     def validate(self, atol=1e-12, n_symbols=None):
         """Raise ValueError unless the shapes agree ((n,), (n, n), (n, K),
         (n, D) with D >= 1, and K == n_symbols when given), the initial,
-        switch and emission rows are distributions and every stay
-        probability is finite and in [0, 1]."""
+        switch and emission rows are distributions, the switch diagonal is
+        zero and every stay probability is finite and in [0, 1]."""
         tables = (self.initial, self.switch, self.emission, self.stay_profile)
         if tuple(np.ndim(t) for t in tables) != (1, 2, 2, 2):
             raise ValueError("initial, switch, emission and stay_profile must have "
@@ -244,6 +244,8 @@ class NshmmParams:
         check_distributions(atol, [("initial", self.initial, (n,)),
                                    ("switch", self.switch, (n, n)),
                                    ("emission", self.emission, (n, K))])
+        if np.any(np.diagonal(self.switch) != 0):
+            raise ValueError("switch diagonal must be zero (no self-transitions)")
         stay = np.asarray(self.stay_profile, dtype=float)
         if stay.shape[0] != n or stay.shape[1] < 1:
             raise ValueError(f"stay_profile has shape {stay.shape}, expected ({n}, D), D >= 1")

@@ -24,9 +24,9 @@ from .hmm import (
     _check_obs,
     _draw,
     _emission_counts,
+    _flat_posteriors,
     _masked_dirichlet,
     _normalized,
-    _pairwise_sum,
     _posteriors,
     _sample_order_k,
     _scaled_forward,
@@ -112,17 +112,6 @@ def _tuple_initial(params):
     return w
 
 
-def _khmm_obs_lik(params, obs):
-    """Embedded observation likelihoods: row 0 emits x_1..x_k jointly."""
-    n, k = params.n_states, params.order
-    P = params.n_tuples
-    first = params.emission[:, obs[0]]
-    for i in range(1, k):
-        first = (first[:, None] * params.emission[:, obs[i]][None, :]).ravel()
-    last_coord = np.arange(P) % n
-    return np.vstack([first, params.emission[:, obs[k:]][last_coord].T])
-
-
 class _TupleShift:
     """The tuple chain's transition as an operator for ``@``: tuple
     (z_1..z_k) moves only to (z_2..z_k, z), with probability table[tuple, z]."""
@@ -140,13 +129,23 @@ class _TupleShift:
         return (self.table.reshape(n, -1, n) * v.reshape(-1, n)).sum(axis=2).ravel()
 
 
+def _khmm_chain(params, obs):
+    """(initial, operator, observation likelihood) of the tuple chain for
+    the shared recursions; the first embedded step emits x_1..x_k jointly."""
+    n, k = params.n_states, params.order
+    first = params.emission[:, obs[0]]
+    for i in range(1, k):
+        first = (first[:, None] * params.emission[:, obs[i]][None, :]).ravel()
+    last_coord = np.arange(params.n_tuples) % n
+    return (_tuple_initial(params), _TupleShift(params.transition, n),
+            np.vstack([first, params.emission[:, obs[k:]][last_coord].T]))
+
+
 def khmm_log_likelihood(params, obs):
     obs = _check_obs(obs, params.n_symbols)
     if len(obs) < params.order:
         raise ValueError("sequence shorter than the model order")
-    loglik, _, _ = _scaled_forward(_tuple_initial(params),
-                                   _TupleShift(params.transition, params.n_states),
-                                   _khmm_obs_lik(params, obs))
+    loglik, _, _ = _scaled_forward(*_khmm_chain(params, obs))
     return loglik
 
 
@@ -154,10 +153,8 @@ def _khmm_em_step(params, obs, masks):
     """One exact EM iteration; returns (new_params, log_likelihood)."""
     n, k = params.n_states, params.order
     K = params.n_symbols
-    obs_lik = _khmm_obs_lik(params, obs)
-    loglik, alpha, right, gamma = _posteriors(
-        _tuple_initial(params), _TupleShift(params.transition, n), obs_lik)
-    T_emb, P = obs_lik.shape
+    loglik, alpha, right, gamma = _posteriors(*_khmm_chain(params, obs))
+    T_emb, P = gamma.shape
 
     # xi mass of prefix tuple (a, b) moving on to tuple (b, z), summed over t
     counts = np.einsum("tab,tbz->abz", alpha[:-1].reshape(T_emb - 1, n, P // n),
@@ -304,12 +301,11 @@ def train_arhmm(obs, n_states, n_symbols, init=None, seed=None,
     n, K = n_states, n_symbols
 
     def step(params):
-        obs_lik = _arhmm_obs_lik(params, obs)
-        loglik, alpha, right, gamma = _posteriors(params.initial, params.transition, obs_lik)
+        loglik, gamma, xi_sum = _flat_posteriors(params, _arhmm_obs_lik(params, obs))
         emis_acc = np.zeros((n, K, K))  # [state, previous symbol, symbol]
         np.add.at(emis_acc.transpose(1, 2, 0), (obs[:-1], obs[1:]), gamma[1:])
         new = ArhmmParams(gamma[0],
-                          _normalized(_pairwise_sum(alpha, right, params.transition)),
+                          _normalized(xi_sum),
                           _normalized(emis_acc),
                           _normalized(_emission_counts(obs[:1], gamma[:1], K)))
         return new, loglik

@@ -1,18 +1,26 @@
 import json
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sscompose.cli import main
 from sscompose.midi_codec import PitchSequence, emit_midi_csv, parse_midi_csv
 
 
-@pytest.fixture()
-def toy_piece(tmp_path):
+def _toy_seq():
     rng = np.random.default_rng(42)
     walk = np.cumsum(rng.integers(-2, 3, 150)) % 8
-    seq = PitchSequence(55 + walk, np.arange(150) * 240)
+    return PitchSequence(55 + walk, np.arange(150) * 240)
+
+
+@pytest.fixture()
+def toy_piece(tmp_path):
+    seq = _toy_seq()
     path = tmp_path / "toy.csv"
     path.write_text(emit_midi_csv(seq))
     return path, seq
@@ -610,3 +618,88 @@ def test_unused_override_warning_names_the_flag(tmp_path, toy_piece, capsys):
     assert capsys.readouterr().err == ""
     spec = json.loads((run / "M8_model.json").read_text())["spec"]
     assert spec["options"] == {"states": 2, "d_max": 4}
+
+
+def _batch_dir(root, pieces, **fields):
+    """A batch directory holding one piece file per list of lines, listed in
+    batch.json's "pieces" with `fields` added."""
+    batch = root / "batch"
+    (batch / "pieces").mkdir(parents=True)
+    names = []
+    for i, lines in enumerate(pieces):
+        (batch / "pieces" / f"piece_{i:04d}.txt").write_text(
+            "".join(f"{line}\n" for line in lines))
+        names.append(f"pieces/piece_{i:04d}.txt")
+    (batch / "batch.json").write_text(json.dumps({"pieces": names, **fields}))
+    return batch
+
+
+@pytest.mark.parametrize("tpq", [0, 1, 32768, 2 ** 64])
+@pytest.mark.parametrize("command", ["evaluate", "export"])
+def test_time_base_outside_two_to_32767_ticks_rejected(tmp_path, toy_piece, capsys,
+                                                        command, tpq):
+    # at 1 tick per quarter an eighth is 0 ticks: every note would sit at tick 0
+    piece, seq = toy_piece
+    batch = _batch_dir(tmp_path, [seq.pitches], ticks_per_quarter=tpq)
+    out = tmp_path / "out"
+    assert _run(command, "--input", piece, "--batch", batch, "--out", out) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {batch / 'batch.json'}: ticks_per_quarter, the pieces' time base, "
+                   f"must be an integer from 2 to 32767, not {tpq!r}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export"])
+def test_piece_with_pitch_outside_midi_range_skipped(tmp_path, toy_piece, capsys, command):
+    piece, seq = toy_piece
+    bad = [*seq.pitches[:20], 200, -5, 300, *seq.pitches[20:40], 10 ** 30]
+    batch = _batch_dir(tmp_path, [seq.pitches, bad, [60, 10 ** 30]], ticks_per_quarter=480)
+    out = tmp_path / "out"
+    assert _run(command, "--input", piece, "--batch", batch, "--out", out) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["skipping piece: pieces/piece_0001.txt: pitch 200 outside 0-127",
+                   f"skipping piece: pieces/piece_0002.txt: pitch {10 ** 30} outside 0-127"]
+    if command == "evaluate":
+        rows = (out / "per_piece.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {"0"}
+    else:
+        manifest = json.loads((out / "export_manifest.json").read_text())
+        assert [e["piece"] for e in manifest["artifacts"]["exports"]] == [0]
+        for export in manifest["artifacts"]["exports"]:
+            parse_midi_csv(pathlib.Path(export["path"]).read_text())
+
+
+# pitches with at most one odd line, so that many batches reach scoring and export
+_ODD_LINES = st.one_of(st.integers(-300, -1), st.integers(128, 10 ** 30),
+                       st.sampled_from(["", "  ", "6.5", "x", "1e3", "60 62"]))
+_PIECES = st.tuples(st.lists(st.integers(40, 80), min_size=1, max_size=40),
+                    st.lists(_ODD_LINES, max_size=1), st.integers(0, 40)).map(
+    lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])
+# an index into the piece files, a missing file or a directory (non-string
+# entries are test_malformed_batch_json_clean_error's)
+_ENTRIES = st.one_of(st.integers(0, 2), st.integers(0, 2), st.sampled_from(["missing.txt", ""]))
+_TIME_BASES = st.one_of(st.none(), st.just(480), st.integers(-2, 40_000),
+                        st.sampled_from([2 ** 64, True, 2.5, "a"]))
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(pieces=st.lists(_PIECES, min_size=1, max_size=3),
+       entries=st.lists(_ENTRIES, min_size=1, max_size=4), tpq=_TIME_BASES)
+def test_fuzzed_batch_scores_cleanly_and_exports_parseable_pieces(pieces, entries, tpq):
+    """evaluate and export exit 0 or 2 on any batch directory, and every
+    piece export writes parses back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        piece = root / "toy.csv"
+        piece.write_text(emit_midi_csv(_toy_seq()))
+        batch = _batch_dir(root, pieces)
+        names = json.loads((batch / "batch.json").read_text())["pieces"]
+        listing = {"pieces": [names[e % len(names)] if isinstance(e, int) else e
+                              for e in entries]}
+        if tpq is not None:
+            listing["ticks_per_quarter"] = tpq
+        (batch / "batch.json").write_text(json.dumps(listing))
+        assert _run("evaluate", "--input", piece, "--batch", batch, "--out", root / "ev") in (0, 2)
+        assert _run("export", "--input", piece, "--batch", batch, "--out", root / "ex") in (0, 2)
+        for path in (root / "ex").glob("top_*.csv"):
+            parse_midi_csv(path.read_text())

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import (brute_edit_distance, per_group_lines, rmse_compensated, rmse_naive,
                      rowwise_levenshtein)
-from sscompose import metrics
+from sscompose import metrics, registry
 from sscompose.midi_codec import PitchSequence
 
 
@@ -392,3 +392,19 @@ def test_piece_scores_by_hand():
     assert rows[0]["mutual_information"] == pytest.approx(np.log(2), abs=1e-15)
     assert rows[1]["mutual_information"] == 0.0
     assert rows[1]["edit_distance"] == 15 / 20
+
+
+def test_piece_scores_of_a_batch_of_one_are_its_criteria():
+    rng = np.random.default_rng(41)  # acceptance criterion 8's piece
+    train = _melody(50 + np.cumsum(rng.integers(-2, 3, 500)) % 12)
+    model = registry.train_model("M1", train, seed=0, max_iter=10)
+    report = metrics.evaluate_batch(train, [registry.sample_sequence(model, 500, seed=1)])
+    (row,) = metrics.piece_scores(report)
+    for criterion in metrics.CRITERIA:
+        assert row[criterion] == report.criterion(criterion)
+    # a constant piece has no ACF: the batch's temporal score is NaN, and
+    # the piece's is inf, so it ranks last
+    report = metrics.evaluate_batch(train, [_melody([60] * 500)])
+    (row,) = metrics.piece_scores(report)
+    assert np.isnan(report.temporal_average)
+    assert row["temporal-avg"] == float("inf")

@@ -284,6 +284,7 @@ def test_nshmm_params_validate():
     for name, value, message in [
             ("initial", np.full(2, 0.5), "switch has shape"),
             ("switch", np.full((3, 3), 0.5), "switch rows do not sum to 1"),
+            ("switch", np.full((3, 3), 1 / 3), "switch diagonal must be zero"),
             ("stay_profile", np.full((3, 0), 0.5), "stay_profile has shape"),
             ("stay_profile", np.full((3, 5), 1.5), "stay_profile entries"),
             ("stay_profile", np.full((3, 5), np.nan), "stay_profile entries"),
