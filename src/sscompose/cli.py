@@ -20,8 +20,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import persist, registry
 from .hmm import DEFAULT_MAX_ITER, DEFAULT_TOL
-from .midi_codec import (TICKS_PER_QUARTER, MidiCsvError, PitchSequence, emit_midi_csv,
-                         parse_midi_csv)
+from .midi_codec import (MAX_DIVISION, TICKS_PER_QUARTER, MidiCsvError, PitchSequence,
+                         emit_midi_csv, parse_midi_csv)
 
 OUTPUT_ROOT_ENV = "SSCOMPOSE_OUTPUT_ROOT"
 DEFAULT_TOP = 3
@@ -60,6 +60,8 @@ def cmd_train(args):
         raise ValueError("--restarts must be >= 1")
     if args.max_iter < 1:
         raise ValueError("--max-iter must be >= 1")
+    if not np.isfinite(args.tol):
+        raise ValueError(f"--tol must be a finite number, not {args.tol}")
     seq = _read_piece(args.input)
     model, loglik = None, -np.inf
     for r in range(args.restarts):
@@ -140,10 +142,10 @@ def _load_batch(batch_dir):
     if not all(isinstance(rel, str) for rel in batch["pieces"]):
         raise ValueError(f"{batch_path}: every \"pieces\" entry must be a file name string")
     tpq = batch.get("ticks_per_quarter", TICKS_PER_QUARTER)
-    # pieces hold one note per eighth, so 2 is the least; MIDI's division has 15 bits
-    if not isinstance(tpq, int) or isinstance(tpq, bool) or not 2 <= tpq <= 32767:
+    # pieces hold one note per eighth, so 2 is the least
+    if not isinstance(tpq, int) or isinstance(tpq, bool) or not 2 <= tpq <= MAX_DIVISION:
         raise ValueError(f"{batch_path}: ticks_per_quarter, the pieces' time base, "
-                         f"must be an integer from 2 to 32767, not {tpq!r}")
+                         f"must be an integer from 2 to {MAX_DIVISION}, not {tpq!r}")
     pieces, problems = [], []
     for rel in batch["pieces"]:
         path = os.path.join(batch_dir, rel)

@@ -30,14 +30,12 @@ from .hmm import (
     baum_welch,
     check_distributions,
     check_positive_ints,
-    log_likelihood,
+    check_state_cap,
     random_params,
     run_em,
     sample,
     viterbi,
 )
-
-PRODUCT_CAP = 10_000  # largest product state space a TSHMM or FHMM fit builds
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +72,9 @@ class TshmmParams:
         A = np.einsum("ij,jkl->ikjl", self.C, self.D)
         return A.reshape(self.m2 * self.m1, self.m2 * self.m1)
 
+    def chain(self, obs):
+        return _tshmm_flat(self).chain(obs)
+
 
 def random_tshmm_params(m1, m2, alphabet_size, seed):
     rng = _as_rng(seed)
@@ -92,17 +93,12 @@ def _tshmm_flat(params):
                      np.tile(params.emission, (params.m2, 1)))
 
 
-def tshmm_log_likelihood(params, obs):
-    return log_likelihood(_tshmm_flat(params), obs)
-
-
 def tshmm_em_step(params, obs):
     """One EM iteration; the C/D updates are the proportional ones the
     composite-chain expected counts imply."""
     obs = _check_obs(obs, params.n_symbols)
     m1, m2 = params.m1, params.m2
-    flat = _tshmm_flat(params)
-    loglik, gamma, xi_sum = _flat_posteriors(flat, flat.emission[:, obs].T)
+    loglik, gamma, xi_sum = _flat_posteriors(params, obs)
     xi4 = xi_sum.reshape(m2, m1, m2, m1)  # [i, k, j, l]
 
     gamma_s = gamma.reshape(len(obs), m2, m1).sum(axis=1)
@@ -118,8 +114,7 @@ def train_tshmm(obs, m1, m2, n_symbols, init=None, seed=None,
                 tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     if m1 < 1 or m2 < 1:
         raise ValueError("state counts must be >= 1")
-    if m1 * m2 > PRODUCT_CAP:
-        raise ValueError(f"product state space {m1 * m2} exceeds cap {PRODUCT_CAP}")
+    check_state_cap(m1 * m2)
     obs = _check_obs(obs, n_symbols)
     if init is None:
         init = random_tshmm_params(m1, m2, n_symbols, seed)
@@ -172,6 +167,9 @@ class FhmmParams:
             ("emission", self.emission, (n_emission_levels(sizes), K)),
         ])
 
+    def chain(self, obs):
+        return _fhmm_flat(self).chain(obs)
+
 
 def emission_level(states):
     """Rounded (half-up) mean of 1-based chain ordinals."""
@@ -190,9 +188,7 @@ def _product_levels(chain_sizes):
 
 
 def random_fhmm_params(chain_sizes, alphabet_size, seed):
-    if int(np.prod(chain_sizes)) > PRODUCT_CAP:
-        raise ValueError(f"product state space {int(np.prod(chain_sizes))} exceeds cap "
-                         f"{PRODUCT_CAP}; structured approximations are out of scope")
+    check_state_cap(int(np.prod(chain_sizes)))
     rng = _as_rng(seed)
     return FhmmParams(
         tuple(chain_sizes),
@@ -203,24 +199,19 @@ def random_fhmm_params(chain_sizes, alphabet_size, seed):
 
 
 def _fhmm_flat(params):
+    """The Cartesian-product chain as a first-order HMM; each product state
+    emits from its emission level's row."""
     initial = reduce(np.kron, params.chain_initials)
     transition = reduce(np.kron, params.chain_transitions)
-    levels = _product_levels(params.chain_sizes)
-    emission = params.emission[levels - 1]
-    return HmmParams(initial, transition, emission), levels
-
-
-def fhmm_log_likelihood(params, obs):
-    flat, _ = _fhmm_flat(params)
-    return log_likelihood(flat, obs)
+    emission = params.emission[_product_levels(params.chain_sizes) - 1]
+    return HmmParams(initial, transition, emission)
 
 
 def _fhmm_em_step(params, obs):
     sizes = params.chain_sizes
     m = len(sizes)
     K = params.n_symbols
-    flat, levels = _fhmm_flat(params)
-    loglik, gamma, xi_sum = _flat_posteriors(flat, flat.emission[:, obs].T)
+    loglik, gamma, xi_sum = _flat_posteriors(params, obs)
     xi_full = xi_sum.reshape(tuple(sizes) + tuple(sizes))
 
     chain_transitions = []
@@ -232,7 +223,7 @@ def _fhmm_em_step(params, obs):
         chain_initials.append(g0.sum(axis=tuple(a for a in range(m) if a != j)))
 
     n_levels = params.emission.shape[0]
-    gamma_lvl = gamma @ np.eye(n_levels)[levels - 1]   # (T, n_levels)
+    gamma_lvl = gamma @ np.eye(n_levels)[_product_levels(sizes) - 1]   # (T, n_levels)
     new = FhmmParams(tuple(sizes), chain_initials, chain_transitions,
                      _normalized(_emission_counts(obs, gamma_lvl, K)))
     return new, loglik
@@ -244,15 +235,12 @@ def train_fhmm(obs, chain_sizes, n_symbols, init=None, seed=None,
     obs = _check_obs(obs, n_symbols)
     if init is None:
         init = random_fhmm_params(chain_sizes, n_symbols, seed)
-    if init.n_product > PRODUCT_CAP:
-        raise ValueError(f"product state space {init.n_product} exceeds cap {PRODUCT_CAP}; "
-                         "structured approximations are out of scope")
+    check_state_cap(init.n_product)
     return run_em(lambda params: _fhmm_em_step(params, obs), init, tol, max_iter, seed)
 
 
 def sample_fhmm(params, length, seed):
-    flat, _ = _fhmm_flat(params)
-    return sample(flat, length, seed)
+    return sample(_fhmm_flat(params), length, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +271,10 @@ class LhmmParams:
                 raise ValueError(f"layers[{level}]: {exc}") from None
             alphabet = layer.n_states
 
+    def chain(self, obs):
+        """The bottom layer's chain: the pitch-emitting HMM."""
+        return self.layers[0].chain(obs)
+
 
 def train_lhmm(obs, n_states, n_layers, n_symbols, seed=None,
                tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, inits=None):
@@ -309,11 +301,6 @@ def train_lhmm(obs, n_states, n_layers, n_symbols, seed=None,
     top = FitReport(list(reports[-1].log_likelihood_trace), reports[-1].iterations,
                     reports[-1].converged, seed if isinstance(seed, int) else None)
     return params, top
-
-
-def lhmm_log_likelihood(params, obs):
-    """Log-likelihood of the bottom layer (the pitch-emitting HMM)."""
-    return log_likelihood(params.layers[0], obs)
 
 
 def sample_lhmm(params, length, seed):

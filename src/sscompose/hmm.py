@@ -2,12 +2,15 @@
 
 Scaled (normalized-alpha) forward-backward, Baum-Welch with optional
 transition masks, Viterbi, ancestral sampling and the random-parameter
-baseline.  The private helpers operate on a per-time observation
-likelihood table so variants with richer emission structure can reuse
-the same recursions.  Each step's alpha takes the shape of the initial
+baseline.  Every HMM-family parameter type states its exact first-order
+chain once, as ``chain(obs)``: (initial, transition, observation
+likelihood), where obs_lik[t] holds each state's likelihood of step t.
+``log_likelihood`` runs the scaled forward pass on that chain for any
+type, and ``_flat_posteriors`` is the E-step of every chain with a dense
+transition.  Each step's alpha takes the shape of the initial
 distribution ((n,) for a plain chain, (n, D) for the (state, dwell)
 chains in ``semimarkov``), and obs_lik[t] only has to broadcast to it.
-The helpers touch the transition only through ``@``, so it may be a
+The recursions touch the transition only through ``@``, so it may be a
 matrix or an operator supporting ``alpha @ A`` and ``A @ v`` (the
 order-k tuple chain and the dwell chains pass one).  ``run_em`` is the
 EM loop every model kind shares: each trainer hands it a step function
@@ -26,6 +29,7 @@ import numpy as np
 SMOOTHING = 1e-10  # added to M-step accumulators to avoid absorbing zero rows
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 500
+STATE_CAP = 10_000  # largest state space of a chain an order-k or product model builds
 
 
 class ZeroProbabilityError(ValueError):
@@ -50,6 +54,9 @@ class HmmParams:
     @property
     def n_symbols(self):
         return self.emission.shape[1]
+
+    def chain(self, obs):
+        return self.initial, self.transition, self.emission[:, obs].T
 
     def validate(self, atol=1e-12, n_symbols=None):
         """Raise ValueError unless the shapes agree ((n,), (n, n), (n, K),
@@ -78,6 +85,13 @@ def check_distributions(atol, tables):
         if np.any(np.abs(value.sum(axis=-1) - 1.0) > atol):
             raise ValueError(f"{name} rows do not sum to 1" if value.ndim > 1
                              else f"{name} does not sum to 1")
+
+
+def check_state_cap(n_states):
+    """Raise ValueError if a built chain would have more than STATE_CAP states."""
+    if n_states > STATE_CAP:
+        raise ValueError(f"state space of {n_states} states exceeds the cap of {STATE_CAP}; "
+                         "use fewer states (structured approximations are out of scope)")
 
 
 def check_positive_ints(values):
@@ -149,11 +163,12 @@ def _posteriors(initial, transition, obs_lik):
     return loglik, alpha, obs_lik[1:] * beta[1:] / scale[1:].reshape(per_step), gamma
 
 
-def _flat_posteriors(params, obs_lik):
-    """E-step of a first-order chain with a dense transition matrix, given
-    its observation likelihoods: (log-likelihood, gamma, xi summed over t)."""
-    loglik, alpha, right, gamma = _posteriors(params.initial, params.transition, obs_lik)
-    return loglik, gamma, params.transition * (alpha[:-1].T @ right)
+def _flat_posteriors(params, obs):
+    """E-step of a chain params.chain(obs) with a dense transition matrix:
+    (log-likelihood, gamma, xi summed over t)."""
+    initial, transition, obs_lik = params.chain(obs)
+    loglik, alpha, right, gamma = _posteriors(initial, transition, obs_lik)
+    return loglik, gamma, transition * (alpha[:-1].T @ right)
 
 
 def _normalized(acc, mask=1.0):
@@ -174,16 +189,14 @@ def _emission_counts(obs, weights, n_symbols):
 
 def forward_backward(params, obs):
     """E-step quantities: exact log-likelihood, gamma_t(i) and xi_t(i, j)."""
-    obs = _check_obs(obs, params.n_symbols)
-    loglik, alpha, right, gamma = _posteriors(params.initial, params.transition,
-                                              params.emission[:, obs].T)
-    return loglik, gamma, alpha[:-1, :, None] * params.transition * right[:, None, :]
+    initial, transition, obs_lik = params.chain(_check_obs(obs, params.n_symbols))
+    loglik, alpha, right, gamma = _posteriors(initial, transition, obs_lik)
+    return loglik, gamma, alpha[:-1, :, None] * transition * right[:, None, :]
 
 
 def log_likelihood(params, obs):
-    obs = _check_obs(obs, params.n_symbols)
-    obs_lik = params.emission[:, obs].T
-    loglik, _, _ = _scaled_forward(params.initial, params.transition, obs_lik)
+    """Exact log-likelihood of obs under any HMM-family parameter type."""
+    loglik, _, _ = _scaled_forward(*params.chain(_check_obs(obs, params.n_symbols)))
     return loglik
 
 
@@ -224,7 +237,7 @@ def baum_welch(init, obs, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     mask = 1.0 if transition_mask is None else np.asarray(transition_mask, dtype=float)
 
     def step(params):
-        loglik, gamma, xi_sum = _flat_posteriors(params, params.emission[:, obs].T)
+        loglik, gamma, xi_sum = _flat_posteriors(params, obs)
         new = HmmParams(gamma[0], _normalized(xi_sum, mask),
                         _normalized(_emission_counts(obs, gamma, K)))
         return new, loglik

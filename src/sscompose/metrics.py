@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .midi_codec import PitchAlphabet
+
 DISSONANT_CLASSES = frozenset({1, 2, 10, 11})   # minor/major second, minor/major seventh
 THIRD_CLASSES = frozenset({3, 4})
 FOURTH_FIFTH_CLASSES = frozenset({5, 7})
@@ -220,10 +222,7 @@ def pitch_histogram(pitches, union_symbols):
     pitches = np.asarray(pitches)
     if pitches.size == 0:
         raise ValueError("empty sequence")
-    union_symbols = np.asarray(union_symbols)
-    idx = np.searchsorted(union_symbols, pitches)
-    if np.any(idx >= len(union_symbols)) or np.any(union_symbols[np.minimum(idx, len(union_symbols) - 1)] != pitches):
-        raise ValueError("sequence contains pitches outside the union alphabet")
+    idx = PitchAlphabet(union_symbols).to_indices(pitches)
     hist = np.bincount(idx, minlength=len(union_symbols)).astype(float)
     return hist / hist.sum()
 

@@ -8,12 +8,14 @@ still tell simultaneous notes from sequential ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 TICKS_PER_QUARTER = 480  # time base of generated pieces
+MAX_DIVISION = 32767  # a MIDI Header's division has 15 bits
+MAX_TICK = np.iinfo(np.int64).max
 
 
 class MidiCsvError(ValueError):
@@ -52,26 +54,27 @@ class PitchSequence:
 
 @dataclass
 class PitchAlphabet:
-    """Sorted distinct pitches of a piece with a bidirectional index."""
+    """Sorted distinct pitches of a piece; a pitch's symbol is its rank."""
 
     symbols: np.ndarray
-    index: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.symbols = np.asarray(self.symbols, dtype=np.int64)
-        if not self.index:
-            self.index = {int(p): i for i, p in enumerate(self.symbols)}
 
     @property
     def size(self):
         return len(self.symbols)
 
     def to_indices(self, pitches):
+        """Each pitch's rank in the alphabet; ValueError names the first
+        pitch that is not one of its symbols."""
         pitches = np.asarray(pitches, dtype=np.int64)
-        try:
-            return np.array([self.index[int(p)] for p in pitches], dtype=np.int64)
-        except KeyError as exc:
-            raise ValueError(f"pitch {exc.args[0]} not in alphabet") from None
+        idx = np.searchsorted(self.symbols, pitches)
+        known = idx < self.size
+        known[known] = self.symbols[idx[known]] == pitches[known]
+        if not known.all():
+            raise ValueError(f"pitch {pitches[np.argmin(known)]} not in alphabet")
+        return idx
 
     def to_pitches(self, indices):
         return self.symbols[np.asarray(indices, dtype=np.int64)]
@@ -105,8 +108,9 @@ def parse_midi_csv(text, source_name=""):
                 ticks_per_quarter = int(fields[5])
             except ValueError:
                 raise MidiCsvError(f"line {lineno}: non-numeric division in Header") from None
-            if ticks_per_quarter <= 0:
-                raise MidiCsvError(f"line {lineno}: division must be positive")
+            if not 1 <= ticks_per_quarter <= MAX_DIVISION:
+                raise MidiCsvError(f"line {lineno}: division {ticks_per_quarter} "
+                                   f"outside 1-{MAX_DIVISION}")
         elif rectype in ("note_on_c", "note_off_c"):
             if len(fields) != 6:
                 raise MidiCsvError(f"line {lineno}: note record needs 6 fields, got {len(fields)}")
@@ -118,8 +122,8 @@ def parse_midi_csv(text, source_name=""):
                 raise MidiCsvError(f"line {lineno}: non-numeric note record field") from None
             if not 0 <= pitch <= 127:
                 raise MidiCsvError(f"line {lineno}: pitch {pitch} outside 0-127")
-            if time < 0:
-                raise MidiCsvError(f"line {lineno}: negative timestamp")
+            if not 0 <= time <= MAX_TICK:
+                raise MidiCsvError(f"line {lineno}: timestamp {time} outside 0-{MAX_TICK}")
             if rectype == "note_on_c" and velocity > 0:
                 ons.append((time, lineno, pitch))
         # tempo/meta/track records are ignored: pitch is the modeling object

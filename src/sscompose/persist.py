@@ -24,7 +24,7 @@ from .registry import PARAM_TYPES, ModelSpec, TrainedModel
 
 FORMAT_NAME = "sscompose-model"
 FORMAT_VERSION = 1
-PARAM_TAGS = {tag: cls for cls, (tag, _, _) in PARAM_TYPES.items()}
+PARAM_TAGS = {tag: cls for cls, (tag, _) in PARAM_TYPES.items()}
 
 
 def _persisted(cls):
@@ -86,7 +86,7 @@ def _decode_value(hint, value, where):
 def model_to_dict(model):
     if type(model.params) not in PARAM_TYPES:
         raise TypeError(f"cannot serialize parameters of type {type(model.params).__name__}")
-    tag, _, _ = PARAM_TYPES[type(model.params)]
+    tag, _ = PARAM_TYPES[type(model.params)]
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,

@@ -96,13 +96,10 @@ def _resolved_options(spec, overrides):
 
 def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
                 max_iter=hmm.DEFAULT_MAX_ITER, **overrides):
-    """Fit the named model to a PitchSequence (or a raw pitch array)."""
+    """Fit the named model to a PitchSequence."""
     if name not in REGISTRY:
         raise ValueError(f"unknown model {name!r}; valid names: {sorted(REGISTRY)}")
     spec, warnings = _resolved_options(REGISTRY[name], overrides)
-    if not isinstance(sequence, PitchSequence):
-        pitches = np.asarray(sequence, dtype=np.int64)
-        sequence = PitchSequence(pitches, np.arange(len(pitches), dtype=np.int64))
     alphabet = build_alphabet(sequence)
     obs = alphabet.to_indices(sequence.pitches)
     K = alphabet.size
@@ -152,41 +149,38 @@ def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
                         seed if isinstance(seed, int) else None, extra)
 
 
-# Parameter dataclass -> (model-file tag, log-likelihood(params, obs),
-# symbol sampler(params, length, seed)).  Model kinds that share a parameter
-# type share its entry: "random" fits HmmParams, "lrhmm" HmmParams or
-# KhmmParams.  TVAR's sampler draws a real-valued series, not symbols, and
-# resolves tvar.backward_sample when it is called.
+# Parameter dataclass -> (model-file tag, symbol sampler(params, length,
+# seed)).  Model kinds that share a parameter type share its entry: "random"
+# fits HmmParams, "lrhmm" HmmParams or KhmmParams.  Every type but TVAR's
+# states its chain for hmm.log_likelihood.  TVAR's sampler draws a
+# real-valued series, not symbols, and resolves tvar.backward_sample when it
+# is called.
 PARAM_TYPES = {
-    hmm.HmmParams: ("hmm", hmm.log_likelihood, hmm.sample),
-    variants.KhmmParams: ("khmm", variants.khmm_log_likelihood, variants.sample_khmm),
-    variants.ArhmmParams: ("arhmm", variants.arhmm_log_likelihood, variants.sample_arhmm),
-    semimarkov.HsmmParams: ("hsmm", semimarkov.hsmm_log_likelihood, semimarkov.sample_hsmm),
-    semimarkov.NshmmParams: ("nshmm", semimarkov.nshmm_log_likelihood,
-                             semimarkov.sample_nshmm),
-    hierarchical.TshmmParams: ("tshmm", hierarchical.tshmm_log_likelihood,
-                               hierarchical.sample_tshmm),
-    hierarchical.FhmmParams: ("fhmm", hierarchical.fhmm_log_likelihood,
-                              hierarchical.sample_fhmm),
-    hierarchical.LhmmParams: ("lhmm", hierarchical.lhmm_log_likelihood,
-                              hierarchical.sample_lhmm),
-    tvar.TvarFit: ("tvar", lambda params, obs: params.log_marginal,
-                   lambda params, length, seed: tvar.backward_sample(params, length, seed)),
+    hmm.HmmParams: ("hmm", hmm.sample),
+    variants.KhmmParams: ("khmm", variants.sample_khmm),
+    variants.ArhmmParams: ("arhmm", variants.sample_arhmm),
+    semimarkov.HsmmParams: ("hsmm", semimarkov.sample_hsmm),
+    semimarkov.NshmmParams: ("nshmm", semimarkov.sample_nshmm),
+    hierarchical.TshmmParams: ("tshmm", hierarchical.sample_tshmm),
+    hierarchical.FhmmParams: ("fhmm", hierarchical.sample_fhmm),
+    hierarchical.LhmmParams: ("lhmm", hierarchical.sample_lhmm),
+    tvar.TvarFit: ("tvar", lambda params, length, seed:
+                   tvar.backward_sample(params, length, seed)),
 }
 
 
 def model_log_likelihood(model, obs=None):
     """Training-sequence log-likelihood of a fitted model (for TVAR, the
     grid-search log marginal)."""
-    if obs is None:
-        obs = model.training_symbols
-    _, log_likelihood, _ = PARAM_TYPES[type(model.params)]
-    return log_likelihood(model.params, obs)
+    if isinstance(model.params, tvar.TvarFit):
+        return model.params.log_marginal
+    return hmm.log_likelihood(model.params,
+                              model.training_symbols if obs is None else obs)
 
 
 def sample_model(model, length, seed):
     """Draw a new pitch array of the given length from the fitted model."""
-    _, _, sampler = PARAM_TYPES[type(model.params)]
+    _, sampler = PARAM_TYPES[type(model.params)]
     draw = sampler(model.params, length, seed)
     if isinstance(model.params, tvar.TvarFit):
         return tvar.bin_to_alphabet(draw, model.alphabet)

@@ -81,6 +81,25 @@ class HsmmParams:
         if np.any(np.diagonal(self.transition) != 0):
             raise ValueError("transition diagonal must be zero (no self-transitions)")
 
+    def chain(self, obs):
+        """The HSMM as a first-order chain on (state, dwell index d): a
+        segment that has lasted d + 1 steps goes on with probability
+        surv[d + 1] / surv[d] and ends with probability duration[d] /
+        surv[d], where surv[d] = P(duration >= d + 1); both are quotients,
+        not one minus the other, so a hazard near 0 or 1 keeps its relative
+        precision.  The last step's likelihood carries the probability of
+        ending, so every segment ends at T."""
+        n, D = self.n_states, self.d_max
+        surv = np.zeros((n, D + 1))
+        surv[:, :-1] = np.cumsum(self.duration[:, ::-1], axis=1)[:, ::-1]
+        with np.errstate(invalid="ignore"):  # 0 / 0 where no segment lasts d + 1 steps
+            stay = np.nan_to_num(surv[:, 1:] / surv[:, :-1])
+            leave = np.nan_to_num(self.duration / surv[:, :-1])
+        lik = self.emission.T[obs][:, :, None] * np.ones(D)
+        lik[-1] *= leave
+        return (self.initial[:, None] * np.eye(1, D),
+                _DwellChain(stay, self.transition, leave), lik)
+
 
 def random_hsmm_params(n_states, alphabet_size, d_max, seed):
     if n_states < 2:
@@ -127,36 +146,10 @@ class _DwellChain:
                 + self.leave * (self.switch @ v[:, 0])[:, None])
 
 
-def _hsmm_chain(params, obs):
-    """The HSMM as a first-order chain on (state, dwell index d): a segment
-    that has lasted d + 1 steps goes on with probability surv[d + 1] /
-    surv[d] and ends with probability duration[d] / surv[d], where
-    surv[d] = P(duration >= d + 1); both are quotients, not one minus the
-    other, so a hazard near 0 or 1 keeps its relative precision.  The last
-    step's likelihood carries the probability of ending, so every segment
-    ends at T.  Returns (initial, operator, observation likelihood)."""
-    n, D = params.n_states, params.d_max
-    surv = np.zeros((n, D + 1))
-    surv[:, :-1] = np.cumsum(params.duration[:, ::-1], axis=1)[:, ::-1]
-    with np.errstate(invalid="ignore"):  # 0 / 0 where no segment lasts d + 1 steps
-        stay = np.nan_to_num(surv[:, 1:] / surv[:, :-1])
-        leave = np.nan_to_num(params.duration / surv[:, :-1])
-    lik = params.emission.T[obs][:, :, None] * np.ones(D)
-    lik[-1] *= leave
-    return (params.initial[:, None] * np.eye(1, D),
-            _DwellChain(stay, params.transition, leave), lik)
-
-
-def hsmm_log_likelihood(params, obs):
-    obs = _check_obs(obs, params.n_symbols)
-    loglik, _, _ = _scaled_forward(*_hsmm_chain(params, obs))
-    return loglik
-
-
 def _hsmm_em_step(params, obs):
     """One exact EM iteration on the explicit-duration model."""
     n, K = params.n_states, params.n_symbols
-    initial, chain, lik = _hsmm_chain(params, obs)
+    initial, chain, lik = params.chain(obs)
     loglik, alpha, right, gamma = _posteriors(initial, chain, lik)
     # a segment of state j ends at dwell index d at step t < T - 1 and state k
     # follows with posterior mass ends[t, j, d] * transition[j, k] * enter[t, k]
@@ -252,19 +245,11 @@ class NshmmParams:
         if not np.all((stay >= 0) & (stay <= 1)):  # NaN fails both comparisons
             raise ValueError("stay_profile entries must be finite and lie in [0, 1]")
 
-
-def _nshmm_chain(params, obs):
-    """(initial, operator, observation likelihood) of the dwell-augmented
-    chain for the shared recursions; every state starts at dwell index 0."""
-    return (params.initial[:, None] * np.eye(1, params.d_max),
-            _DwellChain(params.stay_profile, params.switch),
-            params.emission.T[obs][:, :, None])
-
-
-def nshmm_log_likelihood(params, obs):
-    obs = _check_obs(obs, params.n_symbols)
-    loglik, _, _ = _scaled_forward(*_nshmm_chain(params, obs))
-    return loglik
+    def chain(self, obs):
+        """The dwell-augmented chain; every state starts at dwell index 0."""
+        return (self.initial[:, None] * np.eye(1, self.d_max),
+                _DwellChain(self.stay_profile, self.switch),
+                self.emission.T[obs][:, :, None])
 
 
 def _nshmm_ffbs(params, obs, rng):
@@ -277,7 +262,7 @@ def _nshmm_ffbs(params, obs, rng):
     """
     T = len(obs)
     n, D = params.n_states, params.d_max
-    initial, chain, lik = _nshmm_chain(params, obs)
+    initial, chain, lik = params.chain(obs)
     _, alphas, _ = _scaled_forward(initial, chain, lik)
     stay, leave_prob = chain.stay, chain.leave
     switch_to = params.switch.T.copy()  # row j = switch[:, j]

@@ -29,14 +29,12 @@ from .hmm import (
     _normalized,
     _posteriors,
     _sample_order_k,
-    _scaled_forward,
     baum_welch,
     check_distributions,
     check_positive_ints,
+    check_state_cap,
     run_em,
 )
-
-STATE_CAP = 10_000  # largest tuple state space n**k an order-k fit builds
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +79,20 @@ class KhmmParams:
             ("emission", self.emission, (n, K)),
         ])
 
+    def chain(self, obs):
+        """The tuple chain: its initial distribution, its transition as an
+        operator and its observation likelihood; the first embedded step
+        emits x_1..x_k jointly."""
+        n, k = self.n_states, self.order
+        if len(obs) < k:
+            raise ValueError("sequence shorter than the model order")
+        first = self.emission[:, obs[0]]
+        for i in range(1, k):
+            first = (first[:, None] * self.emission[:, obs[i]][None, :]).ravel()
+        last_coord = np.arange(self.n_tuples) % n
+        return (_tuple_initial(self), _TupleShift(self.transition, n),
+                np.vstack([first, self.emission[:, obs[k:]][last_coord].T]))
+
 
 def _tuple_masks(n, order, left_right):
     """Allowed next states for the init tables of steps 2..k and the
@@ -93,9 +105,7 @@ def _tuple_masks(n, order, left_right):
 
 
 def random_khmm_params(n_states, order, alphabet_size, seed, left_right=False):
-    if n_states ** order > STATE_CAP:
-        raise ValueError(f"tuple state space {n_states}**{order} exceeds cap {STATE_CAP}; "
-                         "reduce the number of states or the order")
+    check_state_cap(n_states ** order)
     rng = _as_rng(seed)
     initial = rng.dirichlet(np.ones(n_states))
     *init_transitions, transition = [_masked_dirichlet(rng, mask)
@@ -129,31 +139,11 @@ class _TupleShift:
         return (self.table.reshape(n, -1, n) * v.reshape(-1, n)).sum(axis=2).ravel()
 
 
-def _khmm_chain(params, obs):
-    """(initial, operator, observation likelihood) of the tuple chain for
-    the shared recursions; the first embedded step emits x_1..x_k jointly."""
-    n, k = params.n_states, params.order
-    first = params.emission[:, obs[0]]
-    for i in range(1, k):
-        first = (first[:, None] * params.emission[:, obs[i]][None, :]).ravel()
-    last_coord = np.arange(params.n_tuples) % n
-    return (_tuple_initial(params), _TupleShift(params.transition, n),
-            np.vstack([first, params.emission[:, obs[k:]][last_coord].T]))
-
-
-def khmm_log_likelihood(params, obs):
-    obs = _check_obs(obs, params.n_symbols)
-    if len(obs) < params.order:
-        raise ValueError("sequence shorter than the model order")
-    loglik, _, _ = _scaled_forward(*_khmm_chain(params, obs))
-    return loglik
-
-
 def _khmm_em_step(params, obs, masks):
     """One exact EM iteration; returns (new_params, log_likelihood)."""
     n, k = params.n_states, params.order
     K = params.n_symbols
-    loglik, alpha, right, gamma = _posteriors(*_khmm_chain(params, obs))
+    loglik, alpha, right, gamma = _posteriors(*params.chain(obs))
     T_emb, P = gamma.shape
 
     # xi mass of prefix tuple (a, b) moving on to tuple (b, z), summed over t
@@ -187,9 +177,7 @@ def train_khmm(obs, n_states, order, n_symbols, init=None, seed=None,
         raise ValueError("sequence must be longer than the model order")
     if init is None:
         init = random_khmm_params(n_states, order, n_symbols, seed, left_right)
-    if init.n_tuples > STATE_CAP:
-        raise ValueError(f"tuple state space {init.n_tuples} exceeds cap {STATE_CAP}; "
-                         "reduce the number of states or the order")
+    check_state_cap(init.n_tuples)
     masks = _tuple_masks(n_states, order, left_right)
     return run_em(lambda params: _khmm_em_step(params, obs, masks), init, tol, max_iter, seed)
 
@@ -263,6 +251,13 @@ class ArhmmParams:
                                    ("emission", self.emission, (n, K, K)),
                                    ("init_emission", self.init_emission, (n, K))])
 
+    def chain(self, obs):
+        """The state chain; step t's likelihood conditions on symbol t - 1."""
+        rows = np.empty((len(obs), self.n_states))
+        rows[0] = self.init_emission[:, obs[0]]
+        rows[1:] = self.emission[:, obs[:-1], obs[1:]].T
+        return self.initial, self.transition, rows
+
 
 def random_arhmm_params(n_states, alphabet_size, seed):
     rng = _as_rng(seed)
@@ -272,22 +267,6 @@ def random_arhmm_params(n_states, alphabet_size, seed):
         rng.dirichlet(np.ones(alphabet_size), size=(n_states, alphabet_size)),
         rng.dirichlet(np.ones(alphabet_size), size=n_states),
     )
-
-
-def _arhmm_obs_lik(params, obs):
-    T, n = len(obs), params.n_states
-    rows = np.empty((T, n))
-    rows[0] = params.init_emission[:, obs[0]]
-    if T > 1:
-        rows[1:] = params.emission[:, obs[:-1], obs[1:]].T
-    return rows
-
-
-def arhmm_log_likelihood(params, obs):
-    obs = _check_obs(obs, params.n_symbols)
-    loglik, _, _ = _scaled_forward(params.initial, params.transition,
-                                   _arhmm_obs_lik(params, obs))
-    return loglik
 
 
 def train_arhmm(obs, n_states, n_symbols, init=None, seed=None,
@@ -301,7 +280,7 @@ def train_arhmm(obs, n_states, n_symbols, init=None, seed=None,
     n, K = n_states, n_symbols
 
     def step(params):
-        loglik, gamma, xi_sum = _flat_posteriors(params, _arhmm_obs_lik(params, obs))
+        loglik, gamma, xi_sum = _flat_posteriors(params, obs)
         emis_acc = np.zeros((n, K, K))  # [state, previous symbol, symbol]
         np.add.at(emis_acc.transpose(1, 2, 0), (obs[:-1], obs[1:]), gamma[1:])
         new = ArhmmParams(gamma[0],

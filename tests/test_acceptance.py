@@ -56,25 +56,25 @@ def test_criterion_1_oracle_suite():
 
         k = int(rng.integers(1, 3))
         kp = variants.random_khmm_params(n, k, K, rng)
-        close(variants.khmm_log_likelihood(kp, obs), O.enum_khmm_loglik(kp, obs))
+        close(hmm.log_likelihood(kp, obs), O.enum_khmm_loglik(kp, obs))
 
         ap = variants.random_arhmm_params(n, K, rng)
-        close(variants.arhmm_log_likelihood(ap, obs), O.enum_arhmm_loglik(ap, obs))
+        close(hmm.log_likelihood(ap, obs), O.enum_arhmm_loglik(ap, obs))
 
         hp = semimarkov.random_hsmm_params(n, K, int(rng.integers(1, 4)), rng)
-        close(semimarkov.hsmm_log_likelihood(hp, obs), O.enum_hsmm_loglik(hp, obs))
+        close(hmm.log_likelihood(hp, obs), O.enum_hsmm_loglik(hp, obs))
 
         m1 = int(rng.integers(2, 4))
         m2 = int(rng.integers(2, 4))
         T_ts = min(T, 6)  # keep (m1*m2)^T enumerable
         tp = hierarchical.random_tshmm_params(m1, m2, K, rng)
-        close(hierarchical.tshmm_log_likelihood(tp, obs[:T_ts]),
+        close(hmm.log_likelihood(tp, obs[:T_ts]),
               O.enum_tshmm_loglik(tp, obs[:T_ts]))
 
         chains = tuple(int(rng.integers(2, 4)) for _ in range(2))
         T_f = min(T, 5)
         fp = hierarchical.random_fhmm_params(chains, K, rng)
-        close(hierarchical.fhmm_log_likelihood(fp, obs[:T_f]),
+        close(hmm.log_likelihood(fp, obs[:T_f]),
               O.enum_fhmm_loglik(fp, obs[:T_f]))
         checks += 7
 

@@ -275,6 +275,50 @@ def test_parse_error_nonzero_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("time", [2 ** 63, 99999999999999999999])
+def test_timestamp_beyond_int64_clean_error(tmp_path, capsys, time):
+    piece = tmp_path / "piece.csv"
+    piece.write_text("0, 0, Header, 1, 1, 480\n1, 0, Note_on_c, 0, 60, 80\n"
+                     f"1, {time}, Note_on_c, 0, 62, 80\n")
+    assert _run("train", "--input", piece, "--model", "M1", "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: line 3: timestamp {time} outside 0-{2 ** 63 - 1}"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("division", [0, -480, 32768, 99999])
+def test_header_division_outside_15_bits_clean_error(tmp_path, toy_piece, capsys, division):
+    _, seq = toy_piece
+    piece = tmp_path / "piece.csv"
+    piece.write_text(emit_midi_csv(seq).replace("Header, 1, 1, 480", f"Header, 1, 1, {division}"))
+    assert _run("train", "--input", piece, "--model", "M1", "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: line 1: division {division} outside 1-32767"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("model", ["M1", "M2", "M4", "M7", "M8", "M9", "M10", "M12", "M13",
+                                   "M14", "M15"])
+def test_non_finite_tol_rejected_for_every_model(tmp_path, toy_piece, capsys, model, tol):
+    piece, _ = toy_piece
+    run = tmp_path / "run"
+    assert _run("train", "--input", piece, "--model", model, "--tol", tol,
+                "--max-iter", "2", "--out", run) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: --tol must be a finite number, not {tol}"]
+    assert not run.exists()
+
+
+def test_tuple_state_space_over_the_cap_clean_error(tmp_path, toy_piece, capsys):
+    piece, _ = toy_piece
+    # M3 is third order: 22 ** 3 = 10648 tuple states
+    assert _run("train", "--input", piece, "--model", "M3", "--states", "22",
+                "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: state space of 10648 states exceeds the cap of 10000; "
+        "use fewer states (structured approximations are out of scope)"]
+
+
 def test_corrupt_model_file_error_names_field(tmp_path, toy_piece, capsys):
     piece, _ = toy_piece
     run = tmp_path / "run"

@@ -29,7 +29,7 @@ def test_tshmm_matches_enumeration():
     for _ in range(10):
         params = hierarchical.random_tshmm_params(2, 2, 3, rng)
         obs = rng.integers(0, 3, 6)
-        got = hierarchical.tshmm_log_likelihood(params, obs)
+        got = hmm.log_likelihood(params, obs)
         assert got == pytest.approx(enum_tshmm_loglik(params, obs), rel=1e-10)
 
 
@@ -96,7 +96,7 @@ def test_fhmm_matches_enumeration():
     for _ in range(8):
         params = hierarchical.random_fhmm_params((2, 2), 3, rng)
         obs = rng.integers(0, 3, 5)
-        got = hierarchical.fhmm_log_likelihood(params, obs)
+        got = hmm.log_likelihood(params, obs)
         assert got == pytest.approx(enum_fhmm_loglik(params, obs), rel=1e-10)
 
 
@@ -130,6 +130,13 @@ def test_fhmm_emission_level_rule():
 def test_fhmm_cap_error_mentions_scope():
     with pytest.raises(ValueError, match="structured approximations"):
         hierarchical.random_fhmm_params((30, 30, 30), 3, 0)
+
+
+def test_fhmm_train_rejects_an_init_over_the_cap():
+    # 30 * 30 * 30 product states; the cap is checked before the tables are read
+    init = hierarchical.FhmmParams((30, 30, 30), [], [], np.full((1, 2), 0.5))
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        hierarchical.train_fhmm([0, 1, 0], (30, 30, 30), 2, init=init)
 
 
 def test_fhmm_sample_deterministic():

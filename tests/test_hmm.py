@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import enum_hmm_loglik, enum_viterbi_logprob, path_logprob
-from sscompose import hmm
+from sscompose import hierarchical, hmm, semimarkov, variants
 
 
 def test_single_state_loglik():
@@ -47,6 +47,28 @@ def test_out_of_alphabet_names_position():
     params = hmm.random_params(2, 3, 0)
     with pytest.raises(ValueError, match="position 2"):
         hmm.log_likelihood(params, [0, 1, 7])
+
+
+CHAIN_TYPES = {
+    "hmm": lambda: hmm.random_params(2, 3, 0),
+    "khmm": lambda: variants.random_khmm_params(2, 2, 3, 0),
+    "arhmm": lambda: variants.random_arhmm_params(2, 3, 0),
+    "hsmm": lambda: semimarkov.random_hsmm_params(2, 3, 2, 0),
+    "nshmm": lambda: semimarkov.NshmmParams(np.full(2, 0.5), 1.0 - np.eye(2),
+                                            np.full((2, 3), 1 / 3), np.full((2, 2), 0.5)),
+    "tshmm": lambda: hierarchical.random_tshmm_params(2, 2, 3, 0),
+    "fhmm": lambda: hierarchical.random_fhmm_params((2, 2), 3, 0),
+    "lhmm": lambda: hierarchical.LhmmParams([hmm.random_params(2, 3, 0),
+                                             hmm.random_params(2, 2, 1)]),
+}
+
+
+@pytest.mark.parametrize("kind", CHAIN_TYPES)
+def test_log_likelihood_rejects_a_symbol_outside_every_chain_types_alphabet(kind):
+    params = CHAIN_TYPES[kind]()
+    assert np.isfinite(hmm.log_likelihood(params, [0, 1, 2, 0]))
+    with pytest.raises(ValueError, match="symbol 3 at position 2 is outside the alphabet of size 3"):
+        hmm.log_likelihood(params, [0, 1, 3, 0])
 
 
 def test_zero_probability_error():

@@ -134,6 +134,16 @@ def test_pitch_histogram_union_membership():
         metrics.pitch_histogram([60, 61], [60])
 
 
+@pytest.mark.parametrize("pitches,offender", [
+    ([60, 70, 50], 70),  # above every symbol
+    ([64, 50, 70], 50),  # below every symbol
+    ([62, 61, 70], 61),  # between two symbols
+])
+def test_pitch_histogram_names_the_first_pitch_outside_the_union(pitches, offender):
+    with pytest.raises(ValueError, match=f"^pitch {offender} not in alphabet$"):
+        metrics.pitch_histogram(pitches, [60, 62, 64])
+
+
 def test_acf_pacf_ar1_pattern():
     rng = np.random.default_rng(6)
     x = np.zeros(5000)

@@ -157,6 +157,17 @@ def test_alphabet_rejects_unknown_pitch():
         alpha.to_indices([61])
 
 
+@pytest.mark.parametrize("pitches,offender", [
+    ([60, 70, 50], 70),  # above every symbol
+    ([64, 50, 70], 50),  # below every symbol
+    ([62, 61, 70], 61),  # between two symbols
+])
+def test_alphabet_names_the_first_unknown_pitch(pitches, offender):
+    alpha = build_alphabet(PitchSequence([60, 62, 64], [0, 1, 2]))
+    with pytest.raises(ValueError, match=f"^pitch {offender} not in alphabet$"):
+        alpha.to_indices(pitches)
+
+
 def test_alphabet_empty_error():
     with pytest.raises(ValueError):
         build_alphabet(PitchSequence([], []))

@@ -29,7 +29,7 @@ def test_hsmm_dmax1_equals_zero_diagonal_hmm_likelihood():
     obs = rng.integers(0, K, 40)
     hsmm = semimarkov.HsmmParams(pi, trans, emis, np.ones((n, 1)))
     flat = hmm.HmmParams(pi, trans, emis)
-    assert semimarkov.hsmm_log_likelihood(hsmm, obs) == pytest.approx(
+    assert hmm.log_likelihood(hsmm, obs) == pytest.approx(
         hmm.log_likelihood(flat, obs), rel=1e-12)
 
 
@@ -38,13 +38,13 @@ def test_hsmm_matches_segmentation_enumeration():
     for _ in range(10):
         params = semimarkov.random_hsmm_params(2, 3, 3, rng)
         obs = rng.integers(0, 3, 6)
-        got = semimarkov.hsmm_log_likelihood(params, obs)
+        got = hmm.log_likelihood(params, obs)
         assert got == pytest.approx(enum_hsmm_loglik(params, obs), rel=1e-10)
     for duration in ZERO_ENTRY_DURATIONS.values():
         for _ in range(3):
             params = _hsmm_with_duration(rng, duration, 3)
             obs = rng.integers(0, 3, 7)
-            got = semimarkov.hsmm_log_likelihood(params, obs)
+            got = hmm.log_likelihood(params, obs)
             assert got == pytest.approx(enum_hsmm_loglik(params, obs), rel=1e-10)
     # the data force a last segment of one step in state 0, whose duration
     # probability is eps: its end probability must not come out of 1 - (1 - eps)
@@ -53,7 +53,7 @@ def test_hsmm_matches_segmentation_enumeration():
         params = semimarkov.HsmmParams(np.array([0.5, 0.5]), np.array([[0.0, 1.0], [1.0, 0.0]]),
                                        np.eye(2) * (1 - 1e-9) + 0.5e-9, duration)
         obs = np.array([0, 0, 0, 1, 0, 0, 0, 1, 0])
-        got = semimarkov.hsmm_log_likelihood(params, obs)
+        got = hmm.log_likelihood(params, obs)
         assert got == pytest.approx(enum_hsmm_loglik(params, obs), rel=1e-10)
 
 
@@ -153,7 +153,7 @@ def test_nshmm_flat_dwell_near_baum_welch():
     obs = np.array(([0] * 5 + [1] * 5) * 8)
     params, _ = semimarkov.train_nshmm(obs, 2, 2, 6, seed=3, n_iter=200,
                                        burn_in=80, flat_dwell=True)
-    posterior_ll = semimarkov.nshmm_log_likelihood(params, obs) / len(obs)
+    posterior_ll = hmm.log_likelihood(params, obs) / len(obs)
     best = -np.inf
     for seed in range(3):
         _, report = hmm.baum_welch(hmm.random_params(2, 2, seed), obs)
@@ -207,7 +207,7 @@ def test_nshmm_matches_path_enumeration(n, K, D, T):
     for _ in range(5):
         params = _random_nshmm(rng, n, K, D)
         obs = rng.integers(0, K, T)
-        assert semimarkov.nshmm_log_likelihood(params, obs) == pytest.approx(
+        assert hmm.log_likelihood(params, obs) == pytest.approx(
             enum_nshmm_loglik(params, obs), rel=1e-10)
 
 

@@ -28,7 +28,7 @@ def test_khmm_order2_matches_enumeration():
     for _ in range(10):
         params = variants.random_khmm_params(2, 2, 3, rng)
         obs = rng.integers(0, 3, 7)
-        got = variants.khmm_log_likelihood(params, obs)
+        got = hmm.log_likelihood(params, obs)
         assert got == pytest.approx(enum_khmm_loglik(params, obs), rel=1e-10)
 
 
@@ -42,6 +42,14 @@ def test_khmm_em_monotone():
 def test_khmm_state_cap():
     with pytest.raises(ValueError, match="cap"):
         variants.random_khmm_params(10, 5, 3, 0)
+
+
+def test_khmm_train_rejects_an_init_over_the_cap():
+    # 10 ** 5 tuple states; the cap is checked before the tables are read
+    init = variants.KhmmParams(5, 10, np.full(10, 0.1), [], np.empty((0, 10)),
+                               np.full((10, 2), 0.5))
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        variants.train_khmm([0, 1] * 5, 10, 5, 2, init=init)
 
 
 def test_khmm_sequence_length_check():
@@ -127,7 +135,7 @@ def test_arhmm_single_symbol_alphabet():
     params = variants.ArhmmParams([0.6, 0.4],
                                   [[0.7, 0.3], [0.2, 0.8]],
                                   np.ones((2, 1, 1)), np.ones((2, 1)))
-    assert variants.arhmm_log_likelihood(params, [0, 0, 0, 0]) == pytest.approx(0.0,
+    assert hmm.log_likelihood(params, [0, 0, 0, 0]) == pytest.approx(0.0,
                                                                                 abs=1e-12)
 
 
@@ -136,7 +144,7 @@ def test_arhmm_matches_enumeration():
     for _ in range(10):
         params = variants.random_arhmm_params(2, 2, rng)
         obs = rng.integers(0, 2, 6)
-        got = variants.arhmm_log_likelihood(params, obs)
+        got = hmm.log_likelihood(params, obs)
         assert got == pytest.approx(enum_arhmm_loglik(params, obs), rel=1e-10)
 
 
