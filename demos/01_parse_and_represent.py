@@ -27,7 +27,7 @@ DOCUMENT = """\
 
 
 def main():
-    seq = parse_midi_csv(DOCUMENT, source_name="first-bar demo")
+    seq = parse_midi_csv(DOCUMENT)
     print(f"parsed {len(seq)} note-on events at {seq.ticks_per_quarter} ticks/quarter")
     print("pitch sequence:", seq.pitches.tolist())
     print("timestamps:   ", seq.timestamps.tolist())

@@ -13,8 +13,7 @@ from sscompose import PitchSequence, sample_sequence, train_model
 def toy_melody(length=300, seed=42):
     rng = np.random.default_rng(seed)
     walk = np.cumsum(rng.integers(-2, 3, length)) % 10
-    return PitchSequence(55 + walk, np.arange(length) * 240,
-                         source_name="random-walk melody")
+    return PitchSequence(55 + walk, np.arange(length) * 240)
 
 
 def main():

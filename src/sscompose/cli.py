@@ -27,10 +27,12 @@ OUTPUT_ROOT_ENV = "SSCOMPOSE_OUTPUT_ROOT"
 DEFAULT_TOP = 3
 
 
-def _resolve_out(out):
-    if out:
-        return out
-    return os.environ.get(OUTPUT_ROOT_ENV, ".")
+def _make_out(out):
+    """Create and return the output directory: --out, else the
+    SSCOMPOSE_OUTPUT_ROOT directory, else the working directory."""
+    out_dir = out or os.environ.get(OUTPUT_ROOT_ENV, ".")
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
 
 
 def _read_piece(path):
@@ -62,6 +64,8 @@ def cmd_train(args):
         raise ValueError("--max-iter must be >= 1")
     if not np.isfinite(args.tol):
         raise ValueError(f"--tol must be a finite number, not {args.tol}")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     seq = _read_piece(args.input)
     model, loglik = None, -np.inf
     for r in range(args.restarts):
@@ -72,8 +76,7 @@ def cmd_train(args):
         ll = registry.model_log_likelihood(candidate)
         if model is None or ll > loglik:
             model, loglik = candidate, ll
-    out_dir = _resolve_out(args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_out(args.out)
     model_path = os.path.join(out_dir, f"{args.model}_model.json")
     persist.save_model(model, model_path)
     report = {"model": args.model, "final_log_likelihood": loglik}
@@ -102,15 +105,17 @@ def cmd_generate(args):
         raise ValueError("--n must be >= 1")
     if args.length is not None and args.length < 1:
         raise ValueError("--length must be >= 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     model = persist.load_model(args.model)
     length = len(model.training_symbols) if args.length is None else args.length
-    out_dir = _resolve_out(args.out)
+    seeds = [args.seed + i for i in range(args.n)]
+    pieces = [registry.sample_sequence(model, length, seed_i) for seed_i in seeds]
+    out_dir = _make_out(args.out)
     pieces_dir = os.path.join(out_dir, "pieces")
     os.makedirs(pieces_dir, exist_ok=True)
-    seeds = [args.seed + i for i in range(args.n)]
     piece_paths = []
-    for i, seed_i in enumerate(seeds):
-        seq = registry.sample_sequence(model, length, seed_i)
+    for i, seq in enumerate(pieces):
         path = os.path.join(pieces_dir, f"piece_{i:04d}.txt")
         with open(path, "w") as fh:
             fh.write("\n".join(str(int(p)) for p in seq.pitches) + "\n")
@@ -212,8 +217,7 @@ def cmd_evaluate(args):
     batch, _, report = _score_batch(args)
     for idx, reason in report.skipped:
         print(f"piece {idx} excluded from ACF/PACF pooling: {reason}", file=sys.stderr)
-    out_dir = _resolve_out(args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_out(args.out)
     artifacts = _write_report_files(out_dir, report, batch.get("model", "?"))
     _write_manifest(out_dir, "evaluate", {"input": args.input, "batch": args.batch},
                     artifacts, started)
@@ -259,8 +263,7 @@ def cmd_export(args):
         picked = [row["piece"] for row in ordered if row["piece"] not in taken][:args.top]
         taken.update(picked)
         chosen += [(criterion, idx) for idx in picked]
-    out_dir = _resolve_out(args.out)
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _make_out(args.out)
     exports = []
     for criterion, idx in chosen:
         seq = pieces[idx]

@@ -19,7 +19,7 @@ import numpy as np
 from .hmm import (
     DEFAULT_TOL,
     DEFAULT_MAX_ITER,
-    FitReport,
+    ChainParams,
     HmmParams,
     _as_rng,
     _check_obs,
@@ -43,17 +43,13 @@ from .hmm import (
 
 
 @dataclass
-class TshmmParams:
+class TshmmParams(ChainParams):
     m1: int                 # states of S
     m2: int                 # states of R
     C: np.ndarray           # (m2, m2): P(R_t = j | R_{t-1} = i)
     D: np.ndarray           # (m2, m1, m1): D[j, k, l] = P(S_t = l | R_t = j, S_{t-1} = k)
     initial: np.ndarray     # (m2 * m1,) over (r, s) pairs, index r * m1 + s
     emission: np.ndarray    # (m1, K), emission from S
-
-    @property
-    def n_symbols(self):
-        return self.emission.shape[1]
 
     def validate(self, atol=1e-12, n_symbols=None):
         """Raise ValueError unless m1 and m2 are positive integers, C, D,
@@ -62,7 +58,7 @@ class TshmmParams:
         distribution."""
         check_positive_ints([("m1", self.m1), ("m2", self.m2)])
         m1, m2 = self.m1, self.m2
-        K = np.shape(self.emission)[-1] if n_symbols is None else n_symbols
+        K = self.n_symbols if n_symbols is None else n_symbols
         check_distributions(atol, [("C", self.C, (m2, m2)), ("D", self.D, (m2, m1, m1)),
                                    ("initial", self.initial, (m2 * m1,)),
                                    ("emission", self.emission, (m1, K))])
@@ -131,15 +127,11 @@ def sample_tshmm(params, length, seed):
 
 
 @dataclass
-class FhmmParams:
+class FhmmParams(ChainParams):
     chain_sizes: tuple
     chain_initials: list[np.ndarray]     # one (n_j,) vector per chain
     chain_transitions: list[np.ndarray]  # one (n_j, n_j) matrix per chain
     emission: np.ndarray                 # (n_levels, K), row = rounded mean ordinal - 1
-
-    @property
-    def n_symbols(self):
-        return self.emission.shape[1]
 
     @property
     def n_product(self):
@@ -158,7 +150,7 @@ class FhmmParams:
         if not len(self.chain_initials) == len(self.chain_transitions) == len(sizes):
             raise ValueError(f"{len(sizes)} chains need {len(sizes)} initial "
                              "and transition tables")
-        K = np.shape(self.emission)[-1] if n_symbols is None else n_symbols
+        K = self.n_symbols if n_symbols is None else n_symbols
         check_distributions(atol, [
             *((f"chain_initials[{j}]", v, (nj,))
               for j, (nj, v) in enumerate(zip(sizes, self.chain_initials))),
@@ -182,9 +174,9 @@ def n_emission_levels(chain_sizes):
     return int(emission_level(np.asarray(chain_sizes) - 1))
 
 
-def _product_levels(chain_sizes):
+def _emission_rows(chain_sizes):
     grids = np.indices(chain_sizes).reshape(len(chain_sizes), -1).T  # (P, m)
-    return emission_level(grids)  # 1-based levels per product state
+    return emission_level(grids) - 1  # 0-based emission row per product state
 
 
 def random_fhmm_params(chain_sizes, alphabet_size, seed):
@@ -203,7 +195,7 @@ def _fhmm_flat(params):
     emits from its emission level's row."""
     initial = reduce(np.kron, params.chain_initials)
     transition = reduce(np.kron, params.chain_transitions)
-    emission = params.emission[_product_levels(params.chain_sizes) - 1]
+    emission = params.emission[_emission_rows(params.chain_sizes)]
     return HmmParams(initial, transition, emission)
 
 
@@ -223,7 +215,7 @@ def _fhmm_em_step(params, obs):
         chain_initials.append(g0.sum(axis=tuple(a for a in range(m) if a != j)))
 
     n_levels = params.emission.shape[0]
-    gamma_lvl = gamma @ np.eye(n_levels)[_product_levels(sizes) - 1]   # (T, n_levels)
+    gamma_lvl = gamma @ np.eye(n_levels)[_emission_rows(sizes)]   # (T, n_levels)
     new = FhmmParams(tuple(sizes), chain_initials, chain_transitions,
                      _normalized(_emission_counts(obs, gamma_lvl, K)))
     return new, loglik
@@ -248,7 +240,7 @@ def sample_fhmm(params, length, seed):
 
 
 @dataclass
-class LhmmParams:
+class LhmmParams(ChainParams):
     layers: list[HmmParams]  # layers[0] emits pitches; layer l emits layer l-1 states
     layer_reports: list = field(default_factory=list, metadata={"persist": False})
     warnings: list = field(default_factory=list)
@@ -288,7 +280,7 @@ def train_lhmm(obs, n_states, n_layers, n_symbols, seed=None,
     alphabet = n_symbols
     for level in range(n_layers):
         init = inits[level] if inits is not None else random_params(n_states, alphabet, rng)
-        fitted, report = baum_welch(init, current, tol=tol, max_iter=max_iter)
+        fitted, report = baum_welch(init, current, tol=tol, max_iter=max_iter, seed=seed)
         layers.append(fitted)
         reports.append(report)
         if level + 1 < n_layers:
@@ -297,10 +289,7 @@ def train_lhmm(obs, n_states, n_layers, n_symbols, seed=None,
                 warnings.append(f"layer {level + 1} Viterbi path uses a single state")
             current = path
             alphabet = n_states
-    params = LhmmParams(layers, reports, warnings)
-    top = FitReport(list(reports[-1].log_likelihood_trace), reports[-1].iterations,
-                    reports[-1].converged, seed if isinstance(seed, int) else None)
-    return params, top
+    return LhmmParams(layers, reports, warnings), reports[-1]
 
 
 def sample_lhmm(params, length, seed):

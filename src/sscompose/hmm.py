@@ -2,9 +2,10 @@
 
 Scaled (normalized-alpha) forward-backward, Baum-Welch with optional
 transition masks, Viterbi, ancestral sampling and the random-parameter
-baseline.  Every HMM-family parameter type states its exact first-order
-chain once, as ``chain(obs)``: (initial, transition, observation
-likelihood), where obs_lik[t] holds each state's likelihood of step t.
+baseline.  Every HMM-family parameter type derives from ``ChainParams``
+(its alphabet size is the emission table's last axis) and states its
+exact first-order chain once, as ``chain(obs)``: (initial, transition,
+observation likelihood), where obs_lik[t] holds step t's likelihoods.
 ``log_likelihood`` runs the scaled forward pass on that chain for any
 type, and ``_flat_posteriors`` is the E-step of every chain with a dense
 transition.  Each step's alpha takes the shape of the initial
@@ -36,8 +37,16 @@ class ZeroProbabilityError(ValueError):
     """The model assigns probability zero to the observed sequence."""
 
 
+class ChainParams:
+    """Base of the HMM-family parameter types: n_symbols is the emission's last axis."""
+
+    @property
+    def n_symbols(self):
+        return np.shape(self.emission)[-1]
+
+
 @dataclass
-class HmmParams:
+class HmmParams(ChainParams):
     initial: np.ndarray      # (n,)
     transition: np.ndarray   # (n, n), row-stochastic
     emission: np.ndarray     # (n, K), row-stochastic
@@ -51,10 +60,6 @@ class HmmParams:
     def n_states(self):
         return len(self.initial)
 
-    @property
-    def n_symbols(self):
-        return self.emission.shape[1]
-
     def chain(self, obs):
         return self.initial, self.transition, self.emission[:, obs].T
 
@@ -64,22 +69,28 @@ class HmmParams:
         if (self.initial.ndim, self.transition.ndim, self.emission.ndim) != (1, 2, 2):
             raise ValueError("initial, transition and emission must have 1, 2 and 2 axes")
         n = len(self.initial)
-        K = self.emission.shape[1] if n_symbols is None else n_symbols
+        K = self.n_symbols if n_symbols is None else n_symbols
         check_distributions(atol, [("initial", self.initial, (n,)),
                                    ("transition", self.transition, (n, n)),
                                    ("emission", self.emission, (n, K))])
 
 
+def check_table(name, value, shape):
+    """value as a float array; ValueError unless it has that shape and is finite."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} has non-finite entries")
+    return value
+
+
 def check_distributions(atol, tables):
-    """Raise ValueError unless every (name, array, shape) in `tables` has
-    that shape and finite, non-negative entries whose rows (last axis) sum
-    to 1 within atol."""
+    """Raise ValueError unless every (name, array, shape) in `tables` passes
+    check_table and has non-negative entries whose rows (last axis) sum to 1
+    within atol."""
     for name, value, shape in tables:
-        value = np.asarray(value, dtype=float)
-        if value.shape != shape:
-            raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} has non-finite entries")
+        value = check_table(name, value, shape)
         if np.any(value < 0):
             raise ValueError(f"{name} has negative entries")
         if np.any(np.abs(value.sum(axis=-1) - 1.0) > atol):

@@ -34,7 +34,6 @@ class PitchSequence:
     pitches: np.ndarray
     timestamps: np.ndarray
     ticks_per_quarter: int = TICKS_PER_QUARTER
-    source_name: str = ""
 
     def __post_init__(self):
         self.pitches = np.asarray(self.pitches, dtype=np.int64)
@@ -84,7 +83,7 @@ def _fields(line):
     return [f.strip() for f in line.split(",")]
 
 
-def parse_midi_csv(text, source_name=""):
+def parse_midi_csv(text):
     """Parse a midicsv-convention document into a PitchSequence.
 
     Only note-on events (velocity > 0) enter the sequence; note-offs and
@@ -132,7 +131,7 @@ def parse_midi_csv(text, source_name=""):
     ons.sort(key=lambda e: e[0])  # stable: file order preserved within a tick
     pitches = np.array([p for _, _, p in ons], dtype=np.int64)
     times = np.array([t for t, _, _ in ons], dtype=np.int64)
-    return PitchSequence(pitches, times, ticks_per_quarter, source_name)
+    return PitchSequence(pitches, times, ticks_per_quarter)
 
 
 def emit_midi_csv(seq, note_duration=None):

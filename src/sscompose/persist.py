@@ -83,6 +83,19 @@ def _decode_value(hint, value, where):
     return value
 
 
+def _symbols(value, where, high, increasing=False):
+    """Decode a non-empty JSON array of integers in 0..high (strictly
+    increasing when asked) as an int64 array."""
+    value = _decode_value(list[int], value, where)
+    # type(v) is int rejects JSON booleans; the order is compared only on integers
+    ints = bool(value) and all(type(v) is int and 0 <= v <= high for v in value)
+    if not ints or (increasing and any(a >= b for a, b in zip(value, value[1:]))):
+        raise ValueError(f"corrupt model file: {where} must be a non-empty"
+                         f"{', strictly increasing' if increasing else ''} list of "
+                         f"integers in 0-{high}")
+    return np.asarray(value, dtype=np.int64)
+
+
 def model_to_dict(model):
     if type(model.params) not in PARAM_TYPES:
         raise TypeError(f"cannot serialize parameters of type {type(model.params).__name__}")
@@ -118,7 +131,7 @@ def _model_from_dict_checked(data):
     if not isinstance(tag, str) or tag not in PARAM_TAGS:
         raise ValueError(f"unknown parameter type {tag!r} in model file")
     report = data.get("report")
-    alphabet = PitchAlphabet(_decode_value(np.ndarray, data["alphabet"], "alphabet"))
+    alphabet = PitchAlphabet(_symbols(data["alphabet"], "alphabet", 127, increasing=True))
     params = _decode(PARAM_TAGS[tag], data["params"], "params")
     try:
         params.validate(atol=1e-8, n_symbols=alphabet.size)
@@ -129,8 +142,7 @@ def _model_from_dict_checked(data):
         alphabet,
         params,
         None if report is None else _decode(FitReport, report, "report"),
-        np.asarray(_decode_value(np.ndarray, data["training_symbols"], "training_symbols"),
-                   dtype=np.int64),
+        _symbols(data["training_symbols"], "training_symbols", alphabet.size - 1),
         data.get("seed"),
         dict(_object(data.get("extra", {}), "extra")),
     )

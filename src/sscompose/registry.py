@@ -169,13 +169,12 @@ PARAM_TYPES = {
 }
 
 
-def model_log_likelihood(model, obs=None):
+def model_log_likelihood(model):
     """Training-sequence log-likelihood of a fitted model (for TVAR, the
     grid-search log marginal)."""
     if isinstance(model.params, tvar.TvarFit):
         return model.params.log_marginal
-    return hmm.log_likelihood(model.params,
-                              model.training_symbols if obs is None else obs)
+    return hmm.log_likelihood(model.params, model.training_symbols)
 
 
 def sample_model(model, length, seed):

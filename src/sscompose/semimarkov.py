@@ -25,6 +25,7 @@ from scipy.special import expit
 from .hmm import (
     DEFAULT_TOL,
     DEFAULT_MAX_ITER,
+    ChainParams,
     ZeroProbabilityError,
     _as_rng,
     _check_obs,
@@ -46,7 +47,7 @@ PRIOR_SCALE = 3.0     # standard deviation of the normal prior on the dwell logi
 
 
 @dataclass
-class HsmmParams:
+class HsmmParams(ChainParams):
     initial: np.ndarray     # (n,)
     transition: np.ndarray  # (n, n), zero diagonal
     emission: np.ndarray    # (n, K)
@@ -55,10 +56,6 @@ class HsmmParams:
     @property
     def n_states(self):
         return len(self.initial)
-
-    @property
-    def n_symbols(self):
-        return self.emission.shape[1]
 
     @property
     def d_max(self):
@@ -73,7 +70,7 @@ class HsmmParams:
             raise ValueError("initial, transition, emission and duration must have "
                              "1, 2, 2 and 2 axes")
         n = len(self.initial)
-        K = np.shape(self.emission)[1] if n_symbols is None else n_symbols
+        K = self.n_symbols if n_symbols is None else n_symbols
         check_distributions(atol, [("initial", self.initial, (n,)),
                                    ("transition", self.transition, (n, n)),
                                    ("emission", self.emission, (n, K)),
@@ -205,7 +202,7 @@ def sample_hsmm(params, length, seed):
 
 
 @dataclass
-class NshmmParams:
+class NshmmParams(ChainParams):
     initial: np.ndarray       # (n,)
     switch: np.ndarray        # (n, n): p(next state | leave), zero diagonal
     emission: np.ndarray      # (n, K)
@@ -214,10 +211,6 @@ class NshmmParams:
     @property
     def n_states(self):
         return len(self.initial)
-
-    @property
-    def n_symbols(self):
-        return self.emission.shape[1]
 
     @property
     def d_max(self):
@@ -233,7 +226,7 @@ class NshmmParams:
             raise ValueError("initial, switch, emission and stay_profile must have "
                              "1, 2, 2 and 2 axes")
         n = len(self.initial)
-        K = np.shape(self.emission)[1] if n_symbols is None else n_symbols
+        K = self.n_symbols if n_symbols is None else n_symbols
         check_distributions(atol, [("initial", self.initial, (n,)),
                                    ("switch", self.switch, (n, n)),
                                    ("emission", self.emission, (n, K))])

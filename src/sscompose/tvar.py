@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .hmm import _as_rng, check_positive_ints
+from .hmm import _as_rng, check_positive_ints, check_table
 
 DEFAULT_ORDERS = tuple(range(7, 15))
 DEFAULT_STATE_DISCOUNTS = (0.90, 0.95, 0.99, 1.0)
@@ -76,11 +76,7 @@ class TvarFit:
                                    ("coeff_covs", self.coeff_covs, (steps, d, d)),
                                    ("s", s, (steps,)), ("dof", self.dof, (steps,)),
                                    ("series", self.series, (steps + d,))]:
-            value = np.asarray(value, dtype=float)
-            if value.shape != shape:
-                raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} has non-finite entries")
+            check_table(name, value, shape)
         if np.any(s <= 0) or np.any(np.asarray(self.dof, dtype=float) <= 0):
             raise ValueError("s and dof must be positive")
 
@@ -183,12 +179,10 @@ def backward_sample(fit, length, seed, sample_coeffs=True, innovation_scale=1.0)
     steps = fit.n_steps
     delta = fit.state_discount
 
-    if sample_coeffs:
-        v = fit.s[-1] * fit.dof[-1] / rng.chisquare(fit.dof[-1])
-    else:
-        v = fit.s[-1]
+    v = fit.s[-1]
     theta = np.empty((steps, d))
     if sample_coeffs:
+        v = v * fit.dof[-1] / rng.chisquare(fit.dof[-1])
         scale_T = fit.coeff_covs[-1] * (v / fit.s[-1])
         theta[-1] = rng.multivariate_normal(fit.coeff_means[-1], scale_T,
                                             method="svd")
@@ -205,11 +199,13 @@ def backward_sample(fit, length, seed, sample_coeffs=True, innovation_scale=1.0)
     out = np.empty(length)
     sd_noise = np.sqrt(v) * innovation_scale
     eps = rng.standard_normal(length)
-    for t in range(length):
-        coeff = theta[min(t, steps - 1)]
-        x = float(coeff @ np.asarray(lags)) + sd_noise * eps[t]
-        out[t] = x
-        lags = [x] + lags[:-1]
+    # an explosive fit overflows to inf or nan, which bin_to_alphabet rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(length):
+            coeff = theta[min(t, steps - 1)]
+            x = float(coeff @ np.asarray(lags)) + sd_noise * eps[t]
+            out[t] = x
+            lags = [x] + lags[:-1]
     return out
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .hmm import (
     DEFAULT_TOL,
     DEFAULT_MAX_ITER,
+    ChainParams,
     HmmParams,
     _as_rng,
     _check_obs,
@@ -42,17 +43,13 @@ from .hmm import (
 
 
 @dataclass
-class KhmmParams:
+class KhmmParams(ChainParams):
     order: int
     n_states: int
     initial: np.ndarray                 # (n,)
     init_transitions: list[np.ndarray]  # step i in 2..k: (n^(i-1), n)
     transition: np.ndarray              # (n^k, n): p(z_t | previous k states)
     emission: np.ndarray                # (n, K)
-
-    @property
-    def n_symbols(self):
-        return self.emission.shape[1]
 
     @property
     def n_tuples(self):
@@ -70,7 +67,7 @@ class KhmmParams:
                              f"found {len(self.init_transitions)}")
         if np.ndim(self.emission) != 2:
             raise ValueError("emission must have 2 axes")
-        K = np.shape(self.emission)[1] if n_symbols is None else n_symbols
+        K = self.n_symbols if n_symbols is None else n_symbols
         check_distributions(atol, [
             ("initial", self.initial, (n,)),
             *((f"init_transitions[{i - 2}]", table, (n ** (i - 1), n))
@@ -226,7 +223,7 @@ def train_lrhmm(obs, n_states, n_symbols, order=1, init=None, seed=None,
 
 
 @dataclass
-class ArhmmParams:
+class ArhmmParams(ChainParams):
     initial: np.ndarray        # (n,)
     transition: np.ndarray     # (n, n)
     emission: np.ndarray       # (n, K, K): p(x_t | z_t, x_{t-1})
@@ -236,16 +233,12 @@ class ArhmmParams:
     def n_states(self):
         return len(self.initial)
 
-    @property
-    def n_symbols(self):
-        return self.init_emission.shape[1]
-
     def validate(self, atol=1e-12, n_symbols=None):
         """Raise ValueError unless the tables have shapes (n,), (n, n),
         (n, K, K) and (n, K), with K == n_symbols when given, and every row
         is a distribution."""
         n = len(self.initial)
-        K = np.shape(self.init_emission)[-1] if n_symbols is None else n_symbols
+        K = self.n_symbols if n_symbols is None else n_symbols
         check_distributions(atol, [("initial", self.initial, (n,)),
                                    ("transition", self.transition, (n, n)),
                                    ("emission", self.emission, (n, K, K)),
@@ -278,14 +271,14 @@ def train_arhmm(obs, n_states, n_symbols, init=None, seed=None,
     if init is None:
         init = random_arhmm_params(n_states, n_symbols, seed)
     n, K = n_states, n_symbols
+    pairs = obs[:-1] * K + obs[1:]  # (previous symbol, symbol) as one index
 
     def step(params):
         loglik, gamma, xi_sum = _flat_posteriors(params, obs)
-        emis_acc = np.zeros((n, K, K))  # [state, previous symbol, symbol]
-        np.add.at(emis_acc.transpose(1, 2, 0), (obs[:-1], obs[1:]), gamma[1:])
         new = ArhmmParams(gamma[0],
                           _normalized(xi_sum),
-                          _normalized(emis_acc),
+                          _normalized(_emission_counts(pairs, gamma[1:], K * K)
+                                      .reshape(n, K, K)),
                           _normalized(_emission_counts(obs[:1], gamma[:1], K)))
         return new, loglik
 

@@ -373,7 +373,7 @@ def test_criterion_9_corpus_reproduction():
     for path in files:
         name = os.path.basename(path).lower()
         with open(path) as fh:
-            seq = parse_midi_csv(fh.read(), source_name=name)
+            seq = parse_midi_csv(fh.read())
         matched = [i for i, keys in enumerate(TABLE_ORDER)
                    if any(k in name for k in keys)]
         assert len(matched) == 1, f"cannot identify piece for {name}"

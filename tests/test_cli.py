@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -572,6 +573,7 @@ def test_count_arguments_range_checked(tmp_path, toy_piece, capsys):
             (["generate", "--model", model, "--n", "0"], "--n must be >= 1"),
             (["generate", "--model", model, "--length", "0"], "--length must be >= 1"),
             (["generate", "--model", model, "--length", "-3"], "--length must be >= 1"),
+            (["generate", "--model", model, "--seed", "-1"], "--seed must be >= 0"),
             (["export", "--input", piece, "--batch", batch, "--top", "-1"],
              "--top must be >= 0"),
             (["train", "--input", piece, "--model", "M1", "--max-iter", "0"],
@@ -580,6 +582,8 @@ def test_count_arguments_range_checked(tmp_path, toy_piece, capsys):
              "--max-iter must be >= 1"),
             (["train", "--input", piece, "--model", "M1", "--restarts", "0"],
              "--restarts must be >= 1"),
+            (["train", "--input", piece, "--model", "M1", "--seed", "-1"],
+             "--seed must be >= 0"),
             (["train", "--input", piece, "--model", "M2", "--states", "2", "--order", "0"],
              "order must be a positive integer"),
             (["train", "--input", piece, "--model", "M5", "--states", "2", "--order", "-1"],
@@ -604,17 +608,33 @@ def test_train_shows_fit_warnings(tmp_path, toy_piece, capsys, model, warning):
     assert report["warnings"] == [warning]
 
 
-def test_failed_generate_creates_no_output_dir(tmp_path, toy_piece):
+def test_failed_generate_creates_no_output_dir(tmp_path, toy_piece, capsys):
     piece, _ = toy_piece
     run = tmp_path / "run"
     assert _run("train", "--input", piece, "--model", "M15", "--out", run) == 0
-    path = run / "M15_model.json"
-    data = json.loads(path.read_text())
+    assert _run("train", "--input", piece, "--model", "M14", "--out", run) == 0
+    data = json.loads((run / "M15_model.json").read_text())
     del data["params"]["transition"]
-    path.write_text(json.dumps(data))
-    out = tmp_path / "out"
-    assert _run("generate", "--model", path, "--n", "1", "--out", out) == 2
-    assert not out.exists()
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(data))
+    # every AR coefficient 3.0: the simulated series overflows within 2000 steps
+    data = json.loads((run / "M14_model.json").read_text())
+    data["params"]["coeff_means"] = np.full(np.shape(data["params"]["coeff_means"]),
+                                            3.0).tolist()
+    explosive = tmp_path / "explosive.json"
+    explosive.write_text(json.dumps(data))
+    for i, argv in enumerate([["--model", broken],
+                              ["--model", run / "M15_model.json", "--seed", "-1"],
+                              ["--model", explosive, "--length", "2000"]]):
+        out = tmp_path / f"out{i}"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _run("generate", *argv, "--n", "1", "--out", out) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert [str(w.message) for w in caught] == []  # a CLI run prints each on stderr
 
 
 @pytest.mark.parametrize("command", ["evaluate", "export"])
@@ -628,11 +648,31 @@ def test_failed_scoring_creates_no_output_dir(tmp_path, toy_piece, command):
     assert not out.exists()
 
 
+BAD_ALPHABET = ("alphabet must be a non-empty, strictly increasing list of integers "
+                "in 0-127")
+BAD_SYMBOLS = "training_symbols must be a non-empty list of integers in 0-7"
+
+
+# the toy piece's alphabet is 55..62
 @pytest.mark.parametrize("field,value,message", [
     ("extra", 5, "extra is not a JSON object"),
     ("alphabet", {"a": 1}, "alphabet is not a JSON array"),
     ("training_symbols", 7, "training_symbols is not a JSON array"),
-], ids=["extra", "alphabet", "training_symbols"])
+    ("alphabet", [200, 56, 57, 58, 59, 60, 61, 62], BAD_ALPHABET),
+    ("alphabet", [55.7, 56, 57, 58, 59, 60, 61, 62], BAD_ALPHABET),
+    ("alphabet", [55, 55, 57, 58, 59, 60, 61, 62], BAD_ALPHABET),
+    ("alphabet", [True, 56, 57, 58, 59, 60, 61, 62], BAD_ALPHABET),
+    ("alphabet", [62, 61, 60, 59, 58, 57, 56, 55], BAD_ALPHABET),
+    ("alphabet", [], BAD_ALPHABET),
+    ("training_symbols", [0, 1, 99], BAD_SYMBOLS),
+    ("training_symbols", [0, -1, 2], BAD_SYMBOLS),
+    ("training_symbols", [0, 1.5, 2], BAD_SYMBOLS),
+    ("training_symbols", [False, 1, 2], BAD_SYMBOLS),
+    ("training_symbols", [], BAD_SYMBOLS),
+], ids=["extra", "alphabet", "training_symbols", "alphabet-above-127", "alphabet-float",
+        "alphabet-duplicate", "alphabet-bool", "alphabet-decreasing", "alphabet-empty",
+        "symbols-outside-alphabet", "symbols-negative", "symbols-float", "symbols-bool",
+        "symbols-empty"])
 def test_non_container_model_field_rejected_on_load(tmp_path, toy_piece, capsys,
                                                     field, value, message):
     piece, _ = toy_piece

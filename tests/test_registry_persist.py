@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sscompose import persist, registry
+from sscompose import hmm, persist, registry, tvar
 from sscompose.midi_codec import PitchSequence
 
 
@@ -173,6 +173,19 @@ def test_report_persisted_with_trace(tmp_path):
     loaded = persist.load_model(tmp_path / "m1.json")
     assert loaded.report.log_likelihood_trace == model.report.log_likelihood_trace
     assert loaded.report.iterations == model.report.iterations
+
+
+def test_every_chain_parameter_type_derives_from_chain_params():
+    others = [cls for cls in registry.PARAM_TYPES if not issubclass(cls, hmm.ChainParams)]
+    assert others == [tvar.TvarFit]
+
+
+@pytest.mark.parametrize("name", [name for name in registry.REGISTRY if name != "M14"])
+def test_alphabet_size_is_the_emission_tables_last_axis(name):
+    options = registry.REGISTRY[name].options
+    small = {k: v for k, v in {"states": 3, "d_max": 4}.items() if k in options}
+    model = registry.train_model(name, _toy_sequence(), seed=0, max_iter=1, **small)
+    assert model.params.n_symbols == model.alphabet.size
 
 
 def test_tvar_grid_audit_in_extra():
