@@ -118,7 +118,7 @@ def cmd_generate(args):
     for i, seq in enumerate(pieces):
         path = os.path.join(pieces_dir, f"piece_{i:04d}.txt")
         with open(path, "w") as fh:
-            fh.write("\n".join(str(int(p)) for p in seq.pitches) + "\n")
+            fh.write("\n".join(map(str, seq.pitches.tolist())) + "\n")
         piece_paths.append(os.path.relpath(path, out_dir))
         if args.midi:
             midi_path = os.path.join(pieces_dir, f"piece_{i:04d}.csv")

@@ -22,6 +22,7 @@ from .hmm import (
     ChainParams,
     HmmParams,
     _as_rng,
+    _cdf,
     _check_obs,
     _draw,
     _emission_counts,
@@ -33,7 +34,7 @@ from .hmm import (
     check_state_cap,
     random_params,
     run_em,
-    sample,
+    sampler,
     viterbi,
 )
 
@@ -118,8 +119,8 @@ def train_tshmm(obs, m1, m2, n_symbols, init=None, seed=None,
     return run_em(lambda params: tshmm_em_step(params, obs), init, tol, max_iter, seed)
 
 
-def sample_tshmm(params, length, seed):
-    return sample(_tshmm_flat(params), length, seed)
+def tshmm_sampler(params):
+    return sampler(_tshmm_flat(params))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +232,8 @@ def train_fhmm(obs, chain_sizes, n_symbols, init=None, seed=None,
     return run_em(lambda params: _fhmm_em_step(params, obs), init, tol, max_iter, seed)
 
 
-def sample_fhmm(params, length, seed):
-    return sample(_fhmm_flat(params), length, seed)
+def fhmm_sampler(params):
+    return sampler(_fhmm_flat(params))
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +293,21 @@ def train_lhmm(obs, n_states, n_layers, n_symbols, seed=None,
     return LhmmParams(layers, reports, warnings), reports[-1]
 
 
-def sample_lhmm(params, length, seed):
-    """Top-down ancestral sampling through the layer stack."""
-    rng = _as_rng(seed)
-    seq = sample(params.layers[-1], length, rng)
-    for layer in reversed(params.layers[:-1]):
-        cum_emis = np.cumsum(layer.emission, axis=1)
-        u = rng.random(length)
-        seq = np.array([_draw(cum_emis[s], ui) for s, ui in zip(seq, u)], dtype=np.int64)
-    return seq
+def lhmm_sampler(params):
+    """Top-down ancestral sampler draw(length, seed) through the layer
+    stack: the top layer's chain, then each lower layer emits one symbol
+    per symbol of the layer above, with its length uniforms drawn after the
+    layer above."""
+    top = sampler(params.layers[-1])
+    lower = [_cdf(layer.emission) for layer in reversed(params.layers[:-1])]
+
+    def draw(length, seed):
+        rng = _as_rng(seed)
+        seq = top(length, rng)
+        for emis in lower:
+            u = rng.random(length).tolist()
+            seq = np.array([_draw(emis, s, ui) for s, ui in zip(seq.tolist(), u)],
+                           dtype=np.int64)
+        return seq
+
+    return draw

@@ -19,10 +19,20 @@ and gets back the fitted parameters and the FitReport.  Every M-step
 turns its expected counts into rows with ``_normalized``, so SMOOTHING is
 applied here and nowhere else, and tallies emissions with
 ``_emission_counts``.
+
+Every sampler draws through ``_cdf`` and ``_draw``: ``_cdf(table)`` is a
+flat memoryview over the cumulative sums of the table's last-axis rows,
+with the row width, and ``_draw(cdf, row, u)`` bisects one row for
+uniform u, clamped to the last column, which is the column
+``np.searchsorted(side="right")`` finds.  Each parameter type has a
+sampler builder, ``sampler(params) -> draw(length, seed)``, that makes
+its tables once (``sampler`` here, ``_order_k_sampler`` for any order-k
+chain), so a batch of pieces shares them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,38 +288,63 @@ def viterbi(params, obs):
     return path
 
 
-def _draw(cumulative, u):
-    """Inverse-cdf draw from a precomputed cumulative row."""
-    return min(int(np.searchsorted(cumulative, u, side="right")), len(cumulative) - 1)
+def _cdf(table):
+    """Inverse-cdf table of table's last-axis rows: a flat memoryview over
+    np.cumsum(table, axis=-1) and the row width.  Rows are numbered in C
+    order, so row z * K + x of an (n, K, K) table is table[z, x]."""
+    cum = np.cumsum(table, axis=-1)
+    return memoryview(cum.reshape(-1)), cum.shape[-1]
 
 
-def _sample_order_k(cum_steps, cum_emission, length, seed):
-    """Ancestral sampling of an order-k chain, k = len(cum_steps) - 1.
+def _draw(cdf, row, u):
+    """Inverse-cdf draw of uniform u from a row of a _cdf table: the first
+    column whose cumulative value exceeds u, clamped to the last column.
+    It compares the same doubles as np.searchsorted(side="right"), so it
+    finds the same column."""
+    flat, width = cdf
+    start = row * width
+    column = bisect_right(flat, u, start, start + width) - start
+    return column if column < width else width - 1
 
-    cum_steps[i] holds the cumulative next-state rows after i states,
-    indexed by those states read as base-n digits; cum_steps[k] applies
-    from step k on, indexed by the last k states.  Step t draws its state
-    with uniform 2t and its symbol with uniform 2t + 1.
+
+def _order_k_sampler(step_tables, emission):
+    """Ancestral sampler draw(length, seed) of an order-k chain,
+    k = len(step_tables) - 1, with every table's _cdf built once.
+
+    step_tables[i] holds the next-state rows after i states, indexed by
+    those states read as base-n digits; step_tables[k] applies from step k
+    on, indexed by the last k states.  Step t draws its state with uniform
+    2t and its symbol with uniform 2t + 1.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    u = _as_rng(seed).random(2 * length).tolist()
-    k, n = len(cum_steps) - 1, len(cum_emission)
+    steps = [_cdf(table) for table in step_tables]
+    emis = _cdf(emission)
+    k, n = len(steps) - 1, len(emission)
     keep = n ** (k - 1)  # contexts keep the last k - 1 states before the next is appended
-    obs = np.empty(length, dtype=np.int64)
-    context = 0
-    for t in range(length):
-        z = _draw(cum_steps[min(t, k)][context], u[2 * t])
-        obs[t] = _draw(cum_emission[z], u[2 * t + 1])
-        context = context % keep * n + z
-    return obs
+
+    def draw(length, seed):
+        if length < 1:
+            raise ValueError("length must be >= 1")
+        u = iter(_as_rng(seed).random(2 * length).tolist())
+        obs = [0] * length
+        context = 0
+        for t, (u_state, u_symbol) in enumerate(zip(u, u)):  # uniforms 2t and 2t + 1
+            z = _draw(steps[t] if t < k else steps[k], context, u_state)
+            obs[t] = _draw(emis, z, u_symbol)
+            context = context % keep * n + z
+        return np.array(obs, dtype=np.int64)
+
+    return draw
+
+
+def sampler(params):
+    """Ancestral sampler draw(length, seed): z_1 ~ pi, z_t ~ transition row,
+    x_t ~ emission row."""
+    return _order_k_sampler([params.initial[None], params.transition], params.emission)
 
 
 def sample(params, length, seed):
-    """Ancestral sampling: z_1 ~ pi, z_t ~ transition row, x_t ~ emission row."""
-    return _sample_order_k([np.cumsum(params.initial[None], axis=1),
-                            np.cumsum(params.transition, axis=1)],
-                           np.cumsum(params.emission, axis=1), length, seed)
+    """One ancestral sample of the given length (see sampler)."""
+    return sampler(params)(length, seed)
 
 
 def _masked_dirichlet(rng, mask):

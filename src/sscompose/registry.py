@@ -3,11 +3,13 @@
 Each entry pairs a model kind with its default hyperparameters.  Training
 takes a pitch sequence, builds the piece's alphabet, fits the model and
 returns a TrainedModel; sampling produces a new pitch array of the
-requested length from the fitted parameters.
+requested length from the fitted parameters, through sampling tables each
+TrainedModel builds once and keeps.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,6 +78,13 @@ class TrainedModel:
     @property
     def kind(self):
         return self.spec.kind
+
+    @functools.cached_property
+    def draw(self):
+        """The sampler of params, draw(length, seed), built on first use and
+        kept: not a field, so persist, == and repr do not see it."""
+        _, sampler = PARAM_TYPES[type(self.params)]
+        return sampler(self.params)
 
 
 def _resolved_options(spec, overrides):
@@ -149,22 +158,23 @@ def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
                         seed if isinstance(seed, int) else None, extra)
 
 
-# Parameter dataclass -> (model-file tag, symbol sampler(params, length,
-# seed)).  Model kinds that share a parameter type share its entry: "random"
-# fits HmmParams, "lrhmm" HmmParams or KhmmParams.  Every type but TVAR's
-# states its chain for hmm.log_likelihood.  TVAR's sampler draws a
-# real-valued series, not symbols, and resolves tvar.backward_sample when it
-# is called.
+# Parameter dataclass -> (model-file tag, sampler builder).  A builder
+# sampler(params) makes the parameters' sampling tables once and returns
+# draw(length, seed), a symbol array.  Model kinds that share a parameter
+# type share its entry: "random" fits HmmParams, "lrhmm" HmmParams or
+# KhmmParams.  Every type but TVAR's states its chain for
+# hmm.log_likelihood.  TVAR's draw returns a real-valued series, not
+# symbols, and resolves tvar.backward_sample when it is called.
 PARAM_TYPES = {
-    hmm.HmmParams: ("hmm", hmm.sample),
-    variants.KhmmParams: ("khmm", variants.sample_khmm),
-    variants.ArhmmParams: ("arhmm", variants.sample_arhmm),
-    semimarkov.HsmmParams: ("hsmm", semimarkov.sample_hsmm),
-    semimarkov.NshmmParams: ("nshmm", semimarkov.sample_nshmm),
-    hierarchical.TshmmParams: ("tshmm", hierarchical.sample_tshmm),
-    hierarchical.FhmmParams: ("fhmm", hierarchical.sample_fhmm),
-    hierarchical.LhmmParams: ("lhmm", hierarchical.sample_lhmm),
-    tvar.TvarFit: ("tvar", lambda params, length, seed:
+    hmm.HmmParams: ("hmm", hmm.sampler),
+    variants.KhmmParams: ("khmm", variants.khmm_sampler),
+    variants.ArhmmParams: ("arhmm", variants.arhmm_sampler),
+    semimarkov.HsmmParams: ("hsmm", semimarkov.hsmm_sampler),
+    semimarkov.NshmmParams: ("nshmm", semimarkov.nshmm_sampler),
+    hierarchical.TshmmParams: ("tshmm", hierarchical.tshmm_sampler),
+    hierarchical.FhmmParams: ("fhmm", hierarchical.fhmm_sampler),
+    hierarchical.LhmmParams: ("lhmm", hierarchical.lhmm_sampler),
+    tvar.TvarFit: ("tvar", lambda params: lambda length, seed:
                    tvar.backward_sample(params, length, seed)),
 }
 
@@ -179,11 +189,10 @@ def model_log_likelihood(model):
 
 def sample_model(model, length, seed):
     """Draw a new pitch array of the given length from the fitted model."""
-    _, sampler = PARAM_TYPES[type(model.params)]
-    draw = sampler(model.params, length, seed)
+    values = model.draw(length, seed)
     if isinstance(model.params, tvar.TvarFit):
-        return tvar.bin_to_alphabet(draw, model.alphabet)
-    return model.alphabet.to_pitches(draw)
+        return tvar.bin_to_alphabet(values, model.alphabet)
+    return model.alphabet.to_pitches(values)
 
 
 def sample_sequence(model, length, seed):

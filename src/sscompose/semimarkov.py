@@ -28,6 +28,7 @@ from .hmm import (
     ChainParams,
     ZeroProbabilityError,
     _as_rng,
+    _cdf,
     _check_obs,
     _draw,
     _emission_counts,
@@ -174,27 +175,30 @@ def train_hsmm(obs, n_states, n_symbols, d_max, init=None, seed=None,
     return run_em(lambda params: _hsmm_em_step(params, obs), init, tol, max_iter, seed)
 
 
-def sample_hsmm(params, length, seed):
-    """Dwell-explicit sampling; the last dwell may overshoot and is truncated."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    rng = _as_rng(seed)
-    cum_init = np.cumsum(params.initial)
-    cum_trans = np.cumsum(params.transition, axis=1)
-    cum_dur = np.cumsum(params.duration, axis=1)
-    cum_emis = np.cumsum(params.emission, axis=1)
-    obs = np.empty(length, dtype=np.int64)
-    t = 0
-    z = _draw(cum_init, rng.random())
-    while t < length:
-        d = _draw(cum_dur[z], rng.random()) + 1
-        for _ in range(d):
-            if t >= length:
-                break
-            obs[t] = _draw(cum_emis[z], rng.random())
-            t += 1
-        z = _draw(cum_trans[z], rng.random())
-    return obs
+def hsmm_sampler(params):
+    """Dwell-explicit sampler draw(length, seed); the last dwell may
+    overshoot and is truncated."""
+    init, trans = _cdf(params.initial), _cdf(params.transition)
+    dur, emis = _cdf(params.duration), _cdf(params.emission)
+
+    def draw(length, seed):
+        if length < 1:
+            raise ValueError("length must be >= 1")
+        rng = _as_rng(seed)
+        obs = [0] * length
+        t = 0
+        z = _draw(init, 0, rng.random())
+        while t < length:
+            d = _draw(dur, z, rng.random()) + 1
+            for _ in range(d):
+                if t >= length:
+                    break
+                obs[t] = _draw(emis, z, rng.random())
+                t += 1
+            z = _draw(trans, z, rng.random())
+        return np.array(obs, dtype=np.int64)
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +252,7 @@ class NshmmParams(ChainParams):
 def _nshmm_ffbs(params, obs, rng):
     """Sample a state path from its posterior (forward filter, backward sample).
 
-    Each step is the inverse-cdf draw `_draw(np.cumsum(w / w.sum()), u)` over
+    Each step is the inverse-cdf draw `_draw(_cdf(w / w.sum()), 0, u)` over
     the (n, D) predecessor weights w.  A step that continues a dwell has at
     most two nonzero weights, so it is drawn from those two scalars; the
     outcome, the clamp to the last cell included, is the dense draw's.
@@ -263,7 +267,7 @@ def _nshmm_ffbs(params, obs, rng):
     path = np.empty(T, dtype=np.int64)
     dwell = np.empty(T, dtype=np.int64)  # 0-based dwell index
     w = alphas[-1].ravel()
-    j, dd = divmod(_draw(np.cumsum(w / w.sum()), u[-1]), D)
+    j, dd = divmod(_draw(_cdf(w / w.sum()), 0, u[-1]), D)
     path[-1], dwell[-1] = j, dd
     for t in range(T - 2, -1, -1):
         if dd == 0:
@@ -274,7 +278,7 @@ def _nshmm_ffbs(params, obs, rng):
             total = w.sum()
             if total <= 0:
                 raise ZeroProbabilityError("degenerate backward-sampling weights")
-            j, dd = divmod(_draw(np.cumsum(w / total), u[t]), D)
+            j, dd = divmod(_draw(_cdf(w / total), 0, u[t]), D)
         else:
             # previous step was j at dwell dd - 1, or at D - 1 when saturated
             w_on = alphas[t, j, dd - 1] * stay[j, dd - 1]
@@ -376,24 +380,27 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
     return params, info
 
 
-def sample_nshmm(params, length, seed):
-    """Ancestral sampling threading the dwell counter."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    rng = _as_rng(seed)
-    n, D = params.n_states, params.d_max
-    cum_init = np.cumsum(params.initial)
-    cum_switch = np.cumsum(params.switch, axis=1)
-    cum_emis = np.cumsum(params.emission, axis=1)
-    obs = np.empty(length, dtype=np.int64)
-    z = _draw(cum_init, rng.random())
-    d = 0
-    obs[0] = _draw(cum_emis[z], rng.random())
-    for t in range(1, length):
-        if rng.random() < params.stay_profile[z, d]:
-            d = min(d + 1, D - 1)
-        else:
-            z = _draw(cum_switch[z], rng.random())
-            d = 0
-        obs[t] = _draw(cum_emis[z], rng.random())
-    return obs
+def nshmm_sampler(params):
+    """Ancestral sampler draw(length, seed) threading the dwell counter."""
+    init, switch, emis = _cdf(params.initial), _cdf(params.switch), _cdf(params.emission)
+    stay = params.stay_profile.tolist()
+    D = params.d_max
+
+    def draw(length, seed):
+        if length < 1:
+            raise ValueError("length must be >= 1")
+        rng = _as_rng(seed)
+        obs = [0] * length
+        z = _draw(init, 0, rng.random())
+        d = 0
+        obs[0] = _draw(emis, z, rng.random())
+        for t in range(1, length):
+            if rng.random() < stay[z][d]:
+                d = min(d + 1, D - 1)
+            else:
+                z = _draw(switch, z, rng.random())
+                d = 0
+            obs[t] = _draw(emis, z, rng.random())
+        return np.array(obs, dtype=np.int64)
+
+    return draw

@@ -22,14 +22,15 @@ from .hmm import (
     ChainParams,
     HmmParams,
     _as_rng,
+    _cdf,
     _check_obs,
     _draw,
     _emission_counts,
     _flat_posteriors,
     _masked_dirichlet,
     _normalized,
+    _order_k_sampler,
     _posteriors,
-    _sample_order_k,
     baum_welch,
     check_distributions,
     check_positive_ints,
@@ -179,12 +180,12 @@ def train_khmm(obs, n_states, order, n_symbols, init=None, seed=None,
     return run_em(lambda params: _khmm_em_step(params, obs, masks), init, tol, max_iter, seed)
 
 
-def sample_khmm(params, length, seed):
-    """Ancestral sampling: state i < k from pi or init table i, every later
-    state from the transition row of the previous k states."""
-    tables = [params.initial[None], *params.init_transitions, params.transition]
-    return _sample_order_k([np.cumsum(table, axis=1) for table in tables],
-                           np.cumsum(params.emission, axis=1), length, seed)
+def khmm_sampler(params):
+    """Ancestral sampler draw(length, seed): state i < k from pi or init
+    table i, every later state from the transition row of the previous k
+    states."""
+    return _order_k_sampler([params.initial[None], *params.init_transitions,
+                             params.transition], params.emission)
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +286,23 @@ def train_arhmm(obs, n_states, n_symbols, init=None, seed=None,
     return run_em(step, init, tol, max_iter, seed)
 
 
-def sample_arhmm(params, length, seed):
-    """Ancestral sampling threading the previous emitted symbol."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    rng = _as_rng(seed)
-    cum_init = np.cumsum(params.initial)
-    cum_trans = np.cumsum(params.transition, axis=1)
-    cum_emis = np.cumsum(params.emission, axis=2)
-    cum_init_emis = np.cumsum(params.init_emission, axis=1)
-    obs = np.empty(length, dtype=np.int64)
-    z = _draw(cum_init, rng.random())
-    obs[0] = _draw(cum_init_emis[z], rng.random())
-    for t in range(1, length):
-        z = _draw(cum_trans[z], rng.random())
-        obs[t] = _draw(cum_emis[z, obs[t - 1]], rng.random())
-    return obs
+def arhmm_sampler(params):
+    """Ancestral sampler draw(length, seed) threading the previous emitted
+    symbol x: state z's emission row for x is row z * K + x of the table."""
+    init, trans = _cdf(params.initial), _cdf(params.transition)
+    emis, init_emis = _cdf(params.emission), _cdf(params.init_emission)
+    K = params.n_symbols
+
+    def draw(length, seed):
+        if length < 1:
+            raise ValueError("length must be >= 1")
+        rng = _as_rng(seed)
+        obs = [0] * length
+        z = _draw(init, 0, rng.random())
+        obs[0] = _draw(init_emis, z, rng.random())
+        for t in range(1, length):
+            z = _draw(trans, z, rng.random())
+            obs[t] = _draw(emis, z * K + obs[t - 1], rng.random())
+        return np.array(obs, dtype=np.int64)
+
+    return draw

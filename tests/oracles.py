@@ -6,8 +6,10 @@ the recursive implementations is meaningful evidence of correctness.
 `rowwise_levenshtein`, `per_group_lines`, `dense_nshmm_ffbs` and
 `stepwise_tvar_log_marginal` are the plain per-step loops that faster
 library code must reproduce bit for bit; the `stepwise_*_sample` samplers
-are the separate first-order and order-k loops the shared sampler must
-reproduce draw for draw.
+are per-kind loops that draw with `np.searchsorted` on each cumulative
+row (`_draw_from`), frozen copies of the samplers before their tables
+were built once per model, which the library samplers must reproduce
+draw for draw.
 """
 
 import itertools
@@ -508,13 +510,17 @@ def _draw_from(cumulative, u):
     return min(int(np.searchsorted(cumulative, u, side="right")), len(cumulative) - 1)
 
 
+def _as_rng(seed):
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
 def stepwise_hmm_sample(params, length, seed):
     """First-order ancestral sampling, one state and one symbol per step:
     z_1 ~ pi, z_t ~ transition row, x_t ~ emission row, with step t using
     uniforms 2t and 2t + 1 of one block."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _as_rng(seed)
     cum_init = np.cumsum(params.initial)
     cum_trans = np.cumsum(params.transition, axis=1)
     cum_emis = np.cumsum(params.emission, axis=1)
@@ -569,3 +575,71 @@ def stepwise_lhmm_sample(params, length, seed):
         seq = np.array([_draw_from(cum_emis[s], u[t]) for t, s in enumerate(seq)],
                        dtype=np.int64)
     return seq
+
+
+def stepwise_arhmm_sample(params, length, seed):
+    """Ancestral sampling threading the previous emitted symbol, one scalar
+    uniform per draw, with a searchsorted draw per step."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    rng = _as_rng(seed)
+    cum_init = np.cumsum(params.initial)
+    cum_trans = np.cumsum(params.transition, axis=1)
+    cum_emis = np.cumsum(params.emission, axis=2)
+    cum_init_emis = np.cumsum(params.init_emission, axis=1)
+    obs = np.empty(length, dtype=np.int64)
+    z = _draw_from(cum_init, rng.random())
+    obs[0] = _draw_from(cum_init_emis[z], rng.random())
+    for t in range(1, length):
+        z = _draw_from(cum_trans[z], rng.random())
+        obs[t] = _draw_from(cum_emis[z, obs[t - 1]], rng.random())
+    return obs
+
+
+def stepwise_hsmm_sample(params, length, seed):
+    """Dwell-explicit sampling, one scalar uniform per draw: a state, its
+    dwell, one symbol per step of the dwell, then the next state; the last
+    dwell may overshoot and is truncated."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    rng = _as_rng(seed)
+    cum_init = np.cumsum(params.initial)
+    cum_trans = np.cumsum(params.transition, axis=1)
+    cum_dur = np.cumsum(params.duration, axis=1)
+    cum_emis = np.cumsum(params.emission, axis=1)
+    obs = np.empty(length, dtype=np.int64)
+    t = 0
+    z = _draw_from(cum_init, rng.random())
+    while t < length:
+        d = _draw_from(cum_dur[z], rng.random()) + 1
+        for _ in range(d):
+            if t >= length:
+                break
+            obs[t] = _draw_from(cum_emis[z], rng.random())
+            t += 1
+        z = _draw_from(cum_trans[z], rng.random())
+    return obs
+
+
+def stepwise_nshmm_sample(params, length, seed):
+    """Ancestral sampling threading the dwell counter, one scalar uniform
+    per draw: stay or switch, then the symbol."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    rng = _as_rng(seed)
+    n, D = params.n_states, params.d_max
+    cum_init = np.cumsum(params.initial)
+    cum_switch = np.cumsum(params.switch, axis=1)
+    cum_emis = np.cumsum(params.emission, axis=1)
+    obs = np.empty(length, dtype=np.int64)
+    z = _draw_from(cum_init, rng.random())
+    d = 0
+    obs[0] = _draw_from(cum_emis[z], rng.random())
+    for t in range(1, length):
+        if rng.random() < params.stay_profile[z, d]:
+            d = min(d + 1, D - 1)
+        else:
+            z = _draw_from(cum_switch[z], rng.random())
+            d = 0
+        obs[t] = _draw_from(cum_emis[z], rng.random())
+    return obs

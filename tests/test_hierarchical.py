@@ -72,8 +72,8 @@ def test_tshmm_product_cap():
 
 def test_tshmm_sample_deterministic():
     params = hierarchical.random_tshmm_params(3, 2, 4, 0)
-    assert np.array_equal(hierarchical.sample_tshmm(params, 30, seed=1),
-                          hierarchical.sample_tshmm(params, 30, seed=1))
+    assert np.array_equal(hierarchical.tshmm_sampler(params)(30, seed=1),
+                          hierarchical.tshmm_sampler(params)(30, seed=1))
 
 
 def _matched_fhmm_init(init):
@@ -141,8 +141,8 @@ def test_fhmm_train_rejects_an_init_over_the_cap():
 
 def test_fhmm_sample_deterministic():
     params = hierarchical.random_fhmm_params((2, 3), 4, 0)
-    assert np.array_equal(hierarchical.sample_fhmm(params, 30, seed=6),
-                          hierarchical.sample_fhmm(params, 30, seed=6))
+    assert np.array_equal(hierarchical.fhmm_sampler(params)(30, seed=6),
+                          hierarchical.fhmm_sampler(params)(30, seed=6))
 
 
 def test_lhmm_single_layer_reduces_to_baum_welch():
@@ -191,8 +191,8 @@ def test_lhmm_sample_deterministic():
     rng = np.random.default_rng(10)
     obs = rng.integers(0, 3, 100)
     params, _ = hierarchical.train_lhmm(obs, 3, 2, 3, seed=2, max_iter=5)
-    assert np.array_equal(hierarchical.sample_lhmm(params, 40, seed=3),
-                          hierarchical.sample_lhmm(params, 40, seed=3))
+    assert np.array_equal(hierarchical.lhmm_sampler(params)(40, seed=3),
+                          hierarchical.lhmm_sampler(params)(40, seed=3))
 
 
 def test_lhmm_sample_draws_lower_layers_after_the_top_layer():
@@ -200,7 +200,7 @@ def test_lhmm_sample_draws_lower_layers_after_the_top_layer():
     obs = rng.integers(0, 3, 100)
     params, _ = hierarchical.train_lhmm(obs, 3, 3, 3, seed=4, max_iter=3)
     for length in (1, 2, 3, 200):
-        assert np.array_equal(hierarchical.sample_lhmm(params, length, seed=5),
+        assert np.array_equal(hierarchical.lhmm_sampler(params)(length, seed=5),
                               stepwise_lhmm_sample(params, length, seed=5))
 
 

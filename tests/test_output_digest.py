@@ -1,12 +1,21 @@
 """Smoke test of tools/output_digest.py, the byte-identity harness that
-compares the CLI outputs of two source trees."""
+compares the CLI outputs of two source trees, and the standing check that
+the pipeline's seeded outputs match the listing checked in beside it."""
 
 import importlib.util
 import pathlib
 
+import numpy as np
+
 from sscompose.metrics import CRITERIA
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+# The tool's listing at --n 2 --seed 0 for the models fast enough for every
+# test run (M9's MCMC and M14's grid are left to the benchmark's
+# fingerprints).  Its first line names the numpy version that recorded it.
+LISTING = pathlib.Path(__file__).resolve().parent / "output_digest.txt"
+LISTED_MODELS = ["M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M10", "M11", "M12",
+                 "M13", "M15"]
 
 
 def _load_tool():
@@ -45,3 +54,17 @@ def test_manifest_digest_blanks_only_the_wall_clock_value(tmp_path):
         path.write_text(body)
         shas.append(tool._file_digest(str(path)))
     assert shas[0] == shas[1] and len(set(shas[1:])) == 3
+
+
+def test_seeded_outputs_match_the_checked_in_listing(tmp_path):
+    lines = LISTING.read_text().splitlines()
+    recorded_with = lines[0].removeprefix("# numpy ")
+    assert recorded_with == np.__version__, (
+        f"{LISTING.name} was recorded with numpy {recorded_with}, this run has numpy "
+        f"{np.__version__}: record it again and say which lines changed")
+    want = {name: sha for sha, name in (line.split("  ", 1) for line in lines
+                                        if not line.startswith("#"))}
+    got = dict(_load_tool().digest(LISTED_MODELS, tmp_path, seed=0, n=2))
+    differing = sorted(name for name in want.keys() | got.keys()
+                       if want.get(name) != got.get(name))
+    assert not differing, f"outputs differ from {LISTING.name}: {differing}"

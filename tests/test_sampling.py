@@ -1,0 +1,92 @@
+"""The samplers build their tables once per model and draw by bisection;
+these tests hold them to the frozen per-piece samplers in oracles.py and to
+np.searchsorted, draw for draw."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (stepwise_arhmm_sample, stepwise_hmm_sample, stepwise_hsmm_sample,
+                     stepwise_khmm_sample, stepwise_lhmm_sample, stepwise_nshmm_sample)
+from sscompose import hierarchical, hmm, persist, registry, semimarkov, variants
+from sscompose.midi_codec import PitchSequence
+
+PIECE_LENGTH = 60
+MODELS = ("M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M9", "M10", "M11", "M12",
+          "M13", "M15")
+# smaller state spaces where the default would make training slow
+OVERRIDES = {"M9": {"states": 4, "d_max": 4}, "M12": {"chains": (5, 4, 3)}}
+ORACLES = {
+    hmm.HmmParams: stepwise_hmm_sample,
+    variants.KhmmParams: stepwise_khmm_sample,
+    variants.ArhmmParams: stepwise_arhmm_sample,
+    semimarkov.HsmmParams: stepwise_hsmm_sample,
+    semimarkov.NshmmParams: stepwise_nshmm_sample,
+    hierarchical.TshmmParams: lambda params, length, seed:
+        stepwise_hmm_sample(hierarchical._tshmm_flat(params), length, seed),
+    hierarchical.FhmmParams: lambda params, length, seed:
+        stepwise_hmm_sample(hierarchical._fhmm_flat(params), length, seed),
+    hierarchical.LhmmParams: stepwise_lhmm_sample,
+}
+LENGTHS = (1, 2, 37, PIECE_LENGTH + 25)
+SEEDS = (0, 1, 7)
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    rng = np.random.default_rng(0)
+    walk = np.cumsum(rng.integers(-2, 3, PIECE_LENGTH)) % 8
+    piece = PitchSequence(55 + walk, np.arange(PIECE_LENGTH) * 240)
+    out = tmp_path_factory.mktemp("models")
+    paths = {}
+    for name in MODELS:
+        budget = {} if name in ("M9", "M15") else {"max_iter": 2}
+        model = registry.train_model(name, piece, seed=1, **budget, **OVERRIDES.get(name, {}))
+        paths[name] = out / f"{name}.json"
+        persist.save_model(model, paths[name])
+    return paths
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_sample_model_matches_the_frozen_sampler(model_files, name):
+    model = persist.load_model(model_files[name])
+    oracle = ORACLES[type(model.params)]
+    for length in LENGTHS:
+        for seed in SEEDS:
+            want = model.alphabet.to_pitches(oracle(model.params, length, seed))
+            assert np.array_equal(registry.sample_model(model, length, seed), want)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_interleaved_draws_on_one_model_equal_fresh_models(model_files, name, tmp_path):
+    model = persist.load_model(model_files[name])
+    calls = [(length, seed) for seed in SEEDS for length in LENGTHS]
+    got = [registry.sample_model(model, length, seed) for length, seed in calls[::-1] + calls]
+    want = [registry.sample_model(persist.load_model(model_files[name]), length, seed)
+            for length, seed in calls[::-1] + calls]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # the built sampler is kept on the model, and its file does not record it
+    assert "draw" in vars(model)
+    persist.save_model(model, tmp_path / "resaved.json")
+    assert (tmp_path / "resaved.json").read_bytes() == model_files[name].read_bytes()
+
+
+ENTRIES = st.sampled_from([0.0, 0.0, 0.1, 0.125, 0.25, 1 / 3, 0.5, 1.0])
+
+
+@settings(max_examples=150, database=None, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 7), st.data())
+def test_draw_finds_the_clamped_searchsorted_column(n_rows, width, data):
+    table = np.array(data.draw(st.lists(ENTRIES, min_size=n_rows * width,
+                                        max_size=n_rows * width))).reshape(n_rows, width)
+    cum = np.cumsum(table, axis=-1)
+    cdf = hmm._cdf(table)
+    for row in range(n_rows):
+        # every cumulative value (ties included), just around them, and past the last one
+        uniforms = {0.0, 1.0, float(cum[row, -1]) + 0.5, *data.draw(
+            st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=3))}
+        for c in cum[row].tolist():
+            uniforms.update((c, np.nextafter(c, -1.0), np.nextafter(c, 2.0)))
+        for u in uniforms:
+            want = min(int(np.searchsorted(cum[row], u, side="right")), width - 1)
+            assert hmm._draw(cdf, row, float(u)) == want

@@ -109,7 +109,7 @@ def test_hsmm_sample_dwell_capped():
     rng = np.random.default_rng(4)
     params = semimarkov.random_hsmm_params(3, 3, 4, rng)
     params.emission[:] = np.eye(3)  # observations expose the state path
-    seq = semimarkov.sample_hsmm(params, 300, seed=5)
+    seq = semimarkov.hsmm_sampler(params)(300, seed=5)
     assert len(seq) == 300
     runs = np.diff(np.flatnonzero(np.diff(seq) != 0))
     if len(runs):
@@ -118,8 +118,8 @@ def test_hsmm_sample_dwell_capped():
 
 def test_hsmm_sample_deterministic():
     params = semimarkov.random_hsmm_params(2, 3, 3, 0)
-    assert np.array_equal(semimarkov.sample_hsmm(params, 50, seed=8),
-                          semimarkov.sample_hsmm(params, 50, seed=8))
+    assert np.array_equal(semimarkov.hsmm_sampler(params)(50, seed=8),
+                          semimarkov.hsmm_sampler(params)(50, seed=8))
 
 
 def test_nshmm_seed_reproducible():
@@ -185,9 +185,9 @@ def test_nshmm_sample_deterministic_and_length():
         rng.dirichlet(np.ones(2)), switch,
         rng.dirichlet(np.ones(3), size=2),
         np.clip(rng.random((2, 4)), 0.05, 0.95))
-    a = semimarkov.sample_nshmm(params, 37, seed=4)
+    a = semimarkov.nshmm_sampler(params)(37, seed=4)
     assert len(a) == 37
-    assert np.array_equal(a, semimarkov.sample_nshmm(params, 37, seed=4))
+    assert np.array_equal(a, semimarkov.nshmm_sampler(params)(37, seed=4))
 
 
 def _random_nshmm(rng, n, K, D, stay_low=0.05, stay_high=0.95):

@@ -66,8 +66,8 @@ def test_khmm_m3_configuration_trains():
 
 def test_khmm_sample_deterministic():
     params = variants.random_khmm_params(3, 2, 4, 0)
-    a = variants.sample_khmm(params, 40, seed=7)
-    b = variants.sample_khmm(params, 40, seed=7)
+    a = variants.khmm_sampler(params)(40, seed=7)
+    b = variants.khmm_sampler(params)(40, seed=7)
     assert np.array_equal(a, b)
 
 
@@ -78,7 +78,7 @@ def test_khmm_sample_matches_stepwise_sampler(order, left_right):
         params = variants.random_khmm_params(n, order, 4, seed=order + n, left_right=left_right)
         for length in [*range(1, order + 2), 200]:
             for seed in (0, 11):
-                assert np.array_equal(variants.sample_khmm(params, length, seed),
+                assert np.array_equal(variants.khmm_sampler(params)(length, seed),
                                       stepwise_khmm_sample(params, length, seed))
 
 
@@ -116,7 +116,7 @@ def test_lrhmm_korder_nondecreasing_last_coordinate():
     obs = np.sort(rng.integers(0, 3, 80))
     params, _ = variants.train_lrhmm(obs, 3, 3, order=2, seed=2, max_iter=5)
     params.emission[:] = np.eye(3)
-    seq = variants.sample_khmm(params, 100, seed=9)
+    seq = variants.khmm_sampler(params)(100, seed=9)
     assert np.all(np.diff(seq) >= 0)
 
 
@@ -162,7 +162,7 @@ def test_arhmm_sampling_threads_previous_symbol():
     flip[:, 1, 0] = 1.0
     params = variants.ArhmmParams([0.5, 0.5], np.full((2, 2), 0.5),
                                   flip, [[1.0, 0.0], [1.0, 0.0]])
-    seq = variants.sample_arhmm(params, 30, seed=0)
+    seq = variants.arhmm_sampler(params)(30, seed=0)
     assert seq[0] == 0
     assert np.all(seq[1:] != seq[:-1])
 
