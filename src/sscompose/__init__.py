@@ -6,7 +6,6 @@ from .hmm import (
     HmmParams,
     ZeroProbabilityError,
     baum_welch,
-    forward_backward,
     log_likelihood,
     random_params,
     sample,
@@ -51,7 +50,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FitReport", "HmmParams", "ZeroProbabilityError", "baum_welch",
-    "forward_backward", "log_likelihood", "random_params", "sample", "viterbi",
+    "log_likelihood", "random_params", "sample", "viterbi",
     "EvaluationReport", "MetricVector", "PairMetrics", "acf_pacf",
     "dissonance_rate", "edit_distance", "empirical_entropy", "evaluate_batch",
     "interval_class_table", "large_interval_rate", "mutual_information",

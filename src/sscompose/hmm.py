@@ -23,16 +23,19 @@ applied here and nowhere else, and tallies emissions with
 Every sampler draws through ``_cdf`` and ``_draw``: ``_cdf(table)`` is a
 flat memoryview over the cumulative sums of the table's last-axis rows,
 with the row width, and ``_draw(cdf, row, u)`` bisects one row for
-uniform u, clamped to the last column, which is the column
-``np.searchsorted(side="right")`` finds.  Each parameter type has a
-sampler builder, ``sampler(params) -> draw(length, seed)``, that makes
-its tables once (``sampler`` here, ``_order_k_sampler`` for any order-k
-chain), so a batch of pieces shares them.
+uniform u.  A uniform at or above the row's last cumulative value takes
+the first column that reaches that value, which always has mass.  Each
+parameter type has a sampler builder, ``sampler(params) -> draw(length,
+seed)``, that makes its tables once (``sampler`` here,
+``_order_k_sampler`` for any order-k chain), so a batch of pieces shares
+them.  A symbol sampler's builder returns ``_block_sampler(walk,
+n_uniforms)``: ``draw`` draws one block of ``n_uniforms(length)``
+uniforms from the seed, and ``walk(u, length)`` reads them in order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,13 +211,6 @@ def _emission_counts(obs, weights, n_symbols):
     return acc
 
 
-def forward_backward(params, obs):
-    """E-step quantities: exact log-likelihood, gamma_t(i) and xi_t(i, j)."""
-    initial, transition, obs_lik = params.chain(_check_obs(obs, params.n_symbols))
-    loglik, alpha, right, gamma = _posteriors(initial, transition, obs_lik)
-    return loglik, gamma, alpha[:-1, :, None] * transition * right[:, None, :]
-
-
 def log_likelihood(params, obs):
     """Exact log-likelihood of obs under any HMM-family parameter type."""
     loglik, _, _ = _scaled_forward(*params.chain(_check_obs(obs, params.n_symbols)))
@@ -298,13 +294,30 @@ def _cdf(table):
 
 def _draw(cdf, row, u):
     """Inverse-cdf draw of uniform u from a row of a _cdf table: the first
-    column whose cumulative value exceeds u, clamped to the last column.
-    It compares the same doubles as np.searchsorted(side="right"), so it
-    finds the same column."""
+    column whose cumulative value exceeds u.  A u at or above the row's
+    last value takes the first column equal to that value, the last one
+    with mass (rounding can leave a row's total just below u)."""
     flat, width = cdf
     start = row * width
     column = bisect_right(flat, u, start, start + width) - start
-    return column if column < width else width - 1
+    if column < width:
+        return column
+    return bisect_left(flat, flat[start + width - 1], start, start + width) - start
+
+
+def _block_sampler(walk, n_uniforms):
+    """draw(length, seed) of a symbol sampler: walk(u, length) returns the
+    symbols, reading in order from u, an iterator over one block of
+    n_uniforms(length) uniforms drawn from the seed (a Generator passed as
+    the seed moves past the whole block)."""
+
+    def draw(length, seed):
+        if length < 1:
+            raise ValueError("length must be >= 1")
+        u = iter(_as_rng(seed).random(n_uniforms(length)).tolist())
+        return np.array(walk(u, length), dtype=np.int64)
+
+    return draw
 
 
 def _order_k_sampler(step_tables, emission):
@@ -314,26 +327,23 @@ def _order_k_sampler(step_tables, emission):
     step_tables[i] holds the next-state rows after i states, indexed by
     those states read as base-n digits; step_tables[k] applies from step k
     on, indexed by the last k states.  Step t draws its state with uniform
-    2t and its symbol with uniform 2t + 1.
+    2t and its symbol with uniform 2t + 1, so the block is read whole.
     """
     steps = [_cdf(table) for table in step_tables]
     emis = _cdf(emission)
     k, n = len(steps) - 1, len(emission)
     keep = n ** (k - 1)  # contexts keep the last k - 1 states before the next is appended
 
-    def draw(length, seed):
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        u = iter(_as_rng(seed).random(2 * length).tolist())
+    def walk(u, length):
         obs = [0] * length
         context = 0
         for t, (u_state, u_symbol) in enumerate(zip(u, u)):  # uniforms 2t and 2t + 1
             z = _draw(steps[t] if t < k else steps[k], context, u_state)
             obs[t] = _draw(emis, z, u_symbol)
             context = context % keep * n + z
-        return np.array(obs, dtype=np.int64)
+        return obs
 
-    return draw
+    return _block_sampler(walk, lambda length: 2 * length)
 
 
 def sampler(params):

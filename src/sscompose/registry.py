@@ -65,7 +65,7 @@ REGISTRY = {
 }
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: the numpy fields have no truth value
 class TrainedModel:
     spec: ModelSpec
     alphabet: object            # PitchAlphabet
@@ -82,7 +82,7 @@ class TrainedModel:
     @functools.cached_property
     def draw(self):
         """The sampler of params, draw(length, seed), built on first use and
-        kept: not a field, so persist, == and repr do not see it."""
+        kept: not a field, so persist and repr do not see it."""
         _, sampler = PARAM_TYPES[type(self.params)]
         return sampler(self.params)
 

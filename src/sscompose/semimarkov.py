@@ -28,6 +28,7 @@ from .hmm import (
     ChainParams,
     ZeroProbabilityError,
     _as_rng,
+    _block_sampler,
     _cdf,
     _check_obs,
     _draw,
@@ -176,29 +177,23 @@ def train_hsmm(obs, n_states, n_symbols, d_max, init=None, seed=None,
 
 
 def hsmm_sampler(params):
-    """Dwell-explicit sampler draw(length, seed); the last dwell may
-    overshoot and is truncated."""
+    """Dwell-explicit sampler draw(length, seed): the first state, then per
+    segment its dwell, one symbol per step of it and the next state, each
+    from the next uniform; the last dwell may overshoot and is truncated."""
     init, trans = _cdf(params.initial), _cdf(params.transition)
     dur, emis = _cdf(params.duration), _cdf(params.emission)
 
-    def draw(length, seed):
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        rng = _as_rng(seed)
-        obs = [0] * length
-        t = 0
-        z = _draw(init, 0, rng.random())
-        while t < length:
-            d = _draw(dur, z, rng.random()) + 1
-            for _ in range(d):
-                if t >= length:
-                    break
-                obs[t] = _draw(emis, z, rng.random())
-                t += 1
-            z = _draw(trans, z, rng.random())
-        return np.array(obs, dtype=np.int64)
+    def walk(u, length):
+        obs = []
+        z = _draw(init, 0, next(u))
+        while len(obs) < length:
+            d = _draw(dur, z, next(u)) + 1
+            obs += [_draw(emis, z, next(u)) for _ in range(min(d, length - len(obs)))]
+            z = _draw(trans, z, next(u))
+        return obs
 
-    return draw
+    # the first state, and at most length segments of dwell, symbols and switch
+    return _block_sampler(walk, lambda length: 3 * length + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +250,10 @@ def _nshmm_ffbs(params, obs, rng):
     Each step is the inverse-cdf draw `_draw(_cdf(w / w.sum()), 0, u)` over
     the (n, D) predecessor weights w.  A step that continues a dwell has at
     most two nonzero weights, so it is drawn from those two scalars; the
-    outcome, the clamp to the last cell included, is the dense draw's.
+    outcome, _draw's clamp included, is the dense draw's.
     """
     T = len(obs)
-    n, D = params.n_states, params.d_max
+    D = params.d_max
     initial, chain, lik = params.chain(obs)
     _, alphas, _ = _scaled_forward(initial, chain, lik)
     stay, leave_prob = chain.stay, chain.leave
@@ -286,13 +281,10 @@ def _nshmm_ffbs(params, obs, rng):
             total = w_on + w_sat
             if total <= 0:
                 raise ZeroProbabilityError("degenerate backward-sampling weights")
+            # the cdf rises to cdf at (j, dd - 1), then to top at (j, D - 1)
             cdf = w_on / total
-            if u[t] < cdf:
-                dd = dd - 1
-            elif dd == D - 1 and u[t] < cdf + w_sat / total:
-                dd = D - 1
-            else:  # _draw's clamp to the last cell
-                j, dd = n - 1, D - 1
+            top = cdf + w_sat / total
+            dd = D - 1 if cdf <= u[t] and cdf < top else dd - 1
         path[t], dwell[t] = j, dd
     return path, dwell
 
@@ -381,26 +373,25 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
 
 
 def nshmm_sampler(params):
-    """Ancestral sampler draw(length, seed) threading the dwell counter."""
+    """Ancestral sampler draw(length, seed) threading the dwell counter: the
+    first state and symbol, then per step stay or leave, the next state on
+    leaving, and the symbol, each from the next uniform."""
     init, switch, emis = _cdf(params.initial), _cdf(params.switch), _cdf(params.emission)
     stay = params.stay_profile.tolist()
     D = params.d_max
 
-    def draw(length, seed):
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        rng = _as_rng(seed)
-        obs = [0] * length
-        z = _draw(init, 0, rng.random())
+    def walk(u, length):
+        z = _draw(init, 0, next(u))
         d = 0
-        obs[0] = _draw(emis, z, rng.random())
-        for t in range(1, length):
-            if rng.random() < stay[z][d]:
+        obs = [_draw(emis, z, next(u))]
+        for _ in range(1, length):
+            if next(u) < stay[z][d]:
                 d = min(d + 1, D - 1)
             else:
-                z = _draw(switch, z, rng.random())
+                z = _draw(switch, z, next(u))
                 d = 0
-            obs[t] = _draw(emis, z, rng.random())
-        return np.array(obs, dtype=np.int64)
+            obs.append(_draw(emis, z, next(u)))
+        return obs
 
-    return draw
+    # two uniforms for the first step, at most three for each later one
+    return _block_sampler(walk, lambda length: 3 * length - 1)

@@ -22,6 +22,7 @@ from .hmm import (
     ChainParams,
     HmmParams,
     _as_rng,
+    _block_sampler,
     _cdf,
     _check_obs,
     _draw,
@@ -288,21 +289,18 @@ def train_arhmm(obs, n_states, n_symbols, init=None, seed=None,
 
 def arhmm_sampler(params):
     """Ancestral sampler draw(length, seed) threading the previous emitted
-    symbol x: state z's emission row for x is row z * K + x of the table."""
+    symbol x: state z's emission row for x is row z * K + x of the table.
+    Step t draws its state with uniform 2t and its symbol with 2t + 1."""
     init, trans = _cdf(params.initial), _cdf(params.transition)
     emis, init_emis = _cdf(params.emission), _cdf(params.init_emission)
     K = params.n_symbols
 
-    def draw(length, seed):
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        rng = _as_rng(seed)
-        obs = [0] * length
-        z = _draw(init, 0, rng.random())
-        obs[0] = _draw(init_emis, z, rng.random())
-        for t in range(1, length):
-            z = _draw(trans, z, rng.random())
-            obs[t] = _draw(emis, z * K + obs[t - 1], rng.random())
-        return np.array(obs, dtype=np.int64)
+    def walk(u, length):
+        z = _draw(init, 0, next(u))
+        obs = [_draw(init_emis, z, next(u))]
+        for u_state, u_symbol in zip(u, u):
+            z = _draw(trans, z, u_state)
+            obs.append(_draw(emis, z * K + obs[-1], u_symbol))
+        return obs
 
-    return draw
+    return _block_sampler(walk, lambda length: 2 * length)

@@ -459,7 +459,7 @@ def dense_nshmm_ffbs(params, obs, rng):
             raise ValueError("degenerate backward-sampling weights")
         cdf = np.cumsum(w / w.sum())
         return divmod(min(int(np.searchsorted(cdf, rng.random(), side="right")),
-                          len(cdf) - 1), D)
+                          int(np.searchsorted(cdf, cdf[-1], side="left"))), D)
 
     path = np.empty(T, dtype=np.int64)
     dwell = np.empty(T, dtype=np.int64)

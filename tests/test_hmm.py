@@ -9,7 +9,7 @@ def test_single_state_loglik():
     params = hmm.HmmParams([1.0], [[1.0]], [[0.2, 0.3, 0.5]])
     obs = np.array([0, 2, 1, 2])
     expected = sum(np.log(params.emission[0, o]) for o in obs)
-    loglik, gamma, xi = hmm.forward_backward(params, obs)
+    loglik, _, _, gamma = hmm._posteriors(*params.chain(obs))
     assert loglik == pytest.approx(expected, abs=1e-12)
     assert np.all(gamma == 1.0)
 
@@ -38,7 +38,8 @@ def test_posterior_normalization():
     rng = np.random.default_rng(5)
     params = hmm.random_params(4, 5, rng)
     obs = rng.integers(0, 5, 30)
-    _, gamma, xi = hmm.forward_backward(params, obs)
+    _, alpha, right, gamma = hmm._posteriors(*params.chain(obs))
+    xi = alpha[:-1, :, None] * params.transition * right[:, None, :]
     assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-9)
     assert np.allclose(xi.sum(axis=(1, 2)), 1.0, atol=1e-9)
 

@@ -119,6 +119,12 @@ def test_nshmm_roundtrip(tmp_path):
                           registry.sample_model(loaded, 20, seed=5))
 
 
+def test_models_loaded_from_one_file_compare_by_identity(tmp_path):
+    persist.save_model(registry.train_model("M15", _toy_sequence(), seed=0), tmp_path / "m.json")
+    first, second = (persist.load_model(tmp_path / "m.json") for _ in range(2))
+    assert first == first and first != second
+
+
 def test_corrupt_model_file_names_field(tmp_path):
     import json
     seq = _toy_sequence()

@@ -1,6 +1,7 @@
-"""The samplers build their tables once per model and draw by bisection;
-these tests hold them to the frozen per-piece samplers in oracles.py and to
-np.searchsorted, draw for draw."""
+"""The samplers build their tables once per model, read one block of
+uniforms per piece and draw by bisection; these tests hold them to the
+frozen per-piece samplers in oracles.py and to np.searchsorted, draw for
+draw."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (stepwise_arhmm_sample, stepwise_hmm_sample, stepwise_hsmm_sample,
                      stepwise_khmm_sample, stepwise_lhmm_sample, stepwise_nshmm_sample)
-from sscompose import hierarchical, hmm, persist, registry, semimarkov, variants
+from sscompose import hierarchical, hmm, persist, registry, semimarkov, tvar, variants
 from sscompose.midi_codec import PitchSequence
 
 PIECE_LENGTH = 60
@@ -71,6 +72,64 @@ def test_interleaved_draws_on_one_model_equal_fresh_models(model_files, name, tm
     assert (tmp_path / "resaved.json").read_bytes() == model_files[name].read_bytes()
 
 
+def _dwell_one_hsmm():
+    params = semimarkov.random_hsmm_params(3, 4, 2, seed=0)
+    params.duration = np.array([[1.0, 0.0]] * 3)
+    return params
+
+
+def _never_staying_nshmm():
+    params = semimarkov.NshmmParams(np.full(3, 1 / 3), (1.0 - np.eye(3)) / 2,
+                                    np.full((3, 4), 1 / 4), np.zeros((3, 2)))
+    params.validate()
+    return params
+
+
+# the parameters whose pieces read the most uniforms a block holds:
+# every HSMM segment lasts one step, and the NSHMM leaves at every step
+@pytest.mark.parametrize("builder,oracle,params,n_uniforms", [
+    (semimarkov.hsmm_sampler, stepwise_hsmm_sample, _dwell_one_hsmm(), lambda L: 3 * L + 1),
+    (semimarkov.nshmm_sampler, stepwise_nshmm_sample, _never_staying_nshmm(),
+     lambda L: 3 * L - 1),
+], ids=["hsmm", "nshmm"])
+def test_a_piece_that_reads_the_whole_block_matches_the_frozen_sampler(builder, oracle, params,
+                                                                       n_uniforms):
+    draw = builder(params)
+    for length in (1, 2, 501):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            want = oracle(params, length, rng)
+            block = np.random.default_rng(seed)
+            block.random(n_uniforms(length))
+            assert rng.bit_generator.state == block.bit_generator.state
+            assert np.array_equal(draw(length, seed), want)
+
+
+SMALL_PARAMS = {
+    hmm.HmmParams: lambda: hmm.random_params(2, 3, 0),
+    variants.KhmmParams: lambda: variants.random_khmm_params(2, 2, 3, 0),
+    variants.ArhmmParams: lambda: variants.random_arhmm_params(2, 3, 0),
+    semimarkov.HsmmParams: lambda: semimarkov.random_hsmm_params(2, 3, 2, 0),
+    semimarkov.NshmmParams: _never_staying_nshmm,
+    hierarchical.TshmmParams: lambda: hierarchical.random_tshmm_params(2, 2, 3, 0),
+    hierarchical.FhmmParams: lambda: hierarchical.random_fhmm_params((2, 2), 3, 0),
+    hierarchical.LhmmParams: lambda: hierarchical.LhmmParams([hmm.random_params(2, 3, 0),
+                                                              hmm.random_params(2, 2, 1)]),
+    tvar.TvarFit: lambda: tvar.fit_tvar(60.0 + np.random.default_rng(0).standard_normal(40),
+                                        1, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("param_type", registry.PARAM_TYPES,
+                         ids=lambda param_type: registry.PARAM_TYPES[param_type][0])
+def test_every_sampler_rejects_an_empty_piece(param_type):
+    _, builder = registry.PARAM_TYPES[param_type]
+    draw = builder(SMALL_PARAMS[param_type]())
+    assert len(draw(3, 0)) == 3
+    with pytest.raises(ValueError, match=r"^length must be >= 1$"):
+        draw(0, 0)
+
+
 ENTRIES = st.sampled_from([0.0, 0.0, 0.1, 0.125, 0.25, 1 / 3, 0.5, 1.0])
 
 
@@ -88,5 +147,6 @@ def test_draw_finds_the_clamped_searchsorted_column(n_rows, width, data):
         for c in cum[row].tolist():
             uniforms.update((c, np.nextafter(c, -1.0), np.nextafter(c, 2.0)))
         for u in uniforms:
-            want = min(int(np.searchsorted(cum[row], u, side="right")), width - 1)
+            want = min(int(np.searchsorted(cum[row], u, side="right")),
+                       int(np.searchsorted(cum[row], cum[row, -1], side="left")))
             assert hmm._draw(cdf, row, float(u)) == want
