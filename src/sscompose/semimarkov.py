@@ -1,18 +1,23 @@
 """Duration-explicit variants: hidden semi-Markov EM and the
 non-stationary HMM fitted by Metropolis-within-Gibbs.
 
-Both models are first-order chains on (state, dwell index) pairs, so
-both run through the scaled recursions in ``hmm`` with one transition
-operator, ``_DwellChain``.  The explicit-duration HSMM is that chain with
-stay and leave probabilities read off the survival function of its
-duration pmf (Yu 2010, *Hidden semi-Markov models*); the last step ends
-every segment, so segments end exactly at T (right-censoring corrections
-are out of scope), and EM reads its expected counts off the chain's
-posteriors.
+Both models are first-order chains on (state, dwell index) pairs.  Their
+exact chains run through the scaled recursions in ``hmm`` with one
+transition operator, ``_DwellChain``: that is every log-likelihood and the
+HSMM's EM.  The explicit-duration HSMM is that chain with stay and leave
+probabilities read off the survival function of its duration pmf (Yu
+2010, *Hidden semi-Markov models*); the last step ends every segment, so
+segments end exactly at T (right-censoring corrections are out of scope),
+and EM reads its expected counts off the chain's posteriors.
 The NSHMM makes the stay probability a logistic function of the current
 dwell time and is estimated by MCMC: forward filter backward sample of
 the state path, conjugate Dirichlet draws for the categorical parameters
-and random-walk Metropolis on the dwell logits.
+and random-walk Metropolis on the dwell logits.  Its forward filter runs
+once per sweep, so it has its own recursion, ``_nshmm_forward``: the same
+chain on a (T, D, n) layout, with the per-step scale left out (every
+backward draw renormalises its weights), at about a third of the numpy
+calls per step.  Keeping ``_DwellChain`` as it is keeps the HSMM's EM
+bits, and keeps the shared recursion free of a branch for one caller.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .hmm import (
     _masked_dirichlet,
     _normalized,
     _posteriors,
-    _scaled_forward,
     check_distributions,
     run_em,
 )
@@ -244,55 +248,127 @@ class NshmmParams(ChainParams):
                 self.emission.T[obs][:, :, None])
 
 
+# The NSHMM filter renormalises every RENORM_EVERY steps.  Between two
+# renormalisations alpha shrinks by at most the product of that many steps'
+# largest observation likelihoods: 8 steps of 1e-30 leave 1e-240, above
+# the smallest double, where 16 would underflow (1e-480).
+RENORM_EVERY = 8
+
+
+def _nshmm_forward(params, obs):
+    """Forward filter of the NSHMM's (state, dwell index) chain, as a
+    (T, D, n) array in which alphas[t, d, j] is proportional to
+    p(state j at dwell index d at step t, obs[:t + 1]).
+
+    Each step's scale is left out: every backward draw divides its weights
+    by their total, so it cancels.  Step 0, every RENORM_EVERY-th step
+    after it and the last step are renormalised, and raise
+    ZeroProbabilityError if their mass has vanished.  This is the chain of
+    ``NshmmParams.chain`` on a (dwell, state) layout, where a step is five
+    numpy calls on preset views; ``hmm._scaled_forward`` on ``_DwellChain``
+    makes about fifteen.
+    """
+    n, D = params.stay_profile.shape
+    stay = params.stay_profile.T.copy()  # (D, n)
+    leave = 1.0 - stay
+    stay_run, stay_sat = stay[:-1], stay[-1]
+    lik = params.emission.T[obs]          # (T, n)
+    alphas = np.zeros((len(obs), D, n))
+    alphas[0, 0] = params.initial * lik[0]
+    ones, left = np.ones(D), np.empty((D, n))
+    # per step: the previous and current alpha, the step's likelihoods, the
+    # dwell indices below the cap before and after a stay, and the
+    # saturated dwell index D - 1 before and after
+    steps = zip(alphas, alphas[1:], lik[1:], alphas[:, :-1], alphas[1:, 1:],
+                alphas[:, -1], alphas[1:, -1])
+    for t, (prev, cur, lik_t, prev_run, cur_run, prev_sat, cur_sat) in enumerate(steps, 1):
+        if (t - 1) % RENORM_EVERY == 0:
+            _renormalize(prev, t - 1)
+        np.multiply(prev, leave, out=left)
+        cur[0] = np.dot(np.dot(ones, left), params.switch)
+        np.multiply(prev_run, stay_run, out=cur_run)
+        # the saturated counter keeps its mass; added after row 0 is set
+        # because for D == 1 that is row 0
+        cur_sat += prev_sat * stay_sat
+        np.multiply(cur, lik_t, out=cur)
+    _renormalize(alphas[-1], len(obs) - 1)
+    return alphas
+
+
+def _renormalize(alpha, t):
+    """Divide step t's alpha by its total, in place."""
+    total = np.add.reduce(alpha, axis=None)
+    if total <= 0.0:
+        raise ZeroProbabilityError(f"sequence has probability zero by step {t}")
+    alpha /= total
+
+
 def _nshmm_ffbs(params, obs, rng):
     """Sample a state path from its posterior (forward filter, backward sample).
 
-    Each step is the inverse-cdf draw `_draw(_cdf(w / w.sum()), 0, u)` over
-    the (n, D) predecessor weights w.  A step that continues a dwell has at
-    most two nonzero weights, so it is drawn from those two scalars; the
-    outcome, _draw's clamp included, is the dense draw's.
+    A step whose successor enters a segment (dwell index 0) or sits at the
+    saturated dwell index D - 1 is the inverse-cdf draw `_draw(_cdf(w /
+    w.sum()), 0, u)` over its predecessor weights w, laid out (state,
+    dwell) as on the dense (n, D) table.  A saturated step has two nonzero
+    weights and is drawn from those two scalars; the outcome, _draw's clamp
+    included, is the dense draw's.  A step inside a dwell run below the cap
+    has one predecessor, so the run back to its entry is filled at once;
+    it still reads the uniforms of its steps.
     """
     T = len(obs)
     D = params.d_max
-    initial, chain, lik = params.chain(obs)
-    _, alphas, _ = _scaled_forward(initial, chain, lik)
-    stay, leave_prob = chain.stay, chain.leave
+    alphas = _nshmm_forward(params, obs)
+    stay = params.stay_profile.tolist()
+    leave = 1.0 - params.stay_profile.T
     switch_to = params.switch.T.copy()  # row j = switch[:, j]
     u = rng.random(T)[::-1].tolist()  # u[t] draws step t; the last step draws first
     path = np.empty(T, dtype=np.int64)
     dwell = np.empty(T, dtype=np.int64)  # 0-based dwell index
-    w = alphas[-1].ravel()
+    w = alphas[-1].T.ravel()
     j, dd = divmod(_draw(_cdf(w / w.sum()), 0, u[-1]), D)
     path[-1], dwell[-1] = j, dd
-    for t in range(T - 2, -1, -1):
+    t = T - 2
+    while t >= 0:
         if dd == 0:
             # previous step left some state i at any dwell
-            w = (alphas[t] * leave_prob * switch_to[j][:, None]).ravel()
+            w = (alphas[t] * leave * switch_to[j]).T.ravel()
             if D == 1:  # or stayed in j with the saturated counter
-                w[j] += alphas[t, j, 0] * stay[j, 0]
+                w[j] += alphas.item(t, 0, j) * stay[j][0]
             total = w.sum()
             if total <= 0:
                 raise ZeroProbabilityError("degenerate backward-sampling weights")
             j, dd = divmod(_draw(_cdf(w / total), 0, u[t]), D)
+        elif dd < D - 1:
+            # steps t - dd + 1 .. t were j at dwell indices 0 .. dd - 1
+            entry = t - dd + 1
+            w = np.diagonal(alphas[entry:t + 1, :dd, j]) * params.stay_profile[j, :dd]
+            if np.minimum.reduce(w) <= 0:  # w.min() without its Python wrapper
+                raise ZeroProbabilityError("degenerate backward-sampling weights")
+            path[entry:t + 1] = j
+            dwell[entry:t + 1] = np.arange(dd)
+            t, dd = entry - 1, 0
+            continue
         else:
-            # previous step was j at dwell dd - 1, or at D - 1 when saturated
-            w_on = alphas[t, j, dd - 1] * stay[j, dd - 1]
-            w_sat = alphas[t, j, D - 1] * stay[j, D - 1] if dd == D - 1 else 0.0
+            # saturated: the previous step was j at dwell D - 2 or D - 1
+            w_on = alphas.item(t, dd - 1, j) * stay[j][dd - 1]
+            w_sat = alphas.item(t, dd, j) * stay[j][dd]
             total = w_on + w_sat
             if total <= 0:
                 raise ZeroProbabilityError("degenerate backward-sampling weights")
-            # the cdf rises to cdf at (j, dd - 1), then to top at (j, D - 1)
+            # the cdf rises to cdf at (j, D - 2), then to top at (j, D - 1)
             cdf = w_on / total
             top = cdf + w_sat / total
             dd = D - 1 if cdf <= u[t] and cdf < top else dd - 1
         path[t], dwell[t] = j, dd
+        t -= 1
     return path, dwell
 
 
 def _dwell_loglik(a, b, dwells, stays):
-    s = expit(a + b * dwells)
-    s = np.clip(s, 1e-12, 1.0 - 1e-12)
-    ll = np.sum(np.where(stays, np.log(s), np.log1p(-s)))
+    # np.maximum, np.minimum and np.add.reduce are np.clip and np.sum
+    # without their Python-level wrappers
+    s = np.minimum(np.maximum(expit(a + b * dwells), 1e-12), 1.0 - 1e-12)
+    ll = np.add.reduce(np.where(stays, np.log(s), np.log1p(-s)))
     ll -= 0.5 * (a * a + b * b) / PRIOR_SCALE ** 2
     return ll
 

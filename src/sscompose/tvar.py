@@ -3,7 +3,9 @@
 Forward filtering with a state discount (coefficient drift) and a
 variance discount (volatility drift); order and discounts chosen by grid
 search on the cumulative one-step-ahead (Student-t) log marginal
-likelihood.  Generation samples a coefficient trajectory backwards from
+likelihood.  The cells of one order share their regressors, so the grid
+runs one filter per order on the stacked cells, and ``fit_tvar`` is that
+filter's one-cell case.  Generation samples a coefficient trajectory backwards from
 the filtered posteriors and simulates the observation equation forward;
 real-valued output is binned to the nearest pitch of the training
 alphabet.
@@ -82,85 +84,120 @@ class TvarFit:
 
 
 def fit_tvar(series, order, state_discount, var_discount):
-    """Discounted DLM forward filter over a real-valued series.
+    """Discounted DLM forward filter over a real-valued series: the
+    one-cell case of the grid's stacked filter.
 
     The log marginal likelihood accumulates the one-step predictive
-    Student-t log densities.
+    Student-t log densities.  Raises FloatingPointError when an update
+    goes numerically singular.
     """
     y = np.asarray(series, dtype=float)
-    d = int(order)
-    if len(y) <= d + 1:
+    if len(y) <= int(order) + 1:
         raise ValueError("series must be longer than order + 1")
-    delta, beta = float(state_discount), float(var_discount)
+    [fit] = _stacked_filter(y, int(order), [(state_discount, var_discount)])
+    if isinstance(fit, str):
+        raise FloatingPointError(fit)
+    return fit
 
-    m = np.zeros(d)
-    C = np.eye(d) * PRIOR_SCALE
-    n_dof = PRIOR_DF
-    s_est = PRIOR_OBS_VAR
 
-    steps = len(y) - d
-    means = np.empty((steps, d))
-    covs = np.empty((steps, d, d))
-    s_hist = np.empty(steps)
-    dof_hist = np.empty(steps)
-    errs = np.empty(steps)
-    dfs = np.empty(steps)
-    qs = np.empty(steps)
+def _stacked_filter(y, d, cells):
+    """The discount filter of order d run at once for every (state
+    discount, variance discount) cell, on stacked (cells, d) means and
+    (cells, d, d) covariances.  Every cell shares the regressors F, and
+    each stacked slice does one cell's arithmetic, so a cell gets the same
+    bits alone or in a stack.  A cell whose predictive variance q goes
+    non-finite or non-positive leaves the stack at that step.
+
+    Returns one entry per cell, in order: its TvarFit, or the message
+    naming the step where it went singular.
+    """
+    delta, beta = (np.array(column, dtype=float) for column in zip(*cells))
+    k, steps = len(cells), len(y) - d
+    live = np.arange(k)  # the cells still in the stack
+    m = np.zeros((k, d))
+    C = np.tile(np.eye(d) * PRIOR_SCALE, (k, 1, 1))
+    n_dof = np.full(k, PRIOR_DF)
+    s_est = np.full(k, PRIOR_OBS_VAR)
+    # per-step history of each live cell: means, covs, s, dof, and the
+    # residual, prior degrees of freedom and predictive variance
+    hist = [np.empty((k, steps, d)), np.empty((k, steps, d, d))] + [
+        np.empty((k, steps)) for _ in range(5)]
+    fits = [None] * k
     for i, t in enumerate(range(d, len(y))):
         F = y[t - d:t][::-1]  # most recent lag first
-        R = C / delta
+        R = C / delta[:, None, None]
         n_prior = beta * n_dof
-        f = F @ m
-        q = F @ R @ F + s_est
-        if not np.isfinite(q) or q <= 0:
-            raise FloatingPointError(f"numerically singular update at step {i}")
+        f = m @ F
+        q = np.matmul(np.matmul(F, R), F) + s_est
+        ok = np.isfinite(q) & (q > 0)
+        if not ok.all():
+            for cell in live[~ok]:
+                fits[cell] = f"numerically singular update at step {i}"
+            live, delta, beta, m, n_dof, s_est, R, n_prior, f, q = (
+                a[ok] for a in (live, delta, beta, m, n_dof, s_est, R, n_prior, f, q))
+            hist = [h[ok] for h in hist]
+            if not len(live):
+                break
         e = y[t] - f
-        errs[i], dfs[i], qs[i] = e, n_prior, q
-        A = (R @ F) / q
-        m = m + A * e
+        A = np.matmul(R, F) / q[:, None]
+        m = m + A * e[:, None]
         n_dof = n_prior + 1.0
         d_new = n_prior * s_est + s_est * e * e / q
         s_new = d_new / n_dof
-        C = (s_new / s_est) * (R - np.outer(A, A) * q)
-        C = 0.5 * (C + C.T)  # keep the filter covariance symmetric PSD
+        C = (s_new / s_est)[:, None, None] * (
+            R - A[:, :, None] * A[:, None, :] * q[:, None, None])
+        C = 0.5 * (C + C.transpose(0, 2, 1))  # keep the filter covariance symmetric PSD
         s_est = s_new
-        means[i] = m
-        covs[i] = C
-        s_hist[i] = s_est
-        dof_hist[i] = n_dof
-    # one density call per cell; cumsum adds left to right, as a running
+        for h, value in zip(hist, (m, C, s_est, n_dof, e, n_prior, q)):
+            h[:, i] = value
+    means, covs, s_hist, dof_hist, errs, dfs, qs = hist
+    # one density call per stack; cumsum adds left to right, as a running
     # scalar sum would (np.sum adds pairwise and can differ in the last bit)
-    log_dens = stats.t.logpdf(errs, df=dfs, scale=np.sqrt(qs))
-    log_marginal = np.cumsum(log_dens)[-1]
-    return TvarFit(d, delta, beta, means, covs, s_hist, dof_hist,
-                   float(log_marginal), series=y)
+    log_marginal = np.cumsum(stats.t.logpdf(errs, df=dfs, scale=np.sqrt(qs)), axis=1)[:, -1]
+    for row, cell in enumerate(live):
+        sd, vd = cells[cell]
+        fits[cell] = TvarFit(d, float(sd), float(vd), means[row], covs[row], s_hist[row],
+                             dof_hist[row], float(log_marginal[row]), series=y)
+    return fits
 
 
 def grid_search(spec, series):
-    """Fit every (order, state discount, variance discount) cell and return
-    (best_fit, audit) with a deterministic tie-break: smaller order, then
-    larger state discount, then larger variance discount.
+    """Fit every (order, state discount, variance discount) cell, one
+    stacked filter per order, and return (best_fit, audit) with a
+    deterministic tie-break: smaller order, then larger state discount,
+    then larger variance discount.
 
-    A cell whose filter goes numerically singular is listed in the audit
-    with log_marginal None and its error message, and takes no part in the
-    choice; FloatingPointError is raised only when every cell fails.
+    A cell whose filter goes numerically singular, or whose order leaves
+    the series too short to filter, is listed in the audit with
+    log_marginal None and its error message, and takes no part in the
+    choice.  ValueError is raised when the series is too short for every
+    order, and FloatingPointError when every other cell fails.
     """
+    y = np.asarray(series, dtype=float)
     audit = []
     best = None
     best_key = None
-    for order, sd, vd in itertools.product(spec.orders, spec.state_discounts,
-                                           spec.var_discounts):
-        cell = {"order": order, "state_discount": sd, "var_discount": vd}
-        try:
-            fit = fit_tvar(series, order, sd, vd)
-        except FloatingPointError as exc:
-            audit.append({**cell, "log_marginal": None, "error": str(exc)})
-            continue
-        audit.append({**cell, "log_marginal": fit.log_marginal})
-        key = (fit.log_marginal, -order, sd, vd)
-        if best_key is None or key > best_key:
-            best, best_key = fit, key
+    cells = list(itertools.product(spec.state_discounts, spec.var_discounts))
+    for order in spec.orders:
+        if len(y) <= order + 1:
+            fits = [f"order {order} needs a piece of more than {order + 1} notes; "
+                    f"this one has {len(y)}"] * len(cells)
+        else:
+            fits = _stacked_filter(y, order, cells)
+        for (sd, vd), fit in zip(cells, fits):
+            cell = {"order": order, "state_discount": sd, "var_discount": vd}
+            if isinstance(fit, str):
+                audit.append({**cell, "log_marginal": None, "error": fit})
+                continue
+            audit.append({**cell, "log_marginal": fit.log_marginal})
+            key = (fit.log_marginal, -order, sd, vd)
+            if best_key is None or key > best_key:
+                best, best_key = fit, key
     if best is None:
+        shortest = min(spec.orders) + 2
+        if len(y) < shortest:
+            raise ValueError(f"a piece of {len(y)} notes is too short for the TVAR grid, "
+                             f"which needs at least {shortest}")
         raise FloatingPointError(f"every TVAR grid cell failed; first: {audit[0]['error']}")
     return best, audit
 

@@ -497,6 +497,39 @@ def test_m14_train_skips_singular_grid_cells(tmp_path):
                 "--seed", "0", "--out", tmp_path / "b") == 0
 
 
+def _scale_piece(tmp_path, n_notes):
+    pitches = 60 + np.arange(n_notes) % 8
+    piece = tmp_path / f"scale_{n_notes}.csv"
+    piece.write_text(emit_midi_csv(PitchSequence(pitches, np.arange(n_notes) * 240)))
+    return piece
+
+
+def test_m14_train_audits_orders_a_short_piece_cannot_fit(tmp_path, capsys):
+    # 10 notes fit orders up to 8: the filter needs more than order + 1 values
+    run = tmp_path / "run"
+    assert _run("train", "--input", _scale_piece(tmp_path, 10), "--model", "M14",
+                "--out", run) == 0
+    audit = json.loads((run / "M14_fit_report.json").read_text())["grid_audit"]
+    assert len(audit) == 96
+    assert {c["order"] for c in audit if c["log_marginal"] is not None} == {7, 8}
+    skipped = [c for c in audit if c["log_marginal"] is None]
+    assert {c["order"] for c in skipped} == set(range(9, 15)) and len(skipped) == 72
+    assert skipped[0]["error"] == "order 9 needs a piece of more than 10 notes; this one has 10"
+    assert json.loads((run / "M14_model.json").read_text())["params"]["order"] in (7, 8)
+    assert _run("generate", "--model", run / "M14_model.json", "--n", "1",
+                "--seed", "0", "--out", tmp_path / "b") == 0
+
+
+def test_m14_train_on_a_piece_too_short_for_every_order(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _run("train", "--input", _scale_piece(tmp_path, 8), "--model", "M14",
+                "--out", run) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: a piece of 8 notes is too short for the TVAR grid, "
+                   "which needs at least 9"]
+    assert not run.exists()
+
+
 def _train_and_corrupt(tmp_path, piece, model, corrupt):
     """Train a small model, check it generates, then corrupt its params."""
     run = tmp_path / "run"

@@ -257,6 +257,25 @@ def test_nshmm_ffbs_matches_dense_sampler(D):
     assert saturated > 0 and completed == 40
 
 
+@pytest.mark.parametrize("D", [1, 3, 6])
+def test_nshmm_ffbs_survives_vanishing_likelihoods(monkeypatch, D):
+    # every state gives every symbol likelihood 1e-30, over 200 steps: the
+    # filter's mass shrinks by 1e-30 per step, so it must renormalise at
+    # least every 8 steps (1e-240) to stay above the smallest double
+    rng = np.random.default_rng(300 + D)
+    params = _random_nshmm(rng, 3, 4, D, stay_high=0.99)
+    params.emission = np.full((3, 4), 1e-30)
+    obs = rng.integers(0, 4, 200)
+    for seed in range(10):
+        path, dwell = semimarkov._nshmm_ffbs(params, obs, np.random.default_rng(seed))
+        want = dense_nshmm_ffbs(params, obs, np.random.default_rng(seed))
+        assert np.array_equal(path, want[0]) and np.array_equal(dwell, want[1])
+    # the fixture is strong enough to catch an interval twice as long
+    monkeypatch.setattr(semimarkov, "RENORM_EVERY", 16)
+    with pytest.raises(hmm.ZeroProbabilityError):
+        semimarkov._nshmm_ffbs(params, obs, np.random.default_rng(0))
+
+
 def test_hsmm_params_validate():
     params = semimarkov.random_hsmm_params(3, 4, 5, seed=0)
     params.validate(n_symbols=4)

@@ -215,3 +215,37 @@ def test_tvar_fit_validate():
         setattr(fit, name, value)
         with pytest.raises(ValueError, match=message):
             fit.validate()
+
+
+def test_stacked_grid_gives_each_cell_the_one_cell_filter_bits():
+    # each order's cells run as one stacked filter; fit_tvar runs one cell alone
+    rng = np.random.default_rng(41)  # acceptance criterion 8's piece
+    y = 50.0 + np.cumsum(rng.integers(-2, 3, 500)) % 12
+    best, audit = tvar.grid_search(tvar.TvarSpec(), y)
+    assert len(audit) == 96
+    for cell in audit:
+        fit = tvar.fit_tvar(y, cell["order"], cell["state_discount"], cell["var_discount"])
+        assert cell["log_marginal"] == fit.log_marginal
+    alone = tvar.fit_tvar(y, best.order, best.state_discount, best.var_discount)
+    for name in ("coeff_means", "coeff_covs", "s", "dof"):
+        assert np.array_equal(getattr(best, name), getattr(alone, name)), name
+
+
+def test_singular_cells_leave_the_stack_and_the_rest_keep_their_bits():
+    # two cells go singular at different steps; the stack carries on without them
+    y = _walk_then_repeats()
+    cells = [(0.9, 0.95), (1.0, 0.95), (0.9, 0.9), (0.99, 0.99)]
+    stacked = tvar._stacked_filter(y, 7, cells)
+    errors = []
+    for (sd, vd), got in zip(cells, stacked):
+        try:
+            want = tvar.fit_tvar(y, 7, sd, vd)
+        except FloatingPointError as exc:
+            errors.append(got)
+            assert got == str(exc)
+            continue
+        assert got.log_marginal == want.log_marginal
+        assert np.array_equal(got.coeff_covs, want.coeff_covs)
+    assert errors == ["numerically singular update at step 350",
+                      "numerically singular update at step 342"]
+
