@@ -29,12 +29,13 @@ from .hmm import (
     _flat_posteriors,
     _normalized,
     baum_welch,
-    check_distributions,
     check_positive_ints,
     check_state_cap,
+    check_table,
     random_params,
     run_em,
     sampler,
+    table,
     viterbi,
 )
 
@@ -45,24 +46,16 @@ from .hmm import (
 
 @dataclass
 class TshmmParams(ChainParams):
-    m1: int                 # states of S
-    m2: int                 # states of R
-    C: np.ndarray           # (m2, m2): P(R_t = j | R_{t-1} = i)
-    D: np.ndarray           # (m2, m1, m1): D[j, k, l] = P(S_t = l | R_t = j, S_{t-1} = k)
-    initial: np.ndarray     # (m2 * m1,) over (r, s) pairs, index r * m1 + s
-    emission: np.ndarray    # (m1, K), emission from S
+    m1: int  # states of S
+    m2: int  # states of R
+    C: np.ndarray = table("m2", "m2")  # P(R_t = j | R_{t-1} = i)
+    D: np.ndarray = table("m2", "m1", "m1")  # D[j, k, l] = P(S_t = l | R_t = j, S_{t-1} = k)
+    initial: np.ndarray = table("m2*m1")  # over (r, s) pairs, index r * m1 + s
+    emission: np.ndarray = table("m1", "K")  # emission from S
 
-    def validate(self, atol=1e-12, n_symbols=None):
-        """Raise ValueError unless m1 and m2 are positive integers, C, D,
-        initial and emission have shapes (m2, m2), (m2, m1, m1), (m2*m1,)
-        and (m1, K), with K == n_symbols when given, and every row is a
-        distribution."""
+    def _bound_sizes(self, atol):
         check_positive_ints([("m1", self.m1), ("m2", self.m2)])
-        m1, m2 = self.m1, self.m2
-        K = self.n_symbols if n_symbols is None else n_symbols
-        check_distributions(atol, [("C", self.C, (m2, m2)), ("D", self.D, (m2, m1, m1)),
-                                   ("initial", self.initial, (m2 * m1,)),
-                                   ("emission", self.emission, (m1, K))])
+        return {"m1": self.m1, "m2": self.m2, "m2*m1": self.m2 * self.m1}
 
     def composite_transition(self):
         """A[(i,k),(j,l)] = C[i,j] * D[j,k,l]; rows sum to 1 by construction."""
@@ -132,18 +125,13 @@ class FhmmParams(ChainParams):
     chain_sizes: tuple
     chain_initials: list[np.ndarray]     # one (n_j,) vector per chain
     chain_transitions: list[np.ndarray]  # one (n_j, n_j) matrix per chain
-    emission: np.ndarray                 # (n_levels, K), row = rounded mean ordinal - 1
+    emission: np.ndarray = table("levels", "K")  # row = rounded mean ordinal - 1
 
     @property
     def n_product(self):
         return int(np.prod(self.chain_sizes))
 
-    def validate(self, atol=1e-12, n_symbols=None):
-        """Raise ValueError unless there is at least one chain, every chain
-        size n_j is a positive integer, chain j's initial and transition
-        have shapes (n_j,) and (n_j, n_j), emission has shape
-        (n_emission_levels, K), with K == n_symbols when given, and every
-        row is a distribution."""
+    def _bound_sizes(self, atol):
         sizes = self.chain_sizes
         if not sizes:
             raise ValueError("chain_sizes must name at least one chain")
@@ -151,14 +139,10 @@ class FhmmParams(ChainParams):
         if not len(self.chain_initials) == len(self.chain_transitions) == len(sizes):
             raise ValueError(f"{len(sizes)} chains need {len(sizes)} initial "
                              "and transition tables")
-        K = self.n_symbols if n_symbols is None else n_symbols
-        check_distributions(atol, [
-            *((f"chain_initials[{j}]", v, (nj,))
-              for j, (nj, v) in enumerate(zip(sizes, self.chain_initials))),
-            *((f"chain_transitions[{j}]", m, (nj, nj))
-              for j, (nj, m) in enumerate(zip(sizes, self.chain_transitions))),
-            ("emission", self.emission, (n_emission_levels(sizes), K)),
-        ])
+        for j, nj in enumerate(sizes):
+            check_table(f"chain_initials[{j}]", self.chain_initials[j], (nj,), atol)
+            check_table(f"chain_transitions[{j}]", self.chain_transitions[j], (nj, nj), atol)
+        return {"levels": n_emission_levels(sizes)}
 
     def chain(self, obs):
         return _fhmm_flat(self).chain(obs)
@@ -251,9 +235,7 @@ class LhmmParams(ChainParams):
         return self.layers[0].n_symbols
 
     def validate(self, atol=1e-12, n_symbols=None):
-        """Raise ValueError unless there is at least one layer, every layer
-        passes HmmParams.validate, and layer l's alphabet is the state
-        count of layer l-1 (layer 0's is n_symbols when given)."""
+        """Layer l validates with layer l - 1's state count (n_symbols) as K."""
         if not self.layers:
             raise ValueError("layers must hold at least one layer")
         alphabet = n_symbols

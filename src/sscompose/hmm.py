@@ -2,10 +2,12 @@
 
 Scaled (normalized-alpha) forward-backward, Baum-Welch with optional
 transition masks, Viterbi, ancestral sampling and the random-parameter
-baseline.  Every HMM-family parameter type derives from ``ChainParams``
-(its alphabet size is the emission table's last axis) and states its
-exact first-order chain once, as ``chain(obs)``: (initial, transition,
-observation likelihood), where obs_lik[t] holds step t's likelihoods.
+baseline.  Every HMM-family parameter type derives from ``ChainParams``:
+its alphabet size is the emission table's last axis, each table field
+declares its shape with ``table`` and ``ChainParams.validate`` checks
+them all.  Each type states its exact first-order chain once, as
+``chain(obs)``: (initial, transition, observation likelihood), where
+obs_lik[t] holds step t's likelihoods.
 ``log_likelihood`` runs the scaled forward pass on that chain for any
 type, and ``_flat_posteriors`` is the E-step of every chain with a dense
 transition.  Each step's alpha takes the shape of the initial
@@ -36,7 +38,7 @@ uniforms from the seed, and ``walk(u, length)`` reads them in order.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,19 +52,53 @@ class ZeroProbabilityError(ValueError):
     """The model assigns probability zero to the observed sequence."""
 
 
+def table(*shape, rows=True, zero_diagonal=False):
+    """A ChainParams table field: one size symbol per axis, and its rules."""
+    return field(metadata={"shape": shape, "rows": rows, "zero_diagonal": zero_diagonal})
+
+
+def _listed(items):
+    """'a, b and c' for [a, b, c]; one item alone."""
+    *rest, last = map(str, items)
+    return f"{', '.join(rest)} and {last}" if rest else last
+
+
 class ChainParams:
-    """Base of the HMM-family parameter types: n_symbols is the emission's last axis."""
+    """Base of the HMM-family parameter types: n_symbols is the emission's
+    last axis, and validate checks every field declared with ``table``."""
 
     @property
     def n_symbols(self):
         return np.shape(self.emission)[-1]
 
+    def validate(self, atol=1e-12, n_symbols=None):
+        """Raise ValueError unless _bound_sizes passes and every ``table``
+        field has its declared axes and shape, finite entries, rows that are
+        distributions within atol (unless rows=False) and a zero diagonal
+        (when zero_diagonal=True).  A symbol's size comes from _bound_sizes,
+        else (K) from n_symbols, else from the first table naming it."""
+        tables = [f for f in fields(self) if "shape" in f.metadata]
+        axes = [len(f.metadata["shape"]) for f in tables]
+        if [np.ndim(getattr(self, f.name)) for f in tables] != axes:
+            raise ValueError(f"{_listed(f.name for f in tables)} must have {_listed(axes)} axes")
+        sizes = self._bound_sizes(atol) | ({} if n_symbols is None else {"K": n_symbols})
+        for f in tables:
+            value, meta = getattr(self, f.name), f.metadata
+            shape = tuple(map(sizes.setdefault, meta["shape"], np.shape(value)))
+            check_table(f.name, value, shape, atol if meta["rows"] else None)
+            if meta["zero_diagonal"] and np.any(np.diagonal(value) != 0):
+                raise ValueError(f"{f.name} diagonal must be zero (no self-transitions)")
+
+    def _bound_sizes(self, atol):
+        """The type's checks that precede its tables'; returns the symbol sizes they fix."""
+        return {}
+
 
 @dataclass
 class HmmParams(ChainParams):
-    initial: np.ndarray      # (n,)
-    transition: np.ndarray   # (n, n), row-stochastic
-    emission: np.ndarray     # (n, K), row-stochastic
+    initial: np.ndarray = table("n")
+    transition: np.ndarray = table("n", "n")
+    emission: np.ndarray = table("n", "K")
 
     def __post_init__(self):
         self.initial = np.asarray(self.initial, dtype=float)
@@ -76,39 +112,21 @@ class HmmParams(ChainParams):
     def chain(self, obs):
         return self.initial, self.transition, self.emission[:, obs].T
 
-    def validate(self, atol=1e-12, n_symbols=None):
-        """Raise ValueError unless the shapes agree ((n,), (n, n), (n, K),
-        with K == n_symbols when given) and every row is a distribution."""
-        if (self.initial.ndim, self.transition.ndim, self.emission.ndim) != (1, 2, 2):
-            raise ValueError("initial, transition and emission must have 1, 2 and 2 axes")
-        n = len(self.initial)
-        K = self.n_symbols if n_symbols is None else n_symbols
-        check_distributions(atol, [("initial", self.initial, (n,)),
-                                   ("transition", self.transition, (n, n)),
-                                   ("emission", self.emission, (n, K))])
 
-
-def check_table(name, value, shape):
-    """value as a float array; ValueError unless it has that shape and is finite."""
+def check_table(name, value, shape, atol=None):
+    """Raise ValueError unless value, as a float array, has that shape and
+    finite entries and, when atol is given, its entries are non-negative and
+    its rows (last axis) sum to 1 within atol."""
     value = np.asarray(value, dtype=float)
     if value.shape != shape:
         raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
     if not np.all(np.isfinite(value)):
         raise ValueError(f"{name} has non-finite entries")
-    return value
-
-
-def check_distributions(atol, tables):
-    """Raise ValueError unless every (name, array, shape) in `tables` passes
-    check_table and has non-negative entries whose rows (last axis) sum to 1
-    within atol."""
-    for name, value, shape in tables:
-        value = check_table(name, value, shape)
-        if np.any(value < 0):
-            raise ValueError(f"{name} has negative entries")
-        if np.any(np.abs(value.sum(axis=-1) - 1.0) > atol):
-            raise ValueError(f"{name} rows do not sum to 1" if value.ndim > 1
-                             else f"{name} does not sum to 1")
+    if atol is not None and np.any(value < 0):
+        raise ValueError(f"{name} has negative entries")
+    if atol is not None and np.any(np.abs(value.sum(axis=-1) - 1.0) > atol):
+        raise ValueError(f"{name} rows do not sum to 1" if value.ndim > 1
+                         else f"{name} does not sum to 1")
 
 
 def check_state_cap(n_states):
@@ -120,9 +138,9 @@ def check_state_cap(n_states):
 
 def check_positive_ints(values):
     """Raise ValueError unless every (name, value) in `values` holds a
-    positive integer."""
+    positive integer (a bool, such as a JSON true, is not one)."""
     for name, value in values:
-        if not isinstance(value, (int, np.integer)) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ValueError(f"{name} must be a positive integer")
 
 

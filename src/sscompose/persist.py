@@ -35,12 +35,8 @@ def _persisted(cls):
 def _jsonable(value):
     if is_dataclass(value):
         return {f.name: _jsonable(getattr(value, f.name)) for f in _persisted(value)}
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.generic)):  # arrays to lists, numpy scalars to Python's
         return value.tolist()
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -72,7 +68,10 @@ def _decode_value(hint, value, where):
             and not isinstance(value, list):
         raise ValueError(f"corrupt model file: {where} is not a JSON array")
     if hint is np.ndarray:
-        return np.asarray(value)
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):  # a non-number entry, or rows of unequal lengths
+            raise ValueError(f"corrupt model file: {where} is not an array of numbers") from None
     if hint is tuple:
         return tuple(value)
     if get_origin(hint) is list:

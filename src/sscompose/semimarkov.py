@@ -41,8 +41,8 @@ from .hmm import (
     _masked_dirichlet,
     _normalized,
     _posteriors,
-    check_distributions,
     run_em,
+    table,
 )
 
 PROPOSAL_SCALE = 0.3  # standard deviation of the random-walk steps on the dwell logits
@@ -54,10 +54,10 @@ PRIOR_SCALE = 3.0     # standard deviation of the normal prior on the dwell logi
 
 @dataclass
 class HsmmParams(ChainParams):
-    initial: np.ndarray     # (n,)
-    transition: np.ndarray  # (n, n), zero diagonal
-    emission: np.ndarray    # (n, K)
-    duration: np.ndarray    # (n, D): pmf over dwell lengths 1..D
+    initial: np.ndarray = table("n")
+    transition: np.ndarray = table("n", "n", zero_diagonal=True)
+    emission: np.ndarray = table("n", "K")
+    duration: np.ndarray = table("n", "D")  # pmf over dwell lengths 1..D
 
     @property
     def n_states(self):
@@ -66,23 +66,6 @@ class HsmmParams(ChainParams):
     @property
     def d_max(self):
         return self.duration.shape[1]
-
-    def validate(self, atol=1e-12, n_symbols=None):
-        """Raise ValueError unless the shapes agree ((n,), (n, n), (n, K),
-        (n, D), with K == n_symbols when given), every row is a
-        distribution and the transition diagonal is zero."""
-        tables = (self.initial, self.transition, self.emission, self.duration)
-        if tuple(np.ndim(t) for t in tables) != (1, 2, 2, 2):
-            raise ValueError("initial, transition, emission and duration must have "
-                             "1, 2, 2 and 2 axes")
-        n = len(self.initial)
-        K = self.n_symbols if n_symbols is None else n_symbols
-        check_distributions(atol, [("initial", self.initial, (n,)),
-                                   ("transition", self.transition, (n, n)),
-                                   ("emission", self.emission, (n, K)),
-                                   ("duration", self.duration, (n, np.shape(self.duration)[1]))])
-        if np.any(np.diagonal(self.transition) != 0):
-            raise ValueError("transition diagonal must be zero (no self-transitions)")
 
     def chain(self, obs):
         """The HSMM as a first-order chain on (state, dwell index d): a
@@ -206,10 +189,10 @@ def hsmm_sampler(params):
 
 @dataclass
 class NshmmParams(ChainParams):
-    initial: np.ndarray       # (n,)
-    switch: np.ndarray        # (n, n): p(next state | leave), zero diagonal
-    emission: np.ndarray      # (n, K)
-    stay_profile: np.ndarray  # (n, D): p(stay | dwell d), saturating at D
+    initial: np.ndarray = table("n")
+    switch: np.ndarray = table("n", "n", zero_diagonal=True)  # p(next state | leave)
+    emission: np.ndarray = table("n", "K")
+    stay_profile: np.ndarray = table("n", "D", rows=False)  # p(stay | dwell d), saturating at D
 
     @property
     def n_states(self):
@@ -219,27 +202,13 @@ class NshmmParams(ChainParams):
     def d_max(self):
         return self.stay_profile.shape[1]
 
-    def validate(self, atol=1e-12, n_symbols=None):
-        """Raise ValueError unless the shapes agree ((n,), (n, n), (n, K),
-        (n, D) with D >= 1, and K == n_symbols when given), the initial,
-        switch and emission rows are distributions, the switch diagonal is
-        zero and every stay probability is finite and in [0, 1]."""
-        tables = (self.initial, self.switch, self.emission, self.stay_profile)
-        if tuple(np.ndim(t) for t in tables) != (1, 2, 2, 2):
-            raise ValueError("initial, switch, emission and stay_profile must have "
-                             "1, 2, 2 and 2 axes")
-        n = len(self.initial)
-        K = self.n_symbols if n_symbols is None else n_symbols
-        check_distributions(atol, [("initial", self.initial, (n,)),
-                                   ("switch", self.switch, (n, n)),
-                                   ("emission", self.emission, (n, K))])
-        if np.any(np.diagonal(self.switch) != 0):
-            raise ValueError("switch diagonal must be zero (no self-transitions)")
+    def _bound_sizes(self, atol):
         stay = np.asarray(self.stay_profile, dtype=float)
-        if stay.shape[0] != n or stay.shape[1] < 1:
-            raise ValueError(f"stay_profile has shape {stay.shape}, expected ({n}, D), D >= 1")
+        if stay.shape[1] < 1:
+            raise ValueError(f"stay_profile has shape {stay.shape}, expected (n, D), D >= 1")
         if not np.all((stay >= 0) & (stay <= 1)):  # NaN fails both comparisons
             raise ValueError("stay_profile entries must be finite and lie in [0, 1]")
+        return {}
 
     def chain(self, obs):
         """The dwell-augmented chain; every state starts at dwell index 0."""

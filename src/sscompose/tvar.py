@@ -59,26 +59,21 @@ class TvarFit:
         return len(self.s)
 
     def validate(self, atol=None, n_symbols=None):
-        """Raise ValueError unless the fit is one the filter could give: a
-        positive integer order, discounts in (0, 1], coeff_means (steps,
-        order), coeff_covs (steps, order, order), s and dof (steps,) with
-        steps >= 1, a series of steps + order values, every entry finite
-        and s and dof positive.  atol and n_symbols belong to the shared
-        validate signature and do not apply to a TVAR fit."""
+        """Raise ValueError unless the filter could give this fit: order >= 1,
+        discounts in (0, 1], finite tables of one step count and positive s
+        and dof (atol and n_symbols do not apply to a TVAR fit)."""
         check_positive_ints([("order", self.order)])
         for name in ("state_discount", "var_discount"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not 0.0 < value <= 1.0:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
         s = np.asarray(self.s, dtype=float)
         if s.ndim != 1 or len(s) < 1:
             raise ValueError("s must be a non-empty 1-d array")
         steps, d = len(s), self.order
-        for name, value, shape in [("coeff_means", self.coeff_means, (steps, d)),
-                                   ("coeff_covs", self.coeff_covs, (steps, d, d)),
-                                   ("s", s, (steps,)), ("dof", self.dof, (steps,)),
-                                   ("series", self.series, (steps + d,))]:
-            check_table(name, value, shape)
+        for name, shape in [("coeff_means", (steps, d)), ("coeff_covs", (steps, d, d)),
+                            ("s", (steps,)), ("dof", (steps,)), ("series", (steps + d,))]:
+            check_table(name, getattr(self, name), shape)
         if np.any(s <= 0) or np.any(np.asarray(self.dof, dtype=float) <= 0):
             raise ValueError("s and dof must be positive")
 

@@ -33,10 +33,11 @@ from .hmm import (
     _order_k_sampler,
     _posteriors,
     baum_welch,
-    check_distributions,
     check_positive_ints,
     check_state_cap,
+    check_table,
     run_em,
+    table,
 )
 
 
@@ -48,35 +49,24 @@ from .hmm import (
 class KhmmParams(ChainParams):
     order: int
     n_states: int
-    initial: np.ndarray                 # (n,)
+    initial: np.ndarray = table("n")
     init_transitions: list[np.ndarray]  # step i in 2..k: (n^(i-1), n)
-    transition: np.ndarray              # (n^k, n): p(z_t | previous k states)
-    emission: np.ndarray                # (n, K)
+    transition: np.ndarray = table("n^k", "n")  # p(z_t | previous k states)
+    emission: np.ndarray = table("n", "K")
 
     @property
     def n_tuples(self):
         return self.n_states ** self.order
 
-    def validate(self, atol=1e-12, n_symbols=None):
-        """Raise ValueError unless order k and n_states n are positive
-        integers, the tables have shapes (n,), (n^(i-1), n) for i = 2..k,
-        (n^k, n) and (n, K), with K == n_symbols when given, and every row
-        is a distribution."""
+    def _bound_sizes(self, atol):
         check_positive_ints([("order", self.order), ("n_states", self.n_states)])
         n, k = int(self.n_states), int(self.order)
         if len(self.init_transitions) != k - 1:
             raise ValueError(f"order {k} needs {k - 1} init_transitions tables, "
                              f"found {len(self.init_transitions)}")
-        if np.ndim(self.emission) != 2:
-            raise ValueError("emission must have 2 axes")
-        K = self.n_symbols if n_symbols is None else n_symbols
-        check_distributions(atol, [
-            ("initial", self.initial, (n,)),
-            *((f"init_transitions[{i - 2}]", table, (n ** (i - 1), n))
-              for i, table in enumerate(self.init_transitions, start=2)),
-            ("transition", self.transition, (n ** k, n)),
-            ("emission", self.emission, (n, K)),
-        ])
+        for i, step in enumerate(self.init_transitions):
+            check_table(f"init_transitions[{i}]", step, (n ** (i + 1), n), atol)
+        return {"n": n, "n^k": n ** k}
 
     def chain(self, obs):
         """The tuple chain: its initial distribution, its transition as an
@@ -226,25 +216,14 @@ def train_lrhmm(obs, n_states, n_symbols, order=1, init=None, seed=None,
 
 @dataclass
 class ArhmmParams(ChainParams):
-    initial: np.ndarray        # (n,)
-    transition: np.ndarray     # (n, n)
-    emission: np.ndarray       # (n, K, K): p(x_t | z_t, x_{t-1})
-    init_emission: np.ndarray  # (n, K): p(x_1 | z_1)
+    initial: np.ndarray = table("n")
+    transition: np.ndarray = table("n", "n")
+    emission: np.ndarray = table("n", "K", "K")  # p(x_t | z_t, x_{t-1})
+    init_emission: np.ndarray = table("n", "K")  # p(x_1 | z_1)
 
     @property
     def n_states(self):
         return len(self.initial)
-
-    def validate(self, atol=1e-12, n_symbols=None):
-        """Raise ValueError unless the tables have shapes (n,), (n, n),
-        (n, K, K) and (n, K), with K == n_symbols when given, and every row
-        is a distribution."""
-        n = len(self.initial)
-        K = self.n_symbols if n_symbols is None else n_symbols
-        check_distributions(atol, [("initial", self.initial, (n,)),
-                                   ("transition", self.transition, (n, n)),
-                                   ("emission", self.emission, (n, K, K)),
-                                   ("init_emission", self.init_emission, (n, K))])
 
     def chain(self, obs):
         """The state chain; step t's likelihood conditions on symbol t - 1."""

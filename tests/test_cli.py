@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sscompose import hierarchical, hmm, registry, tvar
 from sscompose.cli import main
 from sscompose.midi_codec import PitchSequence, emit_midi_csv, parse_midi_csv
 
@@ -349,8 +351,23 @@ def _negate_transition_entry(params):
     params["transition"][0][0] = -params["transition"][0][0]
 
 
+# A corruption that returns a string names the one error line loading must
+# print, after "error: corrupt model file: "; the tests compare the whole line.
+
+
+def _object_in_initial(params):
+    params["initial"] = [{}, 0, 0]
+    return "params.initial is not an array of numbers"
+
+
+def _ragged_initial(params):
+    params["initial"] = [[0.5], [0.5, 0]]
+    return "params.initial is not an array of numbers"
+
+
 @pytest.mark.parametrize("corrupt", [_cut_initial, _halve_emission_row,
-                                     _drop_emission_column, _negate_transition_entry])
+                                     _drop_emission_column, _negate_transition_entry,
+                                     _object_in_initial, _ragged_initial])
 def test_inconsistent_hmm_params_rejected_on_load(tmp_path, toy_piece, capsys, corrupt):
     piece, _ = toy_piece
     run = tmp_path / "run"
@@ -358,13 +375,16 @@ def test_inconsistent_hmm_params_rejected_on_load(tmp_path, toy_piece, capsys, c
                 "--seed", "0", "--max-iter", "5", "--out", run) == 0
     path = run / "M1_model.json"
     data = json.loads(path.read_text())
-    corrupt(data["params"])
+    expected = corrupt(data["params"])
     path.write_text(json.dumps(data))
     capsys.readouterr()
     assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
                 "--out", tmp_path / "b") == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: corrupt model file:")
+    if expected is None:
+        assert len(err) == 1 and err[0].startswith("error: corrupt model file:")
+    else:
+        assert err == [f"error: corrupt model file: {expected}"]
 
 
 def test_export_skips_already_selected(tmp_path, toy_piece):
@@ -453,10 +473,15 @@ def _move_transition_mass_to_diagonal(params):
     row[0], row[1] = row[1], 0.0   # the row still sums to 1
 
 
+def _order_true(params):
+    params["order"] = True  # a JSON boolean is not a count
+    return "params: order must be a positive integer"
+
+
 @pytest.mark.parametrize("model,corrupt", [
     ("M2", _cut_initial), ("M2", _halve_emission_row), ("M2", _drop_init_transitions),
     ("M8", _cut_initial), ("M8", _halve_duration_row),
-    ("M8", _move_transition_mass_to_diagonal),
+    ("M8", _move_transition_mass_to_diagonal), ("M2", _order_true),
 ])
 def test_inconsistent_khmm_hsmm_params_rejected_on_load(tmp_path, toy_piece, capsys,
                                                         model, corrupt):
@@ -468,13 +493,16 @@ def test_inconsistent_khmm_hsmm_params_rejected_on_load(tmp_path, toy_piece, cap
     assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
                 "--out", tmp_path / "ok") == 0
     data = json.loads(path.read_text())
-    corrupt(data["params"])
+    expected = corrupt(data["params"])
     path.write_text(json.dumps(data))
     capsys.readouterr()
     assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
                 "--out", tmp_path / "b") == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: corrupt model file: params:")
+    if expected is None:
+        assert len(err) == 1 and err[0].startswith("error: corrupt model file: params:")
+    else:
+        assert err == [f"error: corrupt model file: {expected}"]
 
 
 def test_m14_train_skips_singular_grid_cells(tmp_path):
@@ -531,7 +559,8 @@ def test_m14_train_on_a_piece_too_short_for_every_order(tmp_path, capsys):
 
 
 def _train_and_corrupt(tmp_path, piece, model, corrupt):
-    """Train a small model, check it generates, then corrupt its params."""
+    """Train a small model, check it generates, then corrupt its params;
+    returns the model file's path and what corrupt returned."""
     run = tmp_path / "run"
     assert _run("train", "--input", piece, "--model", model, "--states", "3",
                 "--seed", "0", "--max-iter", "1", "--out", run) == 0
@@ -539,15 +568,16 @@ def _train_and_corrupt(tmp_path, piece, model, corrupt):
     assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
                 "--out", tmp_path / "ok") == 0
     data = json.loads(path.read_text())
-    corrupt(data["params"])
+    expected = corrupt(data["params"])
     path.write_text(json.dumps(data))
-    return path
+    return path, expected
 
 
 @pytest.mark.parametrize("model,name", [("M2", "init_transitions"), ("M12", "chain_sizes")])
 def test_scalar_in_array_field_rejected_on_load(tmp_path, toy_piece, capsys, model, name):
     piece, _ = toy_piece
-    path = _train_and_corrupt(tmp_path, piece, model, lambda params: params.update({name: 5}))
+    path, _ = _train_and_corrupt(tmp_path, piece, model,
+                                 lambda params: params.update({name: 5}))
     capsys.readouterr()
     assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
                 "--out", tmp_path / "b") == 2
@@ -563,35 +593,118 @@ def _cut_layer_1_initial(params):
     params["layers"][1]["initial"] = [1.0]
 
 
+def _m1_true(params):
+    params["m1"] = True
+    return "params: m1 must be a positive integer"
+
+
 @pytest.mark.parametrize("model,corrupt", [
     ("M7", _cut_initial), ("M10", _cut_initial), ("M12", _cut_chain_initials),
-    ("M13", _cut_layer_1_initial),
+    ("M13", _cut_layer_1_initial), ("M10", _m1_true),
 ])
 def test_inconsistent_arhmm_tshmm_fhmm_lhmm_params_rejected_on_load(tmp_path, toy_piece,
                                                                     capsys, model, corrupt):
     piece, _ = toy_piece
-    path = _train_and_corrupt(tmp_path, piece, model, corrupt)
+    path, expected = _train_and_corrupt(tmp_path, piece, model, corrupt)
     capsys.readouterr()
     assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
                 "--out", tmp_path / "b") == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: corrupt model file: params:")
+    if expected is None:
+        assert len(err) == 1 and err[0].startswith("error: corrupt model file: params:")
+    else:
+        assert err == [f"error: corrupt model file: {expected}"]
 
 
 def _cut_coeff_means(params):
     params["coeff_means"] = params["coeff_means"][:1]
 
 
-@pytest.mark.parametrize("model,corrupt", [("M9", _cut_initial), ("M14", _cut_coeff_means)])
+def _objects_as_dof(params):
+    params["dof"] = [{} for _ in params["dof"]]
+    return "params.dof is not an array of numbers"
+
+
+def _state_discount_true(params):
+    params["state_discount"] = True
+    return "params: state_discount must lie in (0, 1]"
+
+
+@pytest.mark.parametrize("model,corrupt", [("M9", _cut_initial), ("M14", _cut_coeff_means),
+                                           ("M14", _objects_as_dof),
+                                           ("M14", _state_discount_true)])
 def test_inconsistent_nshmm_tvar_params_rejected_on_load(tmp_path, toy_piece, capsys,
                                                          model, corrupt):
     piece, _ = toy_piece
-    path = _train_and_corrupt(tmp_path, piece, model, corrupt)
+    path, expected = _train_and_corrupt(tmp_path, piece, model, corrupt)
     capsys.readouterr()
     assert _run("generate", "--model", path, "--n", "1", "--seed", "0",
                 "--out", tmp_path / "b") == 2
     err = capsys.readouterr().err.strip().splitlines()
+    if expected is None:
+        assert len(err) == 1 and err[0].startswith("error: corrupt model file: params:")
+    else:
+        assert err == [f"error: corrupt model file: {expected}"]
+
+
+@pytest.fixture(scope="module")
+def trained_model_data(tmp_path_factory):
+    """model -> a fresh copy of its model file's JSON; each model is trained
+    once, small, on the toy piece."""
+    root = tmp_path_factory.mktemp("trained")
+    piece = root / "toy.csv"
+    piece.write_text(emit_midi_csv(_toy_seq()))
+    texts = {}
+
+    def data(model):
+        if model not in texts:
+            assert _run("train", "--input", piece, "--model", model, "--states", "3",
+                        "--seed", "0", "--max-iter", "1", "--out", root / model) == 0
+            texts[model] = (root / model / f"{model}_model.json").read_text()
+        return json.loads(texts[model])
+
+    return data
+
+
+def _declared_tables(cls, prefix=()):
+    """(path, rows flag) of every table field cls declares; LHMM's are its
+    layer 1's."""
+    for f in dataclasses.fields(cls):
+        if "shape" in f.metadata:
+            yield prefix + (f.name,), f.metadata["rows"]
+    if cls is hierarchical.LhmmParams:
+        yield from _declared_tables(hmm.HmmParams, ("layers", 1))
+
+
+# every parameter type but TVAR's, through the first registry model of its kind
+DECLARED_TABLE_CASES = [
+    pytest.param(next(name for name, spec in registry.REGISTRY.items() if spec.kind == tag),
+                 path, how, id=f"{tag}-{'.'.join(map(str, path))}-{how}")
+    for cls, (tag, _) in registry.PARAM_TYPES.items() if cls is not tvar.TvarFit
+    for path, rows in _declared_tables(cls)
+    for how in (("cut", "halve") if rows else ("cut",))]
+
+
+@pytest.mark.parametrize("model,path,how", DECLARED_TABLE_CASES)
+def test_every_declared_table_is_checked_on_load(tmp_path, capsys, trained_model_data,
+                                                 model, path, how):
+    # cut drops the table's first entry along its first axis; halve scales
+    # every entry by 0.5, so no row of a distribution sums to 1
+    data = trained_model_data(model)
+    *parents, name = path
+    owner = data["params"]
+    for key in parents:
+        owner = owner[key]
+    table = np.asarray(owner[name])
+    owner[name] = (table[1:] if how == "cut" else table * 0.5).tolist()
+    model_file = tmp_path / "corrupt.json"
+    model_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _run("generate", "--model", model_file, "--n", "1", "--out", tmp_path / "b") == 2
+    err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: corrupt model file: params:")
+    if how == "halve":
+        assert err[0].endswith(f"{name} {'rows do' if table.ndim > 1 else 'does'} not sum to 1")
 
 
 def test_count_arguments_range_checked(tmp_path, toy_piece, capsys):

@@ -227,3 +227,10 @@ def test_tshmm_fhmm_lhmm_params_validate():
     lhmm.layers[1].emission = lhmm.layers[1].emission[:, :-1]
     with pytest.raises(ValueError, match=r"layers\[1\]: emission has shape"):
         lhmm.validate()
+    tshmm.C = tshmm.C[0]
+    with pytest.raises(ValueError,
+                       match="^C, D, initial and emission must have 2, 3, 1 and 2 axes$"):
+        tshmm.validate()
+    fhmm.emission = fhmm.emission[0]
+    with pytest.raises(ValueError, match="^emission must have 2 axes$"):
+        fhmm.validate()

@@ -1,3 +1,6 @@
+import dataclasses
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,9 @@ def test_sample_sequence_shape():
     ("M14", {}),
     ("M15", {}),
     ("M3", {"max_iter": 1, "states": 3}),
+    # numpy scalars, as Python callers may pass them, are written as Python numbers
+    ("M1", {"max_iter": 3, "states": np.int64(4)}),
+    ("M12", {"max_iter": 2, "chains": np.array([3, 2])}),
 ])
 def test_save_load_roundtrip_bitexact(tmp_path, name, kw):
     seq = _toy_sequence()
@@ -184,6 +190,15 @@ def test_report_persisted_with_trace(tmp_path):
 def test_every_chain_parameter_type_derives_from_chain_params():
     others = [cls for cls in registry.PARAM_TYPES if not issubclass(cls, hmm.ChainParams)]
     assert others == [tvar.TvarFit]
+
+
+def test_every_array_field_of_a_chain_parameter_type_declares_its_shape():
+    # ChainParams.validate checks only the fields declared with hmm.table
+    types = hmm.ChainParams.__subclasses__()
+    assert set(registry.PARAM_TYPES) - {tvar.TvarFit} <= set(types)
+    undeclared = [f"{cls.__name__}.{f.name}" for cls in types for f in dataclasses.fields(cls)
+                  if get_type_hints(cls)[f.name] is np.ndarray and "shape" not in f.metadata]
+    assert undeclared == []
 
 
 @pytest.mark.parametrize("name", [name for name in registry.REGISTRY if name != "M14"])

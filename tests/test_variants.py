@@ -186,6 +186,10 @@ def test_khmm_params_validate(order, left_right):
     params.transition = params.transition[:-1]
     with pytest.raises(ValueError, match="transition has shape"):
         params.validate()
+    params.emission = params.emission[0]
+    with pytest.raises(ValueError,
+                       match="^initial, transition and emission must have 1, 2 and 2 axes$"):
+        params.validate()
 
 
 def _enumerated_m_step(params, obs, left_right):
@@ -232,6 +236,10 @@ def test_arhmm_params_validate():
         params.validate(n_symbols=5)
     params.emission = params.emission[:, :-1]
     with pytest.raises(ValueError, match="emission has shape"):
+        params.validate()
+    params.init_emission = params.init_emission[0]
+    with pytest.raises(ValueError, match="^initial, transition, emission and init_emission must "
+                                         "have 1, 2, 3 and 2 axes$"):
         params.validate()
 
 
