@@ -5,6 +5,13 @@ rank batches of generated pieces against their training piece.
 
 All entropies and mutual informations are in nats.  Melodic lines are
 extracted per timestamp: treble = highest pitch, bass = lowest pitch.
+
+A batch is scored in one pass where every piece meets the same training
+piece: all its pieces share one packed edit-distance automaton, with the
+training piece as the text (`levenshtein_batch`; Hyyrö, Fredriksson &
+Navarro 2005, JEA 10), and the ACF/PACF of its equal-length pieces are
+computed as stacked rows (`acf_pacf_rows`).  Both give each piece the
+exact values of scoring it alone.
 """
 
 from __future__ import annotations
@@ -109,45 +116,69 @@ def mutual_information(train_pitches, gen_pitches):
 
 
 def levenshtein(a, b):
-    """Unit-cost edit distance (insertions, deletions, substitutions).
-
-    Myers' bit-vector algorithm (Myers 1999, JACM 46; in Hyyrö's form for
-    global distance): one column of the DP table is held as two bit vectors
-    of +1 and -1 vertical deltas over the shorter sequence, Python ints of
-    any width, and each symbol of the longer sequence updates them in a
-    constant number of word operations.  The score is the last row's
-    entry, tracked through the top bit of the horizontal deltas.
-    """
-    a = np.asarray(a).tolist()
-    b = np.asarray(b).tolist()
-    if len(a) == 0:
-        return len(b)
-    if len(b) == 0:
-        return len(a)
+    """Unit-cost edit distance (insertions, deletions, substitutions): the
+    one-pattern case of `levenshtein_batch`, with the longer sequence as
+    the text."""
     if len(b) > len(a):
         a, b = b, a
-    m = len(b)
-    peq = {}                  # symbol -> bitmask of its positions in b
-    for j, symbol in enumerate(b):
-        peq[symbol] = peq.get(symbol, 0) | (1 << j)
-    mask = (1 << m) - 1
-    top = 1 << (m - 1)
-    pv, mv, score = mask, 0, m
-    for symbol in a:
-        eq = peq.get(symbol, 0)
+    return levenshtein_batch(a, [b])[0]
+
+
+def levenshtein_batch(text, patterns):
+    """Unit-cost edit distance of each pattern against one shared text.
+
+    Myers' bit-vector algorithm (Myers 1999, JACM 46; in Hyyrö's form for
+    global distance) holds one column of the DP table as two bit vectors
+    of +1 and -1 vertical deltas over the pattern, and each text symbol
+    updates them in a constant number of word operations.  Every pattern
+    of a batch runs in the same automaton (Hyyrö, Fredriksson & Navarro
+    2005, JEA 10): each non-empty pattern has its own slot of len + c
+    bits in one Python int, c = bit_length(len(text)) + 1.  The zero bits
+    above a pattern absorb the carry of the addition, so no slot reads
+    another's, and leave room for the slot's two score counters, which
+    tally the +1 and -1 horizontal deltas of the pattern's last row.
+    """
+    text = np.asarray(text)
+    patterns = [np.asarray(p) for p in patterns]
+    n = len(text)
+    distances = [n] * len(patterns)       # an empty pattern is n insertions away
+    slots = [i for i, p in enumerate(patterns) if len(p)]
+    if not slots:
+        return distances
+    c = n.bit_length() + 1
+    lengths = np.array([len(patterns[i]) for i in slots])
+    starts = np.cumsum(lengths + c) - (lengths + c)
+    # one code per symbol of text or patterns; guard bits hold -1, which matches nothing
+    flat = np.concatenate([patterns[i] for i in slots])
+    _, codes = np.unique(np.concatenate([text, flat]), return_inverse=True)
+    layout = np.full(len(flat) + c * len(slots), -1)
+    layout[np.arange(len(flat)) + c * np.repeat(np.arange(len(slots)), lengths)] = codes[n:]
+    text_codes = codes[:n].tolist()
+    peq = {k: int.from_bytes(np.packbits(layout == k, bitorder="little").tobytes(), "little")
+           for k in set(text_codes)}
+    mask = lows = tops = 0
+    for start, m in zip(starts.tolist(), lengths.tolist()):
+        mask |= ((1 << m) - 1) << start
+        lows |= 1 << start
+        tops |= 1 << (start + m - 1)
+    pv, mv, plus, minus = mask, 0, 0, 0
+    for k in text_codes:
+        eq = peq[k]
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & top:
-            score += 1
-        elif mh & top:
-            score -= 1
-        ph = (ph << 1) | 1    # row 0 of the table grows by one per symbol
+        plus += ph & tops
+        minus += mh & tops
+        ph = (ph << 1) | lows    # row 0 of each table grows by one per symbol
         mh <<= 1
         pv = (mh | ~(xv | ph)) & mask
         mv = ph & xv & mask
-    return score
+    counter = (1 << c) - 1
+    for i, start, m in zip(slots, starts.tolist(), lengths.tolist()):
+        top = start + m - 1
+        distances[i] = m + ((plus >> top) & counter) - ((minus >> top) & counter)
+    return distances
 
 
 def edit_distance(a, b):
@@ -254,37 +285,57 @@ def interval_class_table(seq, mode):
 
 def acf_pacf(values, max_lag=DEFAULT_MAX_LAG):
     """Sample ACF (biased 1/T autocovariances) at lags 1..max_lag and the
-    PACF obtained from it by the Durbin-Levinson recursion."""
+    PACF obtained from it by the Durbin-Levinson recursion: the one-row
+    case of `acf_pacf_rows`, raising where that function flags the row."""
+    acf, pacf, errors = acf_pacf_rows([values], max_lag)
+    if errors[0]:
+        raise ValueError(errors[0])
+    return acf[0], pacf[0]
+
+
+def acf_pacf_rows(rows, max_lag=DEFAULT_MAX_LAG):
+    """`acf_pacf` of each row of an equal-length stack, computed at once:
+    every autocovariance and every Durbin-Levinson dot product is one
+    stacked (P, 1, n) @ (P, n, 1) matmul, which takes each row's dot
+    product as the one-row case does, so each row's values are bit for bit
+    its own.  Returns (acf, pacf, errors), acf and pacf of shape
+    (P, max_lag); errors[i] is None, or why row i's correlations are
+    undefined (zero variance, or a Durbin-Levinson breakdown), in which
+    case its values are meaningless but no other row's are touched."""
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
-    x = np.asarray(values, dtype=float)
-    T = len(x)
+    x = np.array(rows, dtype=float)
+    P, T = x.shape
     if T <= max_lag + 1:
         raise ValueError("sequence too short for the requested number of lags")
-    xc = x - x.mean()
-    gamma0 = float(xc @ xc) / T
-    if gamma0 <= 0:
-        raise ValueError("zero-variance sequence: correlation undefined")
-    rho = np.empty(max_lag + 1)
-    rho[0] = 1.0
-    for h in range(1, max_lag + 1):
-        rho[h] = float(xc[h:] @ xc[:-h]) / T / gamma0
+    errors = [None] * P
 
-    pacf = np.empty(max_lag)
-    phi = np.zeros(max_lag + 1)
-    phi[1] = rho[1]
-    pacf[0] = rho[1]
-    denom = 1.0 - rho[1] * rho[1]
-    for h in range(2, max_lag + 1):
-        num = rho[h] - phi[1:h] @ rho[h - 1:0:-1]
-        if abs(denom) < 1e-300:
-            raise ValueError(f"Durbin-Levinson breakdown at lag {h}")
-        phi_hh = num / denom
-        phi[h] = phi_hh
-        phi[1:h] = phi[1:h] - phi_hh * phi[h - 1:0:-1]  # right side read before writing
-        denom *= 1.0 - phi_hh * phi_hh
-        pacf[h - 1] = phi_hh
-    return rho[1:], pacf
+    def flag(bad, reason):
+        for i in np.flatnonzero(bad).tolist():
+            errors[i] = errors[i] or reason
+
+    xc = x - x.mean(axis=1, keepdims=True)
+    rho = np.empty((P, max_lag + 1))
+    pacf = np.empty((P, max_lag))
+    phi = np.zeros((P, max_lag + 1))
+    with np.errstate(all="ignore"):     # a flagged row's inf and NaN stay in its row
+        gamma0 = (xc[:, None, :] @ xc[:, :, None])[:, 0, 0] / T
+        flag(gamma0 <= 0, "zero-variance sequence: correlation undefined")
+        rho[:, 0] = 1.0
+        for h in range(1, max_lag + 1):
+            rho[:, h] = (xc[:, None, h:] @ xc[:, :-h, None])[:, 0, 0] / T / gamma0
+        phi[:, 1] = rho[:, 1]
+        pacf[:, 0] = rho[:, 1]
+        denom = 1.0 - rho[:, 1] * rho[:, 1]
+        for h in range(2, max_lag + 1):
+            num = rho[:, h] - (phi[:, None, 1:h] @ rho[:, h - 1:0:-1, None])[:, 0, 0]
+            flag(np.abs(denom) < 1e-300, f"Durbin-Levinson breakdown at lag {h}")
+            phi_hh = num / denom
+            phi[:, h] = phi_hh
+            phi[:, 1:h] = phi[:, 1:h] - phi_hh[:, None] * phi[:, h - 1:0:-1]  # right side read first
+            denom = denom * (1.0 - phi_hh * phi_hh)
+            pacf[:, h - 1] = phi_hh
+    return rho[:, 1:], pacf, errors
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +352,32 @@ def rmse(values, reference):
 
 def compute_metrics(seq, union_symbols, max_lag=DEFAULT_MAX_LAG):
     """Per-piece metric vector; ACF/PACF are None when undefined."""
-    try:
-        acf, pacf = acf_pacf(seq.pitches, max_lag)
-    except ValueError:
-        acf, pacf = None, None
-    return MetricVector(
+    return metric_vectors([seq], union_symbols, max_lag)[0]
+
+
+def metric_vectors(pieces, union_symbols, max_lag=DEFAULT_MAX_LAG):
+    """`compute_metrics` of each piece.  The ACF/PACF of the pieces of
+    each length are one `acf_pacf_rows` stack."""
+    curves = [(None, None)] * len(pieces)
+    by_length = {}
+    for i, seq in enumerate(pieces):
+        by_length.setdefault(len(seq), []).append(i)
+    for members in by_length.values():
+        try:
+            acf, pacf, errors = acf_pacf_rows([pieces[i].pitches for i in members], max_lag)
+        except ValueError:      # too short for max_lag lags, or max_lag < 1
+            continue
+        for i, row_acf, row_pacf, error in zip(members, acf, pacf, errors):
+            if error is None:
+                curves[i] = row_acf, row_pacf
+    return [MetricVector(
         entropy=empirical_entropy(seq.pitches),
         dissonance_rate=dissonance_rate(seq),
         large_interval_rate=large_interval_rate(seq),
         pitch_histogram=pitch_histogram(seq.pitches, union_symbols),
         acf=acf,
         pacf=pacf,
-    )
+    ) for seq, (acf, pacf) in zip(pieces, curves)]
 
 
 def _scores(vectors, pairs, ref):
@@ -361,14 +426,14 @@ def evaluate_batch(train_seq, batch):
     if ref.acf is None:
         raise ValueError("training piece has undefined ACF (constant or too short)")
 
-    per_piece = [(compute_metrics(piece, union, max_lag),
-                  PairMetrics(mutual_information(train_seq.pitches, piece.pitches),
-                              edit_distance(train_seq.pitches, piece.pitches)))
-                 for piece in batch]
-    vectors, pairs = zip(*per_piece)
+    vectors = metric_vectors(batch, union, max_lag)
+    distances = levenshtein_batch(train_seq.pitches, [piece.pitches for piece in batch])
+    pairs = [PairMetrics(mutual_information(train_seq.pitches, piece.pitches),
+                         d / max(len(train_seq), len(piece)))
+             for piece, d in zip(batch, distances)]
     return EvaluationReport(
         **_scores(vectors, pairs, ref),
-        per_piece=per_piece,
+        per_piece=list(zip(vectors, pairs)),
         skipped=[(i, "undefined ACF (constant or too-short piece)")
                  for i, mv in enumerate(vectors) if mv.acf is None],
         training_metrics=ref,

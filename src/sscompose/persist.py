@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, fields, is_dataclass
+from itertools import chain
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -68,10 +69,12 @@ def _decode_value(hint, value, where):
             and not isinstance(value, list):
         raise ValueError(f"corrupt model file: {where} is not a JSON array")
     if hint is np.ndarray:
-        try:
-            return np.asarray(value, dtype=float)
-        except (TypeError, ValueError):  # a non-number entry, or rows of unequal lengths
-            raise ValueError(f"corrupt model file: {where} is not an array of numbers") from None
+        if _numbers(value):
+            try:
+                return np.asarray(value, dtype=float)
+            except (OverflowError, ValueError):  # an integer beyond float range, or ragged rows
+                pass
+        raise ValueError(f"corrupt model file: {where} is not an array of numbers")
     if hint is tuple:
         return tuple(value)
     if get_origin(hint) is list:
@@ -80,6 +83,17 @@ def _decode_value(hint, value, where):
     if is_dataclass(hint):
         return _decode(hint, value, where)
     return value
+
+
+def _numbers(value):
+    """Whether every leaf of a nested JSON array is a JSON number (int or
+    float, not bool), checked one nesting level at a time.  The converted
+    array cannot tell: numpy reads "0.5" and true as floats."""
+    while True:
+        kinds = set(map(type, value))
+        if kinds != {list}:
+            return kinds <= {int, float}
+        value = list(chain.from_iterable(value))
 
 
 def _symbols(value, where, high, increasing=False):

@@ -3,9 +3,9 @@
 Everything here enumerates explicitly (all hidden paths, all segmentations,
 all alignments) or uses closed-form conjugate formulas, so agreement with
 the recursive implementations is meaningful evidence of correctness.
-`rowwise_levenshtein`, `per_group_lines`, `dense_nshmm_ffbs` and
-`stepwise_tvar_log_marginal` are the plain per-step loops that faster
-library code must reproduce bit for bit; the `stepwise_*_sample` samplers
+`rowwise_levenshtein`, `rowwise_acf_pacf`, `per_group_lines`,
+`dense_nshmm_ffbs` and `stepwise_tvar_log_marginal` are the plain
+per-step loops that faster library code must reproduce bit for bit; the `stepwise_*_sample` samplers
 are per-kind loops that draw with `np.searchsorted` on each cumulative
 row (`_draw_from`), frozen copies of the samplers before their tables
 were built once per model, which the library samplers must reproduce
@@ -326,6 +326,43 @@ def rowwise_levenshtein(a, b):
                               table[i][j - 1] + 1,
                               table[i - 1][j - 1] + (a[i - 1] != b[j - 1]))
     return table[len(a)][len(b)]
+
+
+def rowwise_acf_pacf(values, max_lag):
+    """One sequence's sample ACF (biased 1/T autocovariances) at lags
+    1..max_lag, each lag a dot product of the centred series with its
+    shift, and the PACF by the Durbin-Levinson recursion, one lag at a
+    time; raises ValueError where the correlations are undefined."""
+    if max_lag < 1:
+        raise ValueError("max_lag must be >= 1")
+    x = np.asarray(values, dtype=float)
+    T = len(x)
+    if T <= max_lag + 1:
+        raise ValueError("sequence too short for the requested number of lags")
+    xc = x - x.mean()
+    gamma0 = float(xc @ xc) / T
+    if gamma0 <= 0:
+        raise ValueError("zero-variance sequence: correlation undefined")
+    rho = np.empty(max_lag + 1)
+    rho[0] = 1.0
+    for h in range(1, max_lag + 1):
+        rho[h] = float(xc[h:] @ xc[:-h]) / T / gamma0
+
+    pacf = np.empty(max_lag)
+    phi = np.zeros(max_lag + 1)
+    phi[1] = rho[1]
+    pacf[0] = rho[1]
+    denom = 1.0 - rho[1] * rho[1]
+    for h in range(2, max_lag + 1):
+        num = rho[h] - phi[1:h] @ rho[h - 1:0:-1]
+        if abs(denom) < 1e-300:
+            raise ValueError(f"Durbin-Levinson breakdown at lag {h}")
+        phi_hh = num / denom
+        phi[h] = phi_hh
+        phi[1:h] = phi[1:h] - phi_hh * phi[h - 1:0:-1]  # right side read before writing
+        denom *= 1.0 - phi_hh * phi_hh
+        pacf[h - 1] = phi_hh
+    return rho[1:], pacf
 
 
 def per_group_lines(timestamps, pitches):

@@ -365,9 +365,28 @@ def _ragged_initial(params):
     return "params.initial is not an array of numbers"
 
 
+# numpy would read both of these as valid tables: "0.25" as 0.25, and a
+# one-hot row of booleans as 1.0 and 0.0
+def _strings_in_initial(params):
+    params["initial"] = [repr(p) for p in params["initial"]]
+    return "params.initial is not an array of numbers"
+
+
+def _booleans_in_emission_row(params):
+    params["emission"][0] = [i == 0 for i in range(len(params["emission"][0]))]
+    return "params.emission is not an array of numbers"
+
+
+def _huge_integer_in_initial(params):
+    params["initial"][0] = 10 ** 400        # no float holds it
+    return "params.initial is not an array of numbers"
+
+
 @pytest.mark.parametrize("corrupt", [_cut_initial, _halve_emission_row,
                                      _drop_emission_column, _negate_transition_entry,
-                                     _object_in_initial, _ragged_initial])
+                                     _object_in_initial, _ragged_initial,
+                                     _strings_in_initial, _booleans_in_emission_row,
+                                     _huge_integer_in_initial])
 def test_inconsistent_hmm_params_rejected_on_load(tmp_path, toy_piece, capsys, corrupt):
     piece, _ = toy_piece
     run = tmp_path / "run"

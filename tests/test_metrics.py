@@ -1,10 +1,13 @@
+import warnings
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_edit_distance, per_group_lines, rmse_compensated, rmse_naive,
-                     rowwise_levenshtein)
+                     rowwise_acf_pacf, rowwise_levenshtein)
 from sscompose import metrics, registry
 from sscompose.midi_codec import PitchSequence
 
@@ -174,6 +177,54 @@ def test_acf_errors():
         metrics.acf_pacf([1.0, 2.0, 3.0], 10)  # too short
 
 
+@pytest.mark.parametrize("values,max_lag", [
+    ([1.0] * 100, 10),           # zero variance
+    ([1.0, 2.0, 3.0], 10),       # too short
+    ([1.0, 2.0, 3.0, 4.0], 0),   # no lags
+])
+def test_acf_errors_are_the_per_row_loops(values, max_lag):
+    with pytest.raises(ValueError) as want:
+        rowwise_acf_pacf(values, max_lag)
+    with pytest.raises(ValueError) as got:
+        metrics.acf_pacf(values, max_lag)
+    assert str(got.value) == str(want.value)
+
+
+def _assert_rows_match_per_row_loop(rows, max_lag, acf, pacf):
+    for row, row_acf, row_pacf in zip(rows, acf, pacf):
+        want_acf, want_pacf = rowwise_acf_pacf(row, max_lag)
+        assert np.array_equal(row_acf, want_acf) and np.array_equal(row_pacf, want_pacf)
+
+
+def test_acf_pacf_rows_match_the_per_row_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for trial in range(80):
+        T = int(rng.integers(3, 600))
+        max_lag = int(rng.integers(1, min(metrics.DEFAULT_MAX_LAG, T - 2) + 1))
+        shape = (int(rng.integers(1, 30)), T)
+        if trial % 2:    # pitch rows, as pieces give them
+            rows = rng.integers(40, 90, shape)
+        else:
+            rows = rng.normal(rng.normal(0, 100), 10.0 ** rng.uniform(-3, 3), shape)
+        acf, pacf, errors = metrics.acf_pacf_rows(rows, max_lag)
+        assert errors == [None] * shape[0]
+        _assert_rows_match_per_row_loop(rows, max_lag, acf, pacf)
+
+
+def test_acf_pacf_rows_flag_a_constant_row_and_leave_the_others_alone():
+    rng = np.random.default_rng(24)
+    rows = rng.integers(50, 70, (5, 120))
+    rows[2] = 64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # its 0/0 must not warn
+        acf, pacf, errors = metrics.acf_pacf_rows(rows, 30)
+    assert errors == [None, None, "zero-variance sequence: correlation undefined", None, None]
+    kept = [0, 1, 3, 4]
+    _assert_rows_match_per_row_loop(rows[kept], 30, acf[kept], pacf[kept])
+    alone_acf, alone_pacf, _ = metrics.acf_pacf_rows(rows[kept], 30)
+    assert np.array_equal(acf[kept], alone_acf) and np.array_equal(pacf[kept], alone_pacf)
+
+
 def test_rmse_basics():
     assert metrics.rmse([2.0, 2.0, 2.0], 2.0) == 0.0
     assert metrics.rmse([1.0, 3.0], 2.0) == pytest.approx(1.0, abs=1e-15)
@@ -246,6 +297,29 @@ def test_evaluate_batch_skips_constant_piece():
     assert len(report.skipped) == 1
     assert report.skipped[0][0] == 1
     assert np.isfinite(report.acf_rmse)
+
+
+def test_evaluate_batch_scores_each_piece_of_a_ragged_batch_as_alone():
+    """Lengths mixed, a constant piece and pieces too short for the 40
+    lags: every piece's vectors equal those of a batch of one.  Every piece
+    draws from the training piece's pitches, so all batches share its
+    pitch-histogram alphabet."""
+    rng = np.random.default_rng(28)
+    pitches = np.arange(50, 62)
+    train = _melody(rng.choice(pitches, 300))
+    lengths = [300, 120, 30, 300, 41, 42, 120, 500]
+    batch = [_melody(rng.choice(pitches, n)) for n in lengths]
+    batch[3] = _melody([55] * 300)
+    report = metrics.evaluate_batch(train, batch)
+    undefined = [2, 3, 4]       # 30 and 41 notes are too short for 40 lags
+    assert report.skipped == [(i, "undefined ACF (constant or too-short piece)")
+                              for i in undefined]
+    for i, piece in enumerate(batch):
+        (alone,) = metrics.evaluate_batch(train, [piece]).per_piece
+        for got, want in zip(report.per_piece[i], alone):
+            for f in fields(want):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert a is b is None or np.array_equal(a, b), (i, f.name)
 
 
 def test_evaluate_batch_criterion_accessor():
@@ -334,6 +408,57 @@ def test_levenshtein_ignores_integer_width():
         assert metrics.levenshtein(a.astype(np.int32), b.astype(np.int64)) == want
         assert metrics.levenshtein(a.astype(np.int64), b.astype(np.int32)) == want
         assert metrics.levenshtein(a.tolist(), b.astype(np.int32)) == want
+
+
+def _log_uniform(rng, high):
+    """An integer in 0..high, as likely in 0..9 as in 10..99 (for high 99):
+    most batches stay small enough for the table oracle, some reach high."""
+    return int(np.expm1(rng.uniform(0, np.log1p(high))))
+
+
+def _assert_batch_matches_table_dp(text, patterns):
+    want = [rowwise_levenshtein(p.tolist(), text.tolist()) for p in patterns]
+    assert metrics.levenshtein_batch(text, patterns) == want
+
+
+def test_levenshtein_batch_matches_table_dp_on_random_batches():
+    rng = np.random.default_rng(22)
+    for _ in range(400):
+        alphabet = int(rng.integers(1, 31))
+        text = rng.integers(0, alphabet, _log_uniform(rng, 200))
+        patterns = [rng.integers(0, alphabet, _log_uniform(rng, 200))
+                    for _ in range(1 + _log_uniform(rng, 49))]
+        _assert_batch_matches_table_dp(text, patterns)
+
+
+def test_levenshtein_batch_empty_patterns_and_empty_text():
+    rng = np.random.default_rng(26)
+    empty = np.zeros(0, dtype=np.int64)
+    patterns = [empty, rng.integers(0, 3, 7), empty, rng.integers(0, 3, 1), empty]
+    _assert_batch_matches_table_dp(rng.integers(0, 3, 20), patterns)
+    _assert_batch_matches_table_dp(empty, patterns)
+    assert metrics.levenshtein_batch(empty, patterns) == [0, 7, 0, 1, 0]
+    assert metrics.levenshtein_batch(rng.integers(0, 3, 20), [empty, empty]) == [20, 20]
+
+
+@pytest.mark.parametrize("length", [63, 64, 65])
+def test_levenshtein_batch_at_word_boundaries(length):
+    rng = np.random.default_rng(length)
+    for alphabet in (1, 2, 20):
+        for text_length in (0, 1, length - 1, length, length + 1, 200):
+            text = rng.integers(0, alphabet, text_length)
+            patterns = [rng.integers(0, alphabet, length) for _ in range(int(rng.integers(1, 8)))]
+            _assert_batch_matches_table_dp(text, patterns + [text[:length]])
+
+
+def test_levenshtein_batch_counters_of_one_note_patterns_against_a_long_text():
+    """Each slot's score counters count up to the text length above a
+    one-bit pattern; a slot with one guard bit would carry into the next."""
+    rng = np.random.default_rng(27)
+    for alphabet in (1, 2, 5):
+        text = rng.integers(0, alphabet, 1000)
+        patterns = [rng.integers(0, alphabet + 1, 1) for _ in range(50)]
+        _assert_batch_matches_table_dp(text, patterns)
 
 
 @settings(max_examples=300, database=None, derandomize=True)
