@@ -350,14 +350,10 @@ def rmse(values, reference):
     return float(np.sqrt(np.mean((values - reference) ** 2)))
 
 
-def compute_metrics(seq, union_symbols, max_lag=DEFAULT_MAX_LAG):
-    """Per-piece metric vector; ACF/PACF are None when undefined."""
-    return metric_vectors([seq], union_symbols, max_lag)[0]
-
-
 def metric_vectors(pieces, union_symbols, max_lag=DEFAULT_MAX_LAG):
-    """`compute_metrics` of each piece.  The ACF/PACF of the pieces of
-    each length are one `acf_pacf_rows` stack."""
+    """The MetricVector of each piece; its ACF/PACF are None when
+    undefined.  The ACF/PACF of the pieces of each length are one
+    `acf_pacf_rows` stack."""
     curves = [(None, None)] * len(pieces)
     by_length = {}
     for i, seq in enumerate(pieces):
@@ -422,11 +418,10 @@ def evaluate_batch(train_seq, batch):
     max_lag = min(DEFAULT_MAX_LAG, len(train_seq) - 2)
     union = np.unique(np.concatenate([np.asarray(train_seq.pitches)]
                                      + [np.asarray(g.pitches) for g in batch]))
-    ref = compute_metrics(train_seq, union, max_lag)
+    ref, *vectors = metric_vectors([train_seq, *batch], union, max_lag)
     if ref.acf is None:
         raise ValueError("training piece has undefined ACF (constant or too short)")
 
-    vectors = metric_vectors(batch, union, max_lag)
     distances = levenshtein_batch(train_seq.pitches, [piece.pitches for piece in batch])
     pairs = [PairMetrics(mutual_information(train_seq.pitches, piece.pitches),
                          d / max(len(train_seq), len(piece)))

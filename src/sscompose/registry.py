@@ -90,13 +90,18 @@ class TrainedModel:
 def _resolved_options(spec, overrides):
     """The spec with each given override its kind reads applied, and one
     warning, naming the override as the caller spelled it, per override it
-    does not read."""
+    does not read.  An override of an integer option must be a positive
+    integer, and states may not exceed the state cap."""
     opts, warnings = dict(spec.options), []
     for name, value in overrides.items():
         if value is None:
             continue
         key = OVERRIDE_SPELLINGS.get(name, name)
         if key in opts:
+            if isinstance(opts[key], int):
+                hmm.check_positive_ints([(name, value)])
+            if key == "states":
+                hmm.check_state_cap(value)
             opts[key] = value
         else:
             warnings.append(f"option {name!r} is not used by {spec.name}; ignored")
@@ -113,40 +118,32 @@ def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
     obs = alphabet.to_indices(sequence.pitches)
     K = alphabet.size
     opts, kind, extra, report = spec.options, spec.kind, {}, None
+    em = {"seed": seed, "tol": tol, "max_iter": max_iter}
 
     if kind == "hmm":
-        init = hmm.random_params(opts["states"], K, seed)
-        params, report = hmm.baum_welch(init, obs, tol=tol, max_iter=max_iter, seed=seed)
+        params, report = hmm.baum_welch(hmm.random_params(opts["states"], K, seed), obs, **em)
     elif kind == "khmm":
-        params, report = variants.train_khmm(obs, opts["states"], opts["order"], K,
-                                             seed=seed, tol=tol, max_iter=max_iter)
+        params, report = variants.train_khmm(obs, opts["states"], opts["order"], K, **em)
     elif kind == "lrhmm":
-        params, report = variants.train_lrhmm(obs, opts["states"], K, order=opts["order"],
-                                              seed=seed, tol=tol, max_iter=max_iter)
+        params, report = variants.train_lrhmm(obs, opts["states"], K, order=opts["order"], **em)
     elif kind == "arhmm":
-        params, report = variants.train_arhmm(obs, opts["states"], K,
-                                              seed=seed, tol=tol, max_iter=max_iter)
+        params, report = variants.train_arhmm(obs, opts["states"], K, **em)
     elif kind == "hsmm":
-        params, report = semimarkov.train_hsmm(obs, opts["states"], K, opts["d_max"],
-                                               seed=seed, tol=tol, max_iter=max_iter)
+        params, report = semimarkov.train_hsmm(obs, opts["states"], K, opts["d_max"], **em)
     elif kind == "nshmm":
         params, info = semimarkov.train_nshmm(obs, opts["states"], K, opts["d_max"],
                                               seed=seed)
         extra["sampler"] = info
     elif kind == "tshmm":
-        params, report = hierarchical.train_tshmm(obs, opts["m1"], opts["m2"], K,
-                                                  seed=seed, tol=tol, max_iter=max_iter)
+        params, report = hierarchical.train_tshmm(obs, opts["m1"], opts["m2"], K, **em)
     elif kind == "fhmm":
-        params, report = hierarchical.train_fhmm(obs, tuple(opts["chains"]), K,
-                                                 seed=seed, tol=tol, max_iter=max_iter)
+        params, report = hierarchical.train_fhmm(obs, tuple(opts["chains"]), K, **em)
     elif kind == "lhmm":
-        params, report = hierarchical.train_lhmm(obs, opts["states"], opts["layers"], K,
-                                                 seed=seed, tol=tol, max_iter=max_iter)
+        params, report = hierarchical.train_lhmm(obs, opts["states"], opts["layers"], K, **em)
         warnings += params.warnings
         extra["warnings"] = warnings  # LHMM files record the list even when empty
     elif kind == "tvar":
-        spec_grid = tvar.TvarSpec()
-        params, audit = tvar.grid_search(spec_grid, sequence.pitches.astype(float))
+        params, audit = tvar.grid_search(tvar.TvarSpec(), sequence.pitches.astype(float))
         extra["grid_audit"] = audit
     elif kind == "random":
         params = hmm.random_params(opts["states"], K, seed)

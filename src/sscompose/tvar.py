@@ -5,7 +5,8 @@ variance discount (volatility drift); order and discounts chosen by grid
 search on the cumulative one-step-ahead (Student-t) log marginal
 likelihood.  The cells of one order share their regressors, so the grid
 runs one filter per order on the stacked cells, and ``fit_tvar`` is that
-filter's one-cell case.  Generation samples a coefficient trajectory backwards from
+filter's one-cell case; a cell that goes numerically singular is flagged
+in place.  Generation samples a coefficient trajectory backwards from
 the filtered posteriors and simulates the observation equation forward;
 real-valued output is binned to the nearest pitch of the training
 alphabet.
@@ -17,7 +18,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .hmm import _as_rng, check_positive_ints, check_table
 
@@ -95,29 +95,31 @@ def fit_tvar(series, order, state_discount, var_discount):
     return fit
 
 
+@np.errstate(all="ignore")  # a flagged cell's inf and NaN stay in its own row
 def _stacked_filter(y, d, cells):
     """The discount filter of order d run at once for every (state
     discount, variance discount) cell, on stacked (cells, d) means and
     (cells, d, d) covariances.  Every cell shares the regressors F, and
     each stacked slice does one cell's arithmetic, so a cell gets the same
     bits alone or in a stack.  A cell whose predictive variance q goes
-    non-finite or non-positive leaves the stack at that step.
+    non-finite or non-positive is flagged in place at that step.
 
     Returns one entry per cell, in order: its TvarFit, or the message
-    naming the step where it went singular.
+    naming the first step where it went singular.
     """
+    from scipy import stats  # here, so that `import sscompose` does not load it
+
     delta, beta = (np.array(column, dtype=float) for column in zip(*cells))
     k, steps = len(cells), len(y) - d
-    live = np.arange(k)  # the cells still in the stack
     m = np.zeros((k, d))
     C = np.tile(np.eye(d) * PRIOR_SCALE, (k, 1, 1))
     n_dof = np.full(k, PRIOR_DF)
     s_est = np.full(k, PRIOR_OBS_VAR)
-    # per-step history of each live cell: means, covs, s, dof, and the
+    # per-step history of each cell: means, covs, s, dof, and the
     # residual, prior degrees of freedom and predictive variance
     hist = [np.empty((k, steps, d)), np.empty((k, steps, d, d))] + [
         np.empty((k, steps)) for _ in range(5)]
-    fits = [None] * k
+    errors = [None] * k
     for i, t in enumerate(range(d, len(y))):
         F = y[t - d:t][::-1]  # most recent lag first
         R = C / delta[:, None, None]
@@ -126,13 +128,8 @@ def _stacked_filter(y, d, cells):
         q = np.matmul(np.matmul(F, R), F) + s_est
         ok = np.isfinite(q) & (q > 0)
         if not ok.all():
-            for cell in live[~ok]:
-                fits[cell] = f"numerically singular update at step {i}"
-            live, delta, beta, m, n_dof, s_est, R, n_prior, f, q = (
-                a[ok] for a in (live, delta, beta, m, n_dof, s_est, R, n_prior, f, q))
-            hist = [h[ok] for h in hist]
-            if not len(live):
-                break
+            for cell in np.flatnonzero(~ok).tolist():
+                errors[cell] = errors[cell] or f"numerically singular update at step {i}"
         e = y[t] - f
         A = np.matmul(R, F) / q[:, None]
         m = m + A * e[:, None]
@@ -149,11 +146,9 @@ def _stacked_filter(y, d, cells):
     # one density call per stack; cumsum adds left to right, as a running
     # scalar sum would (np.sum adds pairwise and can differ in the last bit)
     log_marginal = np.cumsum(stats.t.logpdf(errs, df=dfs, scale=np.sqrt(qs)), axis=1)[:, -1]
-    for row, cell in enumerate(live):
-        sd, vd = cells[cell]
-        fits[cell] = TvarFit(d, float(sd), float(vd), means[row], covs[row], s_hist[row],
-                             dof_hist[row], float(log_marginal[row]), series=y)
-    return fits
+    return [error or TvarFit(d, float(sd), float(vd), means[c], covs[c], s_hist[c],
+                             dof_hist[c], float(log_marginal[c]), series=y)
+            for c, ((sd, vd), error) in enumerate(zip(cells, errors))]
 
 
 def grid_search(spec, series):
@@ -186,6 +181,9 @@ def grid_search(spec, series):
                 continue
             audit.append({**cell, "log_marginal": fit.log_marginal})
             key = (fit.log_marginal, -order, sd, vd)
+            # a running best, not a max over every order's fits: each fit
+            # holds its order's stacked covariance history, and keeping all
+            # eight orders alive costs about 25 MiB of peak memory on P500
             if best_key is None or key > best_key:
                 best, best_key = fit, key
     if best is None:

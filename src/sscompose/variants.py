@@ -184,17 +184,13 @@ def khmm_sampler(params):
 
 
 def lr_transition_mask(n_states):
-    return np.triu(np.ones((n_states, n_states)))
+    return _tuple_masks(n_states, 1, left_right=True)[0]
 
 
 def random_lr_params(n_states, alphabet_size, seed):
-    rng = _as_rng(seed)
-    mask = lr_transition_mask(n_states)
-    return HmmParams(
-        rng.dirichlet(np.ones(n_states)),
-        _masked_dirichlet(rng, mask),
-        rng.dirichlet(np.ones(alphabet_size), size=n_states),
-    )
+    """The order-1 left-right tuple start, as HmmParams."""
+    start = random_khmm_params(n_states, 1, alphabet_size, seed, left_right=True)
+    return HmmParams(start.initial, start.transition, start.emission)
 
 
 def train_lrhmm(obs, n_states, n_symbols, order=1, init=None, seed=None,

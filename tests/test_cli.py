@@ -752,11 +752,29 @@ def test_count_arguments_range_checked(tmp_path, toy_piece, capsys):
             (["train", "--input", piece, "--model", "M2", "--states", "2", "--order", "0"],
              "order must be a positive integer"),
             (["train", "--input", piece, "--model", "M5", "--states", "2", "--order", "-1"],
-             "order must be a positive integer")]:
+             "order must be a positive integer"),
+            (["train", "--input", piece, "--model", "M2", "--states", "0"],
+             "states must be a positive integer"),
+            (["train", "--input", piece, "--model", "M7", "--states", "0"],
+             "states must be a positive integer"),
+            (["train", "--input", piece, "--model", "M13", "--layers", "0"],
+             "layers must be a positive integer"),
+            (["train", "--input", piece, "--model", "M8", "--dmax", "0"],
+             "dmax must be a positive integer")]:
         capsys.readouterr()
         assert _run(*argv, "--out", bad) == 2
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
     assert not bad.exists()
+
+
+def test_states_over_the_cap_is_one_error_line(tmp_path, toy_piece, capsys, monkeypatch):
+    piece, _ = toy_piece
+    monkeypatch.setattr(hmm, "STATE_CAP", 4)
+    assert _run("train", "--input", piece, "--model", "M1", "--states", "5",
+                "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: state space of 5 states exceeds the cap of 4; "
+        "use fewer states (structured approximations are out of scope)"]
 
 
 @pytest.mark.parametrize("model,warning", [

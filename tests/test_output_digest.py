@@ -6,12 +6,13 @@ import importlib.util
 import pathlib
 
 import numpy as np
+import scipy
 
 from sscompose.metrics import CRITERIA
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
-# The tool's listing at --n 2 --seed 0 for all 15 models.  Its first line
-# names the numpy version that recorded it.
+# The tool's listing at --n 2 --seed 0 for all 15 models.  Its first two
+# lines name the numpy and scipy versions that recorded it.
 LISTING = pathlib.Path(__file__).resolve().parent / "output_digest.txt"
 LISTED_MODELS = ["M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M9", "M10", "M11",
                  "M12", "M13", "M14", "M15"]
@@ -57,10 +58,11 @@ def test_manifest_digest_blanks_only_the_wall_clock_value(tmp_path):
 
 def test_seeded_outputs_match_the_checked_in_listing(tmp_path):
     lines = LISTING.read_text().splitlines()
-    recorded_with = lines[0].removeprefix("# numpy ")
-    assert recorded_with == np.__version__, (
-        f"{LISTING.name} was recorded with numpy {recorded_with}, this run has numpy "
-        f"{np.__version__}: record it again and say which lines changed")
+    for line, (name, module) in zip(lines, [("numpy", np), ("scipy", scipy)]):
+        recorded_with = line.removeprefix(f"# {name} ")
+        assert recorded_with == module.__version__, (
+            f"{LISTING.name} was recorded with {name} {recorded_with}, this run has "
+            f"{name} {module.__version__}: record it again and say which lines changed")
     want = {name: sha for sha, name in (line.split("  ", 1) for line in lines
                                         if not line.startswith("#"))}
     got = dict(_load_tool().digest(LISTED_MODELS, tmp_path, seed=0, n=2))

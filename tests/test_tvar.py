@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -249,3 +252,25 @@ def test_singular_cells_leave_the_stack_and_the_rest_keep_their_bits():
     assert errors == ["numerically singular update at step 350",
                       "numerically singular update at step 342"]
 
+
+
+def test_a_stack_whose_every_cell_fails_returns_each_cell_its_message():
+    # failed cells stay in the stack to the end; their inf and NaN raise nothing
+    y = _walk_then_repeats()
+    cells = [(0.9, 0.95), (0.9, 0.9)]
+    want = []
+    for sd, vd in cells:
+        with pytest.raises(FloatingPointError) as exc:
+            tvar.fit_tvar(y, 7, sd, vd)
+        want.append(str(exc.value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tvar._stacked_filter(y, 7, cells) == want
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # only M14's grid uses scipy.stats, and it imports it when it runs
+    code = "import sys, sscompose; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

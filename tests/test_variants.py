@@ -101,6 +101,15 @@ def test_lrhmm_upper_triangular():
     assert np.all(lower == 0.0)
 
 
+def test_lr_start_is_the_order1_left_right_tuple_start():
+    for n, K, seed in [(1, 3, 0), (4, 5, 1), (25, 7, 2)]:
+        lr = variants.random_lr_params(n, K, seed)
+        tuple_start = variants.random_khmm_params(n, 1, K, seed, left_right=True)
+        for name in ("initial", "transition", "emission"):
+            assert np.array_equal(getattr(lr, name), getattr(tuple_start, name)), name
+        assert np.array_equal(variants.lr_transition_mask(n), np.triu(np.ones((n, n))))
+
+
 def test_lrhmm_two_states_absorbing():
     params = variants.random_lr_params(2, 2, 0)
     # identity emission exposes the state path directly

@@ -8,8 +8,10 @@ benchmark's EM budget where it has one), ``generate --midi``,
 ``evaluate`` and ``export --top 2``, then ``rank`` over the models'
 reports on every criterion.  It prints one ``<sha256>  <name>`` line per
 output file, sorted by name, and one per command for its captured
-stdout/stderr (``<name>.console [exit <code>]``).  Manifests are hashed
-byte for byte with only the value of ``wall_clock_seconds`` blanked out.
+stdout/stderr (``<name>.console [exit <code>]``), after three header
+lines: the numpy and scipy versions and the command that printed them.
+Manifests are hashed byte for byte with only the value of
+``wall_clock_seconds`` blanked out.
 Every command runs inside the work directory with relative paths, so two
 runs of the same source print the same lines wherever they run: diff the
 output of two source trees to compare them.
@@ -28,6 +30,9 @@ import os
 import re
 import sys
 import tempfile
+
+import numpy as np
+import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
@@ -112,7 +117,11 @@ def main(argv=None):
                         help="train seed; generate uses seed + 1")
     parser.add_argument("--n", type=int, default=4, help="pieces per model")
     parser.add_argument("--work", help="work directory (default: a removed temporary one)")
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
+    print(f"# numpy {np.__version__}")
+    print(f"# scipy {scipy.__version__}")
+    print(" ".join(["# python3 tools/output_digest.py", *argv]))
     with contextlib.ExitStack() as stack:
         work = args.work or stack.enter_context(tempfile.TemporaryDirectory())
         for name, sha in digest(args.models, work, args.seed, args.n):
