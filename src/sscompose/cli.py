@@ -151,18 +151,20 @@ def _load_batch(batch_dir):
     if not isinstance(tpq, int) or isinstance(tpq, bool) or not 2 <= tpq <= MAX_DIVISION:
         raise ValueError(f"{batch_path}: ticks_per_quarter, the pieces' time base, "
                          f"must be an integer from 2 to {MAX_DIVISION}, not {tpq!r}")
-    pieces, problems = [], []
-    for rel in batch["pieces"]:
+    pieces, problems = {}, []
+    for position, rel in enumerate(batch["pieces"]):
         path = os.path.join(batch_dir, rel)
         try:
             with open(path) as fh:
-                pitches = [int(line) for line in fh if line.strip()]
+                text = fh.read()
+            # blank lines are ignored; int() strips the whitespace around a number
+            pitches = list(map(int, filter(str.strip, text.split("\n"))))
             if not pitches:
                 raise ValueError("empty piece file")
-            outside = [p for p in pitches if not 0 <= p <= 127]
-            if outside:
-                raise ValueError(f"pitch {outside[0]} outside 0-127")
-            pieces.append(PitchSequence.eighths(pitches, tpq))
+            if not 0 <= min(pitches) <= max(pitches) <= 127:
+                outside = next(p for p in pitches if not 0 <= p <= 127)
+                raise ValueError(f"pitch {outside} outside 0-127")
+            pieces[position] = PitchSequence.eighths(pitches, tpq)
         except (OSError, ValueError) as exc:
             problems.append(f"{rel}: {exc}")
     return batch, pieces, problems
@@ -170,14 +172,22 @@ def _load_batch(batch_dir):
 
 def _score_batch(args):
     """Score the pieces of batch directory args.batch against the training
-    piece args.input; return the batch file, its pieces and the report."""
+    piece args.input.  Returns the batch file, its readable pieces by their
+    position in its "pieces" list, the report and the per-piece scores;
+    the report's skipped pieces and the scores name pieces by position."""
     train_seq = _read_piece(args.input)
     batch, pieces, problems = _load_batch(args.batch)
     for problem in problems:
         print(f"skipping piece: {problem}", file=sys.stderr)
     if not pieces:
         raise ValueError("no readable pieces in the batch")
-    return batch, pieces, metrics_mod.evaluate_batch(train_seq, pieces)
+    positions = list(pieces)
+    report = metrics_mod.evaluate_batch(train_seq, list(pieces.values()))
+    report.skipped = [(positions[i], reason) for i, reason in report.skipped]
+    scores = metrics_mod.piece_scores(report)
+    for row in scores:
+        row["piece"] = positions[row["piece"]]
+    return batch, pieces, report, scores
 
 
 def _write_csv(path, header, rows):
@@ -190,7 +200,7 @@ def _write_csv(path, header, rows):
     return path
 
 
-def _write_report_files(out_dir, report, model_name):
+def _write_report_files(out_dir, report, scores, model_name):
     """Write the evaluation files; return them by manifest artifact name."""
     summary = report.summary()
     ref = report.training_metrics
@@ -202,7 +212,7 @@ def _write_report_files(out_dir, report, model_name):
                               summary.items()),
         "per_piece": _write_csv(os.path.join(out_dir, "per_piece.csv"), "piece,metric,value",
                                 ((row["piece"], key, value)
-                                 for row in metrics_mod.piece_scores(report)
+                                 for row in scores
                                  for key, value in row.items() if key != "piece")),
         "curves": _write_csv(os.path.join(out_dir, "acf_pacf.csv"),
                              "lag,train_acf,train_pacf,batch_mean_acf,batch_mean_pacf",
@@ -214,11 +224,11 @@ def _write_report_files(out_dir, report, model_name):
 
 def cmd_evaluate(args):
     started = time.time()
-    batch, _, report = _score_batch(args)
+    batch, _, report, scores = _score_batch(args)
     for idx, reason in report.skipped:
         print(f"piece {idx} excluded from ACF/PACF pooling: {reason}", file=sys.stderr)
     out_dir = _make_out(args.out)
-    artifacts = _write_report_files(out_dir, report, batch.get("model", "?"))
+    artifacts = _write_report_files(out_dir, report, scores, batch.get("model", "?"))
     _write_manifest(out_dir, "evaluate", {"input": args.input, "batch": args.batch},
                     artifacts, started)
     print(f"entropy RMSE {report.entropy_rmse:.6f}, "
@@ -254,8 +264,7 @@ def cmd_export(args):
     started = time.time()
     if args.top < 0:
         raise ValueError("--top must be >= 0")
-    _, pieces, report = _score_batch(args)
-    scores = metrics_mod.piece_scores(report)
+    _, pieces, _, scores = _score_batch(args)
     chosen = []  # (criterion, piece index); a piece appears at most once
     taken = set()
     for criterion in metrics_mod.CRITERIA:

@@ -6,12 +6,19 @@ rank batches of generated pieces against their training piece.
 All entropies and mutual informations are in nats.  Melodic lines are
 extracted per timestamp: treble = highest pitch, bass = lowest pitch.
 
-A batch is scored in one pass where every piece meets the same training
-piece: all its pieces share one packed edit-distance automaton, with the
-training piece as the text (`levenshtein_batch`; Hyyrö, Fredriksson &
-Navarro 2005, JEA 10), and the ACF/PACF of its equal-length pieces are
-computed as stacked rows (`acf_pacf_rows`).  Both give each piece the
-exact values of scoring it alone.
+A batch is scored as stacks, in one pass where every piece meets the
+same training piece: all its pieces share one packed edit-distance
+automaton, with the training piece as the text (`levenshtein_batch`;
+Hyyrö, Fredriksson & Navarro 2005, JEA 10); the ACF/PACF of its
+equal-length pieces are stacked rows (`acf_pacf_rows`); histograms and
+entropies read one (piece, pitch) count matrix (`_pitch_counts`); the
+treble and bass lines of all pieces come from one sort
+(`_musicality_rows`); the MI pair counts are one (piece, pitch, pitch)
+tensor; and the per-piece scores are per-row RMSEs (`piece_scores`).
+Each per-piece function is the one-row case of its stacked form, and
+every piece gets the exact values of scoring it alone.  Pieces are
+numbered by their index in the batch; the command line reports the
+position of each piece in its batch.json `pieces` list.
 """
 
 from __future__ import annotations
@@ -86,33 +93,64 @@ class EvaluationReport:
 
 
 def empirical_entropy(pitches):
-    """H = -sum p_k ln p_k over the piece's pitch relative frequencies."""
+    """H = -sum p_k ln p_k over the piece's pitch relative frequencies: the
+    one-row case of `_entropy_rows`."""
     pitches = np.asarray(pitches)
     if pitches.size == 0:
         raise ValueError("cannot compute the entropy of an empty sequence")
-    _, counts = np.unique(pitches, return_counts=True)
-    p = counts / counts.sum()
-    return float(-(p * np.log(p)).sum())
+    return float(_entropy_rows(_pitch_counts([pitches], np.unique(pitches)))[0])
+
+
+def _entropy_rows(counts):
+    """The entropy of each row of a (P, U) count matrix, from its nonzero
+    counts.  The rows with k nonzero counts form one (n, k) stack, so each
+    row is reduced along its own contiguous axis of length k, as a lone
+    row would be, and gets the same value bit for bit."""
+    entropy = np.empty(len(counts))
+    present = counts > 0
+    widths = present.sum(axis=1)
+    for k in np.unique(widths).tolist():
+        rows = np.flatnonzero(widths == k)
+        c = counts[rows][present[rows]].reshape(len(rows), k)
+        p = c / c.sum(axis=1, keepdims=True)
+        entropy[rows] = -(p * np.log(p)).sum(axis=1)
+    return entropy
 
 
 def mutual_information(train_pitches, gen_pitches):
-    """Plug-in MI of the aligned pairs (x_t, y_t) over the shared prefix."""
+    """Plug-in MI of the aligned pairs (x_t, y_t) over the shared prefix:
+    the one-row case of `_mutual_information_rows`."""
+    return float(_mutual_information_rows(train_pitches, [gen_pitches])[0])
+
+
+def _mutual_information_rows(train_pitches, rows):
+    """`mutual_information` of the training piece against each row.  The
+    pair counts of every row are one (P, X, Y) bincount tensor over the
+    training piece's X distinct pitches and the rows' Y; each row's float
+    part runs on its own dense, C-ordered sub-joint of the symbols present
+    in its prefix, so its value does not depend on the other rows."""
     x = np.asarray(train_pitches)
-    y = np.asarray(gen_pitches)
-    if x.size == 0 or y.size == 0:
+    rows = [np.asarray(r) for r in rows]
+    if x.size == 0 or any(r.size == 0 for r in rows):
         raise ValueError("cannot compute mutual information with an empty sequence")
-    L = min(len(x), len(y))
-    x, y = x[:L], y[:L]
-    xs, xi = np.unique(x, return_inverse=True)
-    ys, yi = np.unique(y, return_inverse=True)
-    joint = np.zeros((len(xs), len(ys)))
-    np.add.at(joint, (xi, yi), 1.0)
-    joint /= L
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    nz = joint > 0
-    ratio = joint[nz] / (np.outer(px, py)[nz])
-    return float((joint[nz] * np.log(ratio)).sum())
+    xs, x_codes = np.unique(x, return_inverse=True)
+    ys, y_codes = np.unique(np.concatenate(rows), return_inverse=True)
+    lengths = np.array([len(r) for r in rows])
+    prefix = np.minimum(lengths, len(x))
+    owner = np.repeat(np.arange(len(rows)), prefix)
+    t = np.arange(prefix.sum()) - np.repeat(np.cumsum(prefix) - prefix, prefix)
+    y_at = y_codes[np.repeat(np.cumsum(lengths) - lengths, prefix) + t]
+    tensor = np.bincount((owner * len(xs) + x_codes[t]) * len(ys) + y_at,
+                         minlength=len(rows) * len(xs) * len(ys)).reshape(-1, len(xs), len(ys))
+    mi = np.empty(len(rows))
+    for i, (counts, n) in enumerate(zip(tensor, prefix.tolist())):
+        joint = np.ascontiguousarray(counts[np.ix_(counts.any(axis=1), counts.any(axis=0))]) / n
+        px = joint.sum(axis=1)
+        py = joint.sum(axis=0)
+        nz = joint > 0
+        ratio = joint[nz] / (np.outer(px, py)[nz])
+        mi[i] = (joint[nz] * np.log(ratio)).sum()
+    return mi
 
 
 def levenshtein(a, b):
@@ -137,6 +175,9 @@ def levenshtein_batch(text, patterns):
     above a pattern absorb the carry of the addition, so no slot reads
     another's, and leave room for the slot's two score counters, which
     tally the +1 and -1 horizontal deltas of the pattern's last row.
+    Every vector is kept to the pattern bits (`mask`), with ~y written as
+    mask ^ (y & mask), so no int goes negative: CPython's bitwise
+    operations on negative ints take a slow two's-complement path.
     """
     text = np.asarray(text)
     patterns = [np.asarray(p) for p in patterns]
@@ -165,15 +206,15 @@ def levenshtein_batch(text, patterns):
     for k in text_codes:
         eq = peq[k]
         xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
+        xh = (((eq & pv) + pv) ^ pv) | eq      # the carry may reach a guard bit
+        ph = mv | (mask ^ ((xh | pv) & mask))
         mh = pv & xh
         plus += ph & tops
         minus += mh & tops
-        ph = (ph << 1) | lows    # row 0 of each table grows by one per symbol
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
-        mv = ph & xv & mask
+        ph = ((ph << 1) | lows) & mask    # row 0 of each table grows by one per symbol
+        mh = (mh << 1) & mask
+        pv = mh | (mask ^ (xv | ph))
+        mv = ph & xv
     counter = (1 << c) - 1
     for i, start, m in zip(slots, starts.tolist(), lengths.tolist()):
         top = start + m - 1
@@ -199,19 +240,31 @@ def _lines(seq):
     """Per-timestamp treble (max) and bass (min) pitches, in time order,
     and the chords: the pitches of each timestamp with two or more notes,
     in input order.  Single notes form no within-timestamp pair, so the
-    harmonic metrics only need the chords."""
-    order = np.argsort(seq.timestamps, kind="stable")
-    times = np.asarray(seq.timestamps)[order]
-    pitches = np.asarray(seq.pitches, dtype=np.int64)[order]
+    harmonic metrics only need the chords.  The one-piece case of
+    `_stacked_lines`."""
+    treble, bass, _, chords, _ = _stacked_lines([seq])
+    return treble, bass, chords
+
+
+def _stacked_lines(pieces):
+    """`_lines` of every piece at once: treble and bass of each (piece,
+    timestamp) group, piece by piece, with each group's piece; the chords,
+    and each chord's piece.  One stable lexsort orders the notes by piece,
+    then time, keeping input order within a timestamp."""
+    owner = np.repeat(np.arange(len(pieces)), [len(seq) for seq in pieces])
+    pitches = np.concatenate([np.asarray(seq.pitches, dtype=np.int64) for seq in pieces])
     if len(pitches) == 0:
-        return pitches, pitches, []
-    starts = np.flatnonzero(np.r_[True, times[1:] != times[:-1]])
+        return pitches, pitches, owner, [], owner
+    times = np.concatenate([np.asarray(seq.timestamps) for seq in pieces])
+    order = np.lexsort((times, owner))
+    times, owner, pitches = times[order], owner[order], pitches[order]
+    starts = np.flatnonzero(np.r_[True, (times[1:] != times[:-1]) | (owner[1:] != owner[:-1])])
     treble = np.maximum.reduceat(pitches, starts)
     bass = np.minimum.reduceat(pitches, starts)
     ends = np.r_[starts[1:], len(pitches)]
     multi = ends - starts > 1
     chords = [pitches[s:e] for s, e in zip(starts[multi].tolist(), ends[multi].tolist())]
-    return treble, bass, chords
+    return treble, bass, owner[starts], chords, owner[starts[multi]]
 
 
 def _chord_interval_classes(chords):
@@ -224,38 +277,63 @@ def _chord_interval_classes(chords):
 
 def dissonance_rate(seq):
     """Dissonant harmonic pairs within chords plus dissonant melodic steps of
-    the treble line, normalized by the total note count."""
+    the treble line, normalized by the total note count: the one-piece case
+    of `_musicality_rows`."""
     if len(seq) == 0:
         raise ValueError("empty sequence")
-    treble, _, chords = _lines(seq)
-    classes = np.concatenate([_chord_interval_classes(chords), np.abs(np.diff(treble)) % OCTAVE])
-    return int(np.isin(classes, list(DISSONANT_CLASSES)).sum()) / len(seq)
+    return float(_musicality_rows([seq])[0][0])
 
 
 def large_interval_rate(seq):
     """Jumps of more than an octave in the treble and bass lines,
-    normalized by the total note count."""
+    normalized by the total note count: the one-piece case of
+    `_musicality_rows`."""
     if len(seq) == 0:
         raise ValueError("empty sequence")
-    treble, bass, _ = _lines(seq)
-    count = 0
-    if len(treble) > 1:
-        count += int((np.abs(np.diff(treble)) > OCTAVE).sum())
-        # skip bass steps identical to the treble step (monophonic stretches),
-        # so a single-line jump is counted once
-        distinct = (bass[:-1] != treble[:-1]) | (bass[1:] != treble[1:])
-        count += int(((np.abs(np.diff(bass)) > OCTAVE) & distinct).sum())
-    return count / len(seq)
+    return float(_musicality_rows([seq])[1][0])
+
+
+def _musicality_rows(pieces):
+    """`dissonance_rate` and `large_interval_rate` of each non-empty piece,
+    two (P,) arrays, from one `_stacked_lines` pass: each line step within a
+    piece, and each chord pair, is counted for its piece by one bincount."""
+    treble, bass, owner, chords, chord_owner = _stacked_lines(pieces)
+    P = len(pieces)
+    within = owner[1:] == owner[:-1]        # steps that stay inside one piece
+    step_owner = owner[1:][within]
+    treble_step = np.abs(np.diff(treble))[within]
+    bass_step = np.abs(np.diff(bass))[within]
+    # skip bass steps identical to the treble step (monophonic stretches),
+    # so a single-line jump is counted once
+    distinct = ((bass[:-1] != treble[:-1]) | (bass[1:] != treble[1:]))[within]
+    pair_owner = np.repeat(chord_owner, [len(c) * (len(c) - 1) // 2 for c in chords])
+    dissonant = list(DISSONANT_CLASSES)
+    dissonances = (np.bincount(step_owner[np.isin(treble_step % OCTAVE, dissonant)], minlength=P)
+                   + np.bincount(pair_owner[np.isin(_chord_interval_classes(chords), dissonant)],
+                                 minlength=P))
+    jumps = (np.bincount(step_owner[treble_step > OCTAVE], minlength=P)
+             + np.bincount(step_owner[(bass_step > OCTAVE) & distinct], minlength=P))
+    lengths = np.array([len(seq) for seq in pieces])
+    return dissonances / lengths, jumps / lengths
 
 
 def pitch_histogram(pitches, union_symbols):
-    """Relative pitch frequencies over a union alphabet (zeros when absent)."""
+    """Relative pitch frequencies over a union alphabet (zeros when absent):
+    the one-row case of dividing `_pitch_counts` by its row sums."""
     pitches = np.asarray(pitches)
     if pitches.size == 0:
         raise ValueError("empty sequence")
-    idx = PitchAlphabet(union_symbols).to_indices(pitches)
-    hist = np.bincount(idx, minlength=len(union_symbols)).astype(float)
-    return hist / hist.sum()
+    counts = _pitch_counts([pitches], union_symbols)
+    return (counts / counts.sum(axis=1, keepdims=True))[0]
+
+
+def _pitch_counts(rows, union_symbols):
+    """(P, U) counts of each union symbol in each row of pitches, by one
+    bincount; ValueError names the first pitch outside the union."""
+    width = len(union_symbols)
+    owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    idx = PitchAlphabet(union_symbols).to_indices(np.concatenate(rows))
+    return np.bincount(owner * width + idx, minlength=len(rows) * width).reshape(-1, width)
 
 
 def interval_class_table(seq, mode):
@@ -343,17 +421,31 @@ def acf_pacf_rows(rows, max_lag=DEFAULT_MAX_LAG):
 
 
 def rmse(values, reference):
-    """sqrt((1/n) sum (y_i - y_0)^2)."""
+    """sqrt((1/n) sum (y_i - y_0)^2): the one-row case of `_rmse_rows`."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("rmse of an empty list is undefined")
-    return float(np.sqrt(np.mean((values - reference) ** 2)))
+    return float(_rmse_rows(values, reference, 1)[0])
+
+
+def _rmse_rows(values, reference, rows):
+    """`rmse` of each of `rows` equal groups of consecutive stacked values
+    against the reference, NaN for a stack of none.  Each group is one
+    contiguous row of the reduction, summed as the group alone would be."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return np.full(rows, np.nan)
+    return np.sqrt(np.mean(((values - reference) ** 2).reshape(rows, -1), axis=1))
 
 
 def metric_vectors(pieces, union_symbols, max_lag=DEFAULT_MAX_LAG):
     """The MetricVector of each piece; its ACF/PACF are None when
-    undefined.  The ACF/PACF of the pieces of each length are one
-    `acf_pacf_rows` stack."""
+    undefined.  Every value comes from a stack over the pieces: the ACF/PACF
+    of the pieces of each length are one `acf_pacf_rows` stack, the
+    histograms and entropies read one `_pitch_counts` matrix, and the
+    dissonance and large-interval rates one `_musicality_rows` pass."""
+    if any(len(seq) == 0 for seq in pieces):
+        raise ValueError("cannot compute the entropy of an empty sequence")
     curves = [(None, None)] * len(pieces)
     by_length = {}
     for i, seq in enumerate(pieces):
@@ -366,53 +458,67 @@ def metric_vectors(pieces, union_symbols, max_lag=DEFAULT_MAX_LAG):
         for i, row_acf, row_pacf, error in zip(members, acf, pacf, errors):
             if error is None:
                 curves[i] = row_acf, row_pacf
+    counts = _pitch_counts([seq.pitches for seq in pieces], union_symbols)
+    dissonance, jumps = _musicality_rows(pieces)
     return [MetricVector(
-        entropy=empirical_entropy(seq.pitches),
-        dissonance_rate=dissonance_rate(seq),
-        large_interval_rate=large_interval_rate(seq),
-        pitch_histogram=pitch_histogram(seq.pitches, union_symbols),
+        entropy=entropy,
+        dissonance_rate=rate,
+        large_interval_rate=jump_rate,
+        pitch_histogram=histogram,
         acf=acf,
         pacf=pacf,
-    ) for seq, (acf, pacf) in zip(pieces, curves)]
+    ) for entropy, rate, jump_rate, histogram, (acf, pacf) in zip(
+        _entropy_rows(counts).tolist(), dissonance.tolist(), jumps.tolist(),
+        counts / counts.sum(axis=1, keepdims=True), curves)]
 
 
-def _scores(vectors, pairs, ref):
-    """The ten EvaluationReport scores, by field name, of the metric vectors
-    and PairMetrics of some pieces against the training piece's vector ref.
+def _scores(per_piece, ref, alone=False):
+    """The ten EvaluationReport scores, by field name, of some pieces'
+    (MetricVector, PairMetrics) pairs against the training piece's vector
+    ref: one score for the whole batch, or with `alone` one per piece, as
+    a batch of one would get it.  Each score is an array of those rows.
 
-    Each RMSE is `rmse` over the stacked per-piece values, so the
-    note-count and ACF/PACF RMSEs pool over (piece x pitch) and
-    (piece x lag) cells; MI and edit distance are means.  Pieces whose ACF
-    is undefined are left out of the temporal pooling; with none left the
-    temporal scores are NaN.
+    Each RMSE is `_rmse_rows` over a row's stacked per-piece values, so the
+    note-count and ACF/PACF RMSEs pool over (piece x pitch) and (piece x
+    lag) cells; MI and edit distance are means.  A batch leaves the pieces
+    whose ACF is undefined out of its temporal pooling, and with none left
+    its temporal scores are NaN, as are those of such a piece alone.
     """
-    timed = [mv for mv in vectors if mv.acf is not None]
+    vectors = [mv for mv, _ in per_piece]
+    rows = len(vectors) if alone else 1
+    if alone:
+        undefined = np.full(len(ref.acf), np.nan)
+        curves = [(undefined, undefined) if mv.acf is None else (mv.acf, mv.pacf)
+                  for mv in vectors]
+    else:
+        curves = [(mv.acf, mv.pacf) for mv in vectors if mv.acf is not None]
 
-    def pooled(name, pieces):
-        if not pieces:
-            return float("nan")
-        return rmse([getattr(mv, name) for mv in pieces], getattr(ref, name))
+    def mean(values):
+        return np.mean(np.reshape(values, (rows, -1)), axis=1)
+
+    def pooled(name):
+        return _rmse_rows([getattr(mv, name) for mv in vectors], getattr(ref, name), rows)
 
     scores = {
-        "entropy_rmse": pooled("entropy", vectors),
-        "mutual_information_mean": float(np.mean([pm.mutual_information for pm in pairs])),
-        "edit_distance_mean": float(np.mean([pm.edit_distance_normalized for pm in pairs])),
-        "dissonance_rmse": pooled("dissonance_rate", vectors),
-        "large_interval_rmse": pooled("large_interval_rate", vectors),
-        "note_count_rmse": pooled("pitch_histogram", vectors),
-        "acf_rmse": pooled("acf", timed),
-        "pacf_rmse": pooled("pacf", timed),
+        "entropy_rmse": pooled("entropy"),
+        "mutual_information_mean": mean([pm.mutual_information for _, pm in per_piece]),
+        "edit_distance_mean": mean([pm.edit_distance_normalized for _, pm in per_piece]),
+        "dissonance_rmse": pooled("dissonance_rate"),
+        "large_interval_rmse": pooled("large_interval_rate"),
+        "note_count_rmse": pooled("pitch_histogram"),
+        "acf_rmse": _rmse_rows([acf for acf, _ in curves], ref.acf, rows),
+        "pacf_rmse": _rmse_rows([pacf for _, pacf in curves], ref.pacf, rows),
     }
-    scores["musicality_average"] = float(np.mean(
+    scores["musicality_average"] = mean(np.column_stack(
         [scores["dissonance_rmse"], scores["large_interval_rmse"], scores["note_count_rmse"]]))
-    scores["temporal_average"] = float(np.mean([scores["acf_rmse"], scores["pacf_rmse"]]))
+    scores["temporal_average"] = mean(np.column_stack([scores["acf_rmse"], scores["pacf_rmse"]]))
     return scores
 
 
 def evaluate_batch(train_seq, batch):
     """Score a batch of generated pieces against the training piece
     (`_scores` over every piece).  Pieces whose ACF is undefined are listed
-    in `skipped`."""
+    in `skipped`, by their index in the batch."""
     if len(batch) < 1:
         raise ValueError("batch must contain at least one piece")
     max_lag = min(DEFAULT_MAX_LAG, len(train_seq) - 2)
@@ -422,13 +528,15 @@ def evaluate_batch(train_seq, batch):
     if ref.acf is None:
         raise ValueError("training piece has undefined ACF (constant or too short)")
 
-    distances = levenshtein_batch(train_seq.pitches, [piece.pitches for piece in batch])
-    pairs = [PairMetrics(mutual_information(train_seq.pitches, piece.pitches),
-                         d / max(len(train_seq), len(piece)))
-             for piece, d in zip(batch, distances)]
+    patterns = [piece.pitches for piece in batch]
+    distances = levenshtein_batch(train_seq.pitches, patterns)
+    information = _mutual_information_rows(train_seq.pitches, patterns).tolist()
+    pairs = [PairMetrics(mi, d / max(len(train_seq), len(piece)))
+             for piece, mi, d in zip(batch, information, distances)]
+    per_piece = list(zip(vectors, pairs))
     return EvaluationReport(
-        **_scores(vectors, pairs, ref),
-        per_piece=list(zip(vectors, pairs)),
+        **{name: float(score[0]) for name, score in _scores(per_piece, ref).items()},
+        per_piece=per_piece,
         skipped=[(i, "undefined ACF (constant or too-short piece)")
                  for i, mv in enumerate(vectors) if mv.acf is None],
         training_metrics=ref,
@@ -436,15 +544,13 @@ def evaluate_batch(train_seq, batch):
 
 
 def piece_scores(report):
-    """Per-piece scores used for top-piece selection, one row per piece:
-    each piece scored alone by `_scores`, as a batch of one.  A piece
-    whose ACF is undefined gets temporal-avg inf, so it ranks last."""
+    """Per-piece scores used for top-piece selection, one row per piece, by
+    its index in the batch: each piece scored alone by `_scores`, as a
+    batch of one, all pieces in one stacked pass.  A piece whose ACF is
+    undefined gets temporal-avg inf, so it ranks last."""
     columns = {**CRITERIA, "mutual_information": "mutual_information_mean",
                "edit_distance": "edit_distance_mean"}
-    rows = []
-    for i, (mv, pm) in enumerate(report.per_piece):
-        scores = _scores([mv], [pm], report.training_metrics)
-        rows.append({"piece": i, **{key: scores[name] for key, name in columns.items()}})
-        if mv.acf is None:
-            rows[-1]["temporal-avg"] = float("inf")
-    return rows
+    scores = _scores(report.per_piece, report.training_metrics, alone=True)
+    scores["temporal_average"][[mv.acf is None for mv, _ in report.per_piece]] = np.inf
+    table = zip(*(scores[name].tolist() for name in columns.values()))
+    return [{"piece": i, **dict(zip(columns, values))} for i, values in enumerate(table)]

@@ -5,7 +5,10 @@ all alignments) or uses closed-form conjugate formulas, so agreement with
 the recursive implementations is meaningful evidence of correctness.
 `rowwise_levenshtein`, `rowwise_acf_pacf`, `per_group_lines`,
 `dense_nshmm_ffbs` and `stepwise_tvar_log_marginal` are the plain
-per-step loops that faster library code must reproduce bit for bit; the `stepwise_*_sample` samplers
+per-step loops that faster library code must reproduce bit for bit, as
+are the `piecewise_*` metrics, frozen copies of the per-piece metric
+functions and per-piece scores from before they were computed as stacks
+over a batch; the `stepwise_*_sample` samplers
 are per-kind loops that draw with `np.searchsorted` on each cumulative
 row (`_draw_from`), frozen copies of the samplers before their tables
 were built once per model, which the library samplers must reproduce
@@ -385,6 +388,115 @@ def per_group_lines(timestamps, pitches):
         groups.append(chunk)
         pos += c
     return treble, bass, groups
+
+
+_DISSONANT = [1, 2, 10, 11]
+
+
+def _piecewise_chord_classes(chords):
+    pairs = [np.abs(chunk[:, None] - chunk[None, :])[np.triu_indices(len(chunk), 1)]
+             for chunk in chords]
+    return np.concatenate(pairs) % 12 if pairs else np.zeros(0, dtype=np.int64)
+
+
+def piecewise_dissonance_rate(seq):
+    """Dissonant pairs within chords plus dissonant treble steps, over the
+    note count."""
+    treble, _, groups = per_group_lines(seq.timestamps, seq.pitches)
+    chords = [g for g in groups if len(g) > 1]
+    classes = np.concatenate([_piecewise_chord_classes(chords), np.abs(np.diff(treble)) % 12])
+    return int(np.isin(classes, _DISSONANT).sum()) / len(seq)
+
+
+def piecewise_large_interval_rate(seq):
+    """Treble and bass jumps above an octave, a bass step identical to the
+    treble step counted once, over the note count."""
+    treble, bass, _ = per_group_lines(seq.timestamps, seq.pitches)
+    count = 0
+    if len(treble) > 1:
+        count += int((np.abs(np.diff(treble)) > 12).sum())
+        distinct = (bass[:-1] != treble[:-1]) | (bass[1:] != treble[1:])
+        count += int(((np.abs(np.diff(bass)) > 12) & distinct).sum())
+    return count / len(seq)
+
+
+def piecewise_entropy(pitches):
+    _, counts = np.unique(np.asarray(pitches), return_counts=True)
+    p = counts / counts.sum()
+    return float(-(p * np.log(p)).sum())
+
+
+def piecewise_pitch_histogram(pitches, union_symbols):
+    idx = np.searchsorted(np.asarray(union_symbols), np.asarray(pitches))
+    hist = np.bincount(idx, minlength=len(union_symbols)).astype(float)
+    return hist / hist.sum()
+
+
+def piecewise_mutual_information(train_pitches, gen_pitches):
+    x = np.asarray(train_pitches)
+    y = np.asarray(gen_pitches)
+    L = min(len(x), len(y))
+    x, y = x[:L], y[:L]
+    xs, xi = np.unique(x, return_inverse=True)
+    ys, yi = np.unique(y, return_inverse=True)
+    joint = np.zeros((len(xs), len(ys)))
+    np.add.at(joint, (xi, yi), 1.0)
+    joint /= L
+    px = joint.sum(axis=1)
+    py = joint.sum(axis=0)
+    nz = joint > 0
+    ratio = joint[nz] / (np.outer(px, py)[nz])
+    return float((joint[nz] * np.log(ratio)).sum())
+
+
+def _piecewise_rmse(values, reference):
+    values = np.asarray(values, dtype=float)
+    return float(np.sqrt(np.mean((values - reference) ** 2)))
+
+
+def piecewise_scores(per_piece, ref):
+    """The ten batch scores of (MetricVector, PairMetrics) pairs: RMSEs over
+    the stacked values, MI and edit-distance means; pieces with no ACF are
+    left out of the temporal pooling, NaN with none left."""
+    vectors = [mv for mv, _ in per_piece]
+    timed = [mv for mv in vectors if mv.acf is not None]
+
+    def pooled(name, pieces):
+        if not pieces:
+            return float("nan")
+        return _piecewise_rmse([getattr(mv, name) for mv in pieces], getattr(ref, name))
+
+    scores = {
+        "entropy_rmse": pooled("entropy", vectors),
+        "mutual_information_mean": float(np.mean([pm.mutual_information for _, pm in per_piece])),
+        "edit_distance_mean": float(np.mean([pm.edit_distance_normalized
+                                             for _, pm in per_piece])),
+        "dissonance_rmse": pooled("dissonance_rate", vectors),
+        "large_interval_rmse": pooled("large_interval_rate", vectors),
+        "note_count_rmse": pooled("pitch_histogram", vectors),
+        "acf_rmse": pooled("acf", timed),
+        "pacf_rmse": pooled("pacf", timed),
+    }
+    scores["musicality_average"] = float(np.mean(
+        [scores["dissonance_rmse"], scores["large_interval_rmse"], scores["note_count_rmse"]]))
+    scores["temporal_average"] = float(np.mean([scores["acf_rmse"], scores["pacf_rmse"]]))
+    return scores
+
+
+def piecewise_piece_scores(report):
+    """Each piece's row: `piecewise_scores` of it alone, temporal-avg inf
+    when its ACF is undefined."""
+    columns = {"entropy-rmse": "entropy_rmse", "musicality-avg": "musicality_average",
+               "temporal-avg": "temporal_average",
+               "mutual_information": "mutual_information_mean",
+               "edit_distance": "edit_distance_mean"}
+    rows = []
+    for i, (mv, pm) in enumerate(report.per_piece):
+        scores = piecewise_scores([(mv, pm)], report.training_metrics)
+        rows.append({"piece": i, **{key: scores[name] for key, name in columns.items()}})
+        if mv.acf is None:
+            rows[-1]["temporal-avg"] = float("inf")
+    return rows
 
 
 def rmse_naive(values, ref):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sscompose import cli, persist, registry, tvar
-from sscompose.midi_codec import PitchSequence, build_alphabet
+from sscompose.midi_codec import PitchSequence, build_alphabet, emit_midi_csv
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -73,3 +73,27 @@ def test_generate_samples_each_piece_through_sample_sequence(spans, tmp_path):
         tracer.restore()
     names = [span["name"] for span in tracer.dump()]
     assert names.count("registry.sample_sequence") == 3
+
+
+def test_evaluate_scores_its_batch_in_one_call_each(spans, tmp_path):
+    """The benchmark's metrics.evaluate_batch and metrics.piece_scores lines
+    count one call per evaluate command."""
+    pitches = 55 + np.arange(40) % 5
+    piece = PitchSequence(pitches, np.arange(40) * 240)
+    model = registry.train_model("M15", piece, seed=0)
+    model_path = tmp_path / "M15_model.json"
+    persist.save_model(model, model_path)
+    piece_path = tmp_path / "piece.csv"
+    piece_path.write_text(emit_midi_csv(piece))
+    assert cli.main(["generate", "--model", str(model_path), "--n", "4", "--seed", "1",
+                     "--out", str(tmp_path / "batch")]) == 0
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        assert cli.main(["evaluate", "--input", str(piece_path), "--batch",
+                         str(tmp_path / "batch"), "--out", str(tmp_path / "eval")]) == 0
+    finally:
+        tracer.restore()
+    names = [span["name"] for span in tracer.dump()]
+    assert names.count("metrics.evaluate_batch") == 1
+    assert names.count("metrics.piece_scores") == 1

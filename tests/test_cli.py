@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sscompose import hierarchical, hmm, registry, tvar
+from sscompose import cli, hierarchical, hmm, registry, tvar
 from sscompose.cli import main
 from sscompose.midi_codec import PitchSequence, emit_midi_csv, parse_midi_csv
 
@@ -934,6 +934,58 @@ def test_piece_with_pitch_outside_midi_range_skipped(tmp_path, toy_piece, capsys
         assert [e["piece"] for e in manifest["artifacts"]["exports"]] == [0]
         for export in manifest["artifacts"]["exports"]:
             parse_midi_csv(pathlib.Path(export["path"]).read_text())
+
+
+@pytest.mark.parametrize("text,outcome", [
+    ("60\r\n62\r\n64\r\n", [60, 62, 64]),
+    ("60\n62\n64", [60, 62, 64]),                      # no final newline
+    ("\n60\n\n  \n\t\n 62 \n64\n\n", [60, 62, 64]),  # blank and whitespace lines
+    ("60\n60 62\n64\n", "invalid literal for int() with base 10: '60 62'"),
+    ("60\n6.5\n", "invalid literal for int() with base 10: '6.5'"),
+    (f"60\n{10 ** 30}\n", f"pitch {10 ** 30} outside 0-127"),
+    ("\n \n", "empty piece file"),
+])
+def test_piece_file_lines(tmp_path, text, outcome):
+    batch = _batch_dir(tmp_path, [])
+    (batch / "pieces" / "piece.txt").write_bytes(text.encode())
+    (batch / "batch.json").write_text(json.dumps({"pieces": ["pieces/piece.txt"]}))
+    _, pieces, problems = cli._load_batch(batch)
+    if isinstance(outcome, str):
+        assert (pieces, problems) == ({}, [f"pieces/piece.txt: {outcome}"])
+    else:
+        assert problems == [] and list(pieces) == [0]
+        assert pieces[0].pitches.tolist() == outcome
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export"])
+def test_pieces_keep_their_batch_positions_after_a_skipped_piece(tmp_path, toy_piece, capsys,
+                                                                 command):
+    """Piece numbers in every output are positions in batch.json's list,
+    whichever pieces before them were skipped."""
+    piece, seq = toy_piece
+    rng = np.random.default_rng(31)
+    moving = 55 + rng.integers(0, 8, 150)
+    batch = _batch_dir(tmp_path, [[200] * 150, moving, [60] * 150], ticks_per_quarter=480)
+    out = tmp_path / "out"
+    top = ["--top", 1] if command == "export" else []
+    assert _run(command, "--input", piece, "--batch", batch, "--out", out, *top) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0] == "skipping piece: pieces/piece_0000.txt: pitch 200 outside 0-127"
+    if command == "evaluate":
+        assert err[1:] == ["piece 2 excluded from ACF/PACF pooling: "
+                           "undefined ACF (constant or too-short piece)"]
+        rows = (out / "per_piece.csv").read_text().splitlines()[1:]
+        assert sorted({row.split(",")[0] for row in rows}) == ["1", "2"]
+        report = json.loads((out / "report.json").read_text())
+        assert report["skipped"] == [[2, "undefined ACF (constant or too-short piece)"]]
+    else:
+        exports = json.loads((out / "export_manifest.json").read_text())["artifacts"]["exports"]
+        assert sorted(e["piece"] for e in exports) == [1, 2]
+        for export in exports:
+            path = pathlib.Path(export["path"])
+            assert path.name == f"top_{export['criterion']}_{export['piece']:04d}.csv"
+            want = moving if export["piece"] == 1 else [60] * 150
+            assert parse_midi_csv(path.read_text()).pitches.tolist() == list(want)
 
 
 # pitches with at most one odd line, so that many batches reach scoring and export

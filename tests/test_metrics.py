@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_edit_distance, per_group_lines, rmse_compensated, rmse_naive,
+from oracles import (brute_edit_distance, per_group_lines, piecewise_dissonance_rate,
+                     piecewise_entropy, piecewise_large_interval_rate,
+                     piecewise_mutual_information, piecewise_piece_scores,
+                     piecewise_pitch_histogram, piecewise_scores, rmse_compensated, rmse_naive,
                      rowwise_acf_pacf, rowwise_levenshtein)
 from sscompose import metrics, registry
 from sscompose.midi_codec import PitchSequence
@@ -461,6 +464,21 @@ def test_levenshtein_batch_counters_of_one_note_patterns_against_a_long_text():
         _assert_batch_matches_table_dp(text, patterns)
 
 
+def test_levenshtein_batch_with_empty_sides_and_patterns_longer_than_the_text():
+    """The automaton's vectors are kept to the pattern bits: slots whose
+    pattern outgrows the text, empty patterns and an empty text."""
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        alphabet = int(rng.integers(1, 10))
+        text = rng.integers(0, alphabet, _log_uniform(rng, 80) if rng.random() < 0.8 else 0)
+        patterns = [rng.integers(0, alphabet, len(text) + 1 + _log_uniform(rng, 80)),
+                    np.zeros(0, dtype=np.int64)]
+        patterns += [rng.integers(0, alphabet, _log_uniform(rng, 120))
+                     for _ in range(_log_uniform(rng, 12))]
+        order = rng.permutation(len(patterns))
+        _assert_batch_matches_table_dp(text, [patterns[i] for i in order])
+
+
 @settings(max_examples=300, database=None, derandomize=True)
 @given(st.lists(st.integers(0, 4), max_size=9), st.lists(st.integers(0, 4), max_size=9))
 def test_levenshtein_property_brute_force(a, b):
@@ -543,3 +561,67 @@ def test_piece_scores_of_a_batch_of_one_are_its_criteria():
     (row,) = metrics.piece_scores(report)
     assert np.isnan(report.temporal_average)
     assert row["temporal-avg"] == float("inf")
+
+
+def _assert_matches_piecewise_oracles(train, batch):
+    """Every per-piece value, the batch scores and the per-piece scores are
+    bit for bit those of the per-piece functions they replaced."""
+    report = metrics.evaluate_batch(train, batch)
+    union = np.unique(np.concatenate([train.pitches] + [g.pitches for g in batch]))
+    for seq, mv in zip([train, *batch], [report.training_metrics]
+                       + [mv for mv, _ in report.per_piece]):
+        assert mv.entropy == piecewise_entropy(seq.pitches)
+        assert mv.dissonance_rate == piecewise_dissonance_rate(seq)
+        assert mv.large_interval_rate == piecewise_large_interval_rate(seq)
+        assert np.array_equal(mv.pitch_histogram, piecewise_pitch_histogram(seq.pitches, union))
+        assert metrics.empirical_entropy(seq.pitches) == mv.entropy
+        assert metrics.dissonance_rate(seq) == mv.dissonance_rate
+        assert metrics.large_interval_rate(seq) == mv.large_interval_rate
+        assert np.array_equal(metrics.pitch_histogram(seq.pitches, union), mv.pitch_histogram)
+    for seq, (_, pm) in zip(batch, report.per_piece):
+        mi = piecewise_mutual_information(train.pitches, seq.pitches)
+        assert pm.mutual_information == mi
+        assert metrics.mutual_information(train.pitches, seq.pitches) == mi
+    want = piecewise_scores(report.per_piece, report.training_metrics)
+    assert repr(report.summary()) == repr(want)
+    assert metrics.piece_scores(report) == piecewise_piece_scores(report)
+
+
+_NOTES = st.lists(st.tuples(st.integers(40, 70), st.integers(0, 30)), min_size=1, max_size=60)
+# a training piece needs three notes and two pitches for a defined ACF
+_TRAIN_NOTES = _NOTES.filter(lambda n: len(n) > 2 and len({p for p, _ in n}) > 1)
+
+
+def _piece(notes, polyphonic):
+    pitches = [p for p, _ in notes]
+    if not polyphonic:
+        return _melody(pitches)
+    return PitchSequence(pitches, [240 * t for _, t in notes])
+
+
+@settings(max_examples=60, database=None, derandomize=True, deadline=None)
+@given(train=_TRAIN_NOTES, train_chords=st.booleans(),
+       batch=st.lists(st.tuples(_NOTES, st.booleans()), min_size=1, max_size=6))
+def test_stacked_metrics_match_the_per_piece_functions(train, train_chords, batch):
+    """Ragged lengths, one-note pieces, pieces too short for the lags,
+    chords in the training piece and in the batch, up to 31 distinct
+    pitches, and MI over prefixes of unequal length."""
+    _assert_matches_piecewise_oracles(_piece(train, train_chords),
+                                      [_piece(notes, chords) for notes, chords in batch])
+
+
+def test_stacked_metrics_match_the_per_piece_functions_on_long_pieces():
+    """Random walks over twelve pitches, whose MI joints have rows and
+    columns long enough for pairwise summation to depend on their memory
+    order; then more than 128 distinct pitches, so entropy rows, histogram
+    rows and the pooled RMSEs are summed in more than one pairwise block."""
+    rng = np.random.default_rng(30)
+
+    def walk(n):
+        return _melody(50 + np.cumsum(rng.integers(-2, 3, n)) % 12)
+
+    _assert_matches_piecewise_oracles(walk(500), [walk(n) for n in (500,) * 8 + (300, 700)])
+    train = _melody(rng.integers(0, 400, 500))
+    batch = [_melody(rng.integers(0, 400, n)) for n in (500, 300, 700, 1, 41, 500)]
+    batch.append(PitchSequence(rng.integers(0, 400, 300), rng.integers(0, 60, 300) * 240))
+    _assert_matches_piecewise_oracles(train, batch)
