@@ -13,12 +13,13 @@ Hyyrö, Fredriksson & Navarro 2005, JEA 10); the ACF/PACF of its
 equal-length pieces are stacked rows (`acf_pacf_rows`); histograms and
 entropies read one (piece, pitch) count matrix (`_pitch_counts`); the
 treble and bass lines of all pieces come from one sort
-(`_musicality_rows`); the MI pair counts are one (piece, pitch, pitch)
-tensor; and the per-piece scores are per-row RMSEs (`piece_scores`).
-Each per-piece function is the one-row case of its stacked form, and
-every piece gets the exact values of scoring it alone.  Pieces are
-numbered by their index in the batch; the command line reports the
-position of each piece in its batch.json `pieces` list.
+(`_musicality_rows`); each piece's MI counts are its own sub-joint; and
+the per-piece scores are per-row RMSEs (`piece_scores`).  Each
+per-piece function is the one-row case of its stacked form, and every
+piece gets the exact values of scoring it alone; only `_pitch_counts`
+and `_musicality_rows` reject an empty piece.  Pieces are numbered by
+their index in the batch; the command line reports the position of each
+piece in its batch.json `pieces` list.
 """
 
 from __future__ import annotations
@@ -95,9 +96,6 @@ class EvaluationReport:
 def empirical_entropy(pitches):
     """H = -sum p_k ln p_k over the piece's pitch relative frequencies: the
     one-row case of `_entropy_rows`."""
-    pitches = np.asarray(pitches)
-    if pitches.size == 0:
-        raise ValueError("cannot compute the entropy of an empty sequence")
     return float(_entropy_rows(_pitch_counts([pitches], np.unique(pitches)))[0])
 
 
@@ -108,13 +106,17 @@ def _entropy_rows(counts):
     row would be, and gets the same value bit for bit."""
     entropy = np.empty(len(counts))
     present = counts > 0
-    widths = present.sum(axis=1)
-    for k in np.unique(widths).tolist():
-        rows = np.flatnonzero(widths == k)
-        c = counts[rows][present[rows]].reshape(len(rows), k)
+    for rows in _groups(present.sum(axis=1)):
+        c = counts[rows][present[rows]].reshape(len(rows), -1)
         p = c / c.sum(axis=1, keepdims=True)
         entropy[rows] = -(p * np.log(p)).sum(axis=1)
     return entropy
+
+
+def _groups(keys):
+    """The indices of the entries of each distinct key, by ascending key."""
+    keys = np.asarray(keys)
+    return [np.flatnonzero(keys == k) for k in np.unique(keys).tolist()]
 
 
 def mutual_information(train_pitches, gen_pitches):
@@ -124,27 +126,24 @@ def mutual_information(train_pitches, gen_pitches):
 
 
 def _mutual_information_rows(train_pitches, rows):
-    """`mutual_information` of the training piece against each row.  The
-    pair counts of every row are one (P, X, Y) bincount tensor over the
-    training piece's X distinct pitches and the rows' Y; each row's float
-    part runs on its own dense, C-ordered sub-joint of the symbols present
-    in its prefix, so its value does not depend on the other rows."""
+    """`mutual_information` of the training piece against each row.  Each
+    row's pair counts are its own dense, C-ordered (X, Y) sub-joint over
+    the X distinct pitches of the training prefix and the row's Y distinct
+    pitches, one bincount of their codes, so its value does not depend on
+    the other rows.  The training codes are found once per prefix length."""
     x = np.asarray(train_pitches)
     rows = [np.asarray(r) for r in rows]
     if x.size == 0 or any(r.size == 0 for r in rows):
         raise ValueError("cannot compute mutual information with an empty sequence")
-    xs, x_codes = np.unique(x, return_inverse=True)
-    ys, y_codes = np.unique(np.concatenate(rows), return_inverse=True)
-    lengths = np.array([len(r) for r in rows])
-    prefix = np.minimum(lengths, len(x))
-    owner = np.repeat(np.arange(len(rows)), prefix)
-    t = np.arange(prefix.sum()) - np.repeat(np.cumsum(prefix) - prefix, prefix)
-    y_at = y_codes[np.repeat(np.cumsum(lengths) - lengths, prefix) + t]
-    tensor = np.bincount((owner * len(xs) + x_codes[t]) * len(ys) + y_at,
-                         minlength=len(rows) * len(xs) * len(ys)).reshape(-1, len(xs), len(ys))
+    prefixes = {n: np.unique(x[:n], return_inverse=True)
+                for n in {min(len(r), len(x)) for r in rows}}
     mi = np.empty(len(rows))
-    for i, (counts, n) in enumerate(zip(tensor, prefix.tolist())):
-        joint = np.ascontiguousarray(counts[np.ix_(counts.any(axis=1), counts.any(axis=0))]) / n
+    for i, r in enumerate(rows):
+        n = min(len(r), len(x))
+        xs, x_codes = prefixes[n]
+        ys, y_codes = np.unique(r[:n], return_inverse=True)
+        joint = np.bincount(x_codes * len(ys) + y_codes,
+                            minlength=len(xs) * len(ys)).reshape(len(xs), -1) / n
         px = joint.sum(axis=1)
         py = joint.sum(axis=0)
         nz = joint > 0
@@ -224,12 +223,7 @@ def levenshtein_batch(text, patterns):
 
 def edit_distance(a, b):
     """Levenshtein distance normalized by max length; empty vs empty is 0."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    denom = max(len(a), len(b))
-    if denom == 0:
-        return 0.0
-    return levenshtein(a, b) / denom
+    return levenshtein(a, b) / max(len(a), len(b), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +273,6 @@ def dissonance_rate(seq):
     """Dissonant harmonic pairs within chords plus dissonant melodic steps of
     the treble line, normalized by the total note count: the one-piece case
     of `_musicality_rows`."""
-    if len(seq) == 0:
-        raise ValueError("empty sequence")
     return float(_musicality_rows([seq])[0][0])
 
 
@@ -288,15 +280,16 @@ def large_interval_rate(seq):
     """Jumps of more than an octave in the treble and bass lines,
     normalized by the total note count: the one-piece case of
     `_musicality_rows`."""
-    if len(seq) == 0:
-        raise ValueError("empty sequence")
     return float(_musicality_rows([seq])[1][0])
 
 
 def _musicality_rows(pieces):
-    """`dissonance_rate` and `large_interval_rate` of each non-empty piece,
-    two (P,) arrays, from one `_stacked_lines` pass: each line step within a
-    piece, and each chord pair, is counted for its piece by one bincount."""
+    """`dissonance_rate` and `large_interval_rate` of each piece, two (P,)
+    arrays, from one `_stacked_lines` pass: each line step within a piece,
+    and each chord pair, is counted for its piece by one bincount."""
+    lengths = np.array([len(seq) for seq in pieces])
+    if not lengths.all():
+        raise ValueError("empty sequence")
     treble, bass, owner, chords, chord_owner = _stacked_lines(pieces)
     P = len(pieces)
     within = owner[1:] == owner[:-1]        # steps that stay inside one piece
@@ -313,23 +306,21 @@ def _musicality_rows(pieces):
                                  minlength=P))
     jumps = (np.bincount(step_owner[treble_step > OCTAVE], minlength=P)
              + np.bincount(step_owner[(bass_step > OCTAVE) & distinct], minlength=P))
-    lengths = np.array([len(seq) for seq in pieces])
     return dissonances / lengths, jumps / lengths
 
 
 def pitch_histogram(pitches, union_symbols):
     """Relative pitch frequencies over a union alphabet (zeros when absent):
     the one-row case of dividing `_pitch_counts` by its row sums."""
-    pitches = np.asarray(pitches)
-    if pitches.size == 0:
-        raise ValueError("empty sequence")
     counts = _pitch_counts([pitches], union_symbols)
     return (counts / counts.sum(axis=1, keepdims=True))[0]
 
 
 def _pitch_counts(rows, union_symbols):
     """(P, U) counts of each union symbol in each row of pitches, by one
-    bincount; ValueError names the first pitch outside the union."""
+    bincount; ValueError for an empty row, or naming the first non-member."""
+    if any(len(r) == 0 for r in rows):
+        raise ValueError("empty sequence")
     width = len(union_symbols)
     owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
     idx = PitchAlphabet(union_symbols).to_indices(np.concatenate(rows))
@@ -438,27 +429,24 @@ def _rmse_rows(values, reference, rows):
     return np.sqrt(np.mean(((values - reference) ** 2).reshape(rows, -1), axis=1))
 
 
-def metric_vectors(pieces, union_symbols, max_lag=DEFAULT_MAX_LAG):
-    """The MetricVector of each piece; its ACF/PACF are None when
-    undefined.  Every value comes from a stack over the pieces: the ACF/PACF
-    of the pieces of each length are one `acf_pacf_rows` stack, the
-    histograms and entropies read one `_pitch_counts` matrix, and the
-    dissonance and large-interval rates one `_musicality_rows` pass."""
-    if any(len(seq) == 0 for seq in pieces):
-        raise ValueError("cannot compute the entropy of an empty sequence")
+def metric_vectors(pieces, max_lag=DEFAULT_MAX_LAG):
+    """The MetricVector of each piece, its histogram over the union of the
+    pieces' pitches; its ACF/PACF are None when undefined.  Every value
+    comes from a stack over the pieces: the ACF/PACF of the pieces of each
+    length are one `acf_pacf_rows` stack, the histograms and entropies read
+    one `_pitch_counts` matrix, and the dissonance and large-interval rates
+    one `_musicality_rows` pass."""
+    rows = [np.asarray(seq.pitches) for seq in pieces]
     curves = [(None, None)] * len(pieces)
-    by_length = {}
-    for i, seq in enumerate(pieces):
-        by_length.setdefault(len(seq), []).append(i)
-    for members in by_length.values():
+    for members in _groups([len(r) for r in rows]):
         try:
-            acf, pacf, errors = acf_pacf_rows([pieces[i].pitches for i in members], max_lag)
+            acf, pacf, errors = acf_pacf_rows([rows[i] for i in members], max_lag)
         except ValueError:      # too short for max_lag lags, or max_lag < 1
             continue
         for i, row_acf, row_pacf, error in zip(members, acf, pacf, errors):
             if error is None:
                 curves[i] = row_acf, row_pacf
-    counts = _pitch_counts([seq.pitches for seq in pieces], union_symbols)
+    counts = _pitch_counts(rows, np.unique(np.concatenate(rows)))
     dissonance, jumps = _musicality_rows(pieces)
     return [MetricVector(
         entropy=entropy,
@@ -521,10 +509,10 @@ def evaluate_batch(train_seq, batch):
     in `skipped`, by their index in the batch."""
     if len(batch) < 1:
         raise ValueError("batch must contain at least one piece")
+    if len(train_seq) == 0:
+        raise ValueError("training piece has no notes")
     max_lag = min(DEFAULT_MAX_LAG, len(train_seq) - 2)
-    union = np.unique(np.concatenate([np.asarray(train_seq.pitches)]
-                                     + [np.asarray(g.pitches) for g in batch]))
-    ref, *vectors = metric_vectors([train_seq, *batch], union, max_lag)
+    ref, *vectors = metric_vectors([train_seq, *batch], max_lag)
     if ref.acf is None:
         raise ValueError("training piece has undefined ACF (constant or too short)")
 

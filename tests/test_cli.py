@@ -155,7 +155,8 @@ def test_rank_unknown_criterion(tmp_path, capsys):
     (5, " is not a report: it needs a JSON object"),
     ({"model": "M1", "entropy_rmse": "0.1"}, ": entropy_rmse must be a number, not '0.1'"),
     ({"model": "M1", "entropy_rmse": None}, ": entropy_rmse must be a number, not None"),
-], ids=["number", "string-value", "null-value"])
+    ({"model": "M1"}, ": report missing field 'entropy_rmse'"),
+], ids=["number", "string-value", "null-value", "missing-field"])
 def test_rank_rejects_malformed_report(tmp_path, capsys, payload, message):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"model": "M2", "entropy_rmse": 0.2}))
@@ -202,10 +203,19 @@ def test_rank_orders_an_integer_score_too_large_for_a_float(tmp_path, capsys):
         ["M3", "0.5"], ["M2", huge], ["M1", "nan"]]
 
 
-@pytest.mark.parametrize("command", ["evaluate", "export"])
-def test_two_note_training_piece_clean_error(tmp_path, capsys, command):
+TWO_NOTES = emit_midi_csv(PitchSequence(np.array([60, 62]), np.array([0, 240])))
+HEADER_ONLY = "0, 0, Header, 1, 1, 480\n0, 0, End_of_file\n"
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("evaluate", TWO_NOTES, "training piece has undefined ACF"),
+    ("export", TWO_NOTES, "training piece has undefined ACF"),
+    ("evaluate", HEADER_ONLY, "training piece has no notes"),
+    ("export", HEADER_ONLY, "training piece has no notes"),
+], ids=["evaluate", "export", "header-only-evaluate", "header-only-export"])
+def test_two_note_training_piece_clean_error(tmp_path, capsys, command, text, message):
     piece = tmp_path / "two.csv"
-    piece.write_text(emit_midi_csv(PitchSequence(np.array([60, 62]), np.array([0, 240]))))
+    piece.write_text(text)
     batch = tmp_path / "batch"
     batch.mkdir()
     (batch / "piece_0000.txt").write_text("60\n62\n")
@@ -213,7 +223,7 @@ def test_two_note_training_piece_clean_error(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert _run(command, "--input", piece, "--batch", batch, "--out", out) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: training piece has undefined ACF")
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
     assert not out.exists()
 
 
@@ -286,6 +296,19 @@ def test_timestamp_beyond_int64_clean_error(tmp_path, capsys, time):
     assert _run("train", "--input", piece, "--model", "M1", "--out", tmp_path / "run") == 2
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: line 3: timestamp {time} outside 0-{2 ** 63 - 1}"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("0, 0, Header, 1, 1, 480\n1, 0\n", "line 2: expected at least 3 fields, got 2"),
+    ("0, 0, Header, 1, 1\n", "line 1: malformed Header record"),
+    ("0, 0, Header, 1, 1, abc\n", "line 1: non-numeric division in Header"),
+], ids=["short-record", "short-header", "non-numeric-division"])
+def test_malformed_midi_csv_record_clean_error(tmp_path, capsys, text, message):
+    piece = tmp_path / "piece.csv"
+    piece.write_text(text + "1, 0, Note_on_c, 0, 60, 80\n")
+    assert _run("train", "--input", piece, "--model", "M1", "--out", tmp_path / "run") == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
     assert not (tmp_path / "run").exists()
 
 
@@ -870,6 +893,21 @@ def test_non_container_model_field_rejected_on_load(tmp_path, toy_piece, capsys,
     assert _run("generate", "--model", path, "--n", "1", "--out", tmp_path / "b") == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: corrupt model file: {message}"]
+
+
+def test_unsupported_model_file_version_clean_error(tmp_path, toy_piece, capsys):
+    piece, _ = toy_piece
+    run = tmp_path / "run"
+    assert _run("train", "--input", piece, "--model", "M1", "--states", "3",
+                "--seed", "0", "--max-iter", "1", "--out", run) == 0
+    path = run / "M1_model.json"
+    data = json.loads(path.read_text())
+    data["version"] = 2
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _run("generate", "--model", path, "--n", "1", "--out", tmp_path / "b") == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: unsupported model file version 2"]
 
 
 def test_unused_override_warning_names_the_flag(tmp_path, toy_piece, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -43,6 +44,18 @@ def test_entropy_empty_error():
         metrics.empirical_entropy([])
 
 
+@pytest.mark.parametrize("score,message", [
+    (lambda: metrics.dissonance_rate(PitchSequence([], [])), "empty sequence"),
+    (lambda: metrics.large_interval_rate(PitchSequence([], [])), "empty sequence"),
+    (lambda: metrics.pitch_histogram([], [60]), "empty sequence"),
+    (lambda: metrics.mutual_information([60, 62], []),
+     "cannot compute mutual information with an empty sequence"),
+], ids=["dissonance", "large-interval", "histogram", "mutual-information"])
+def test_one_piece_metrics_reject_an_empty_piece(score, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        score()
+
+
 def test_mi_self_equals_entropy():
     rng = np.random.default_rng(1)
     x = rng.integers(50, 58, 300)
@@ -61,6 +74,21 @@ def test_mi_independent_sequences_small():
     x = rng.integers(0, 5, 10_000)
     y = rng.integers(0, 5, 10_000)
     assert 0.0 <= metrics.mutual_information(x, y) < 0.01
+
+
+def test_mi_rows_memory_does_not_scale_with_pieces_times_pitches_squared():
+    """1000 pieces of 500 notes over 88 pitches: a dense (piece, pitch,
+    pitch) count tensor alone would take 1000 * 88 * 88 * 8 B = 59 MiB."""
+    rng = np.random.default_rng(30)
+    train = rng.integers(21, 109, 500)
+    rows = list(rng.integers(21, 109, (1000, 500)))
+    tracemalloc.start()
+    try:
+        metrics._mutual_information_rows(train, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_edit_distance_identity_and_empty():

@@ -100,6 +100,11 @@ def test_whitespace_tolerance():
     assert parse_midi_csv(text).pitches.tolist() == [60]
 
 
+def test_blank_lines_skipped():
+    text = "\n0, 0, Header, 1, 1, 480\n   \n\t\n1, 0, Note_on_c, 0, 60, 80\n\n"
+    assert parse_midi_csv(text).pitches.tolist() == [60]
+
+
 def test_emit_single_note():
     seq = PitchSequence([60], [0])
     text = emit_midi_csv(seq, note_duration=120)
