@@ -20,8 +20,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import persist, registry
 from .hmm import DEFAULT_MAX_ITER, DEFAULT_TOL
-from .midi_codec import (MAX_DIVISION, TICKS_PER_QUARTER, MidiCsvError, PitchSequence,
-                         emit_midi_csv, parse_midi_csv)
+from .midi_codec import (MAX_DIVISION, MAX_PITCH, TICKS_PER_QUARTER, MidiCsvError,
+                         PitchSequence, emit_midi_csv, parse_midi_csv)
 
 OUTPUT_ROOT_ENV = "SSCOMPOSE_OUTPUT_ROOT"
 DEFAULT_TOP = 3
@@ -56,16 +56,20 @@ def _write_manifest(out_dir, command, config, artifacts, started):
     })
 
 
+def _check_at_least(args, *flags):
+    """Raise ValueError for the first (flag, least) whose given value is below least."""
+    for flag, least in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be >= {least}")
+
+
 def cmd_train(args):
     started = time.time()
-    if args.restarts < 1:
-        raise ValueError("--restarts must be >= 1")
-    if args.max_iter < 1:
-        raise ValueError("--max-iter must be >= 1")
+    _check_at_least(args, ("--restarts", 1), ("--max-iter", 1))
     if not np.isfinite(args.tol):
         raise ValueError(f"--tol must be a finite number, not {args.tol}")
-    if args.seed < 0:
-        raise ValueError("--seed must be >= 0")
+    _check_at_least(args, ("--seed", 0))
     seq = _read_piece(args.input)
     model, loglik = None, -np.inf
     for r in range(args.restarts):
@@ -101,12 +105,7 @@ def cmd_train(args):
 
 def cmd_generate(args):
     started = time.time()
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
-    if args.length is not None and args.length < 1:
-        raise ValueError("--length must be >= 1")
-    if args.seed < 0:
-        raise ValueError("--seed must be >= 0")
+    _check_at_least(args, ("--n", 1), ("--length", 1), ("--seed", 0))
     model = persist.load_model(args.model)
     length = len(model.training_symbols) if args.length is None else args.length
     seeds = [args.seed + i for i in range(args.n)]
@@ -161,9 +160,9 @@ def _load_batch(batch_dir):
             pitches = list(map(int, filter(str.strip, text.split("\n"))))
             if not pitches:
                 raise ValueError("empty piece file")
-            if not 0 <= min(pitches) <= max(pitches) <= 127:
-                outside = next(p for p in pitches if not 0 <= p <= 127)
-                raise ValueError(f"pitch {outside} outside 0-127")
+            if not 0 <= min(pitches) <= max(pitches) <= MAX_PITCH:
+                outside = next(p for p in pitches if not 0 <= p <= MAX_PITCH)
+                raise ValueError(f"pitch {outside} outside 0-{MAX_PITCH}")
             pieces[position] = PitchSequence.eighths(pitches, tpq)
         except (OSError, ValueError) as exc:
             problems.append(f"{rel}: {exc}")
@@ -251,7 +250,8 @@ def cmd_rank(args):
         # NaN passes: an all-skipped batch writes NaN temporal scores
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"{path}: {key_field} must be a number, not {value!r}")
-        entries.append((value, payload.get("model", "?"), path))
+        # as text, so that ties between model ids of different JSON types sort too
+        entries.append((value, str(payload.get("model", "?")), path))
     # NaN sorts after every number; equal scores break ties by model id, then path
     entries.sort(key=lambda e: (e[0] != e[0], 0.0 if e[0] != e[0] else e[0], *e[1:]))
     print(f"rank,model,{key_field},report")
@@ -262,8 +262,7 @@ def cmd_rank(args):
 
 def cmd_export(args):
     started = time.time()
-    if args.top < 0:
-        raise ValueError("--top must be >= 0")
+    _check_at_least(args, ("--top", 0))
     _, pieces, _, scores = _score_batch(args)
     chosen = []  # (criterion, piece index); a piece appears at most once
     taken = set()

@@ -28,6 +28,7 @@ from .hmm import (
     _emission_counts,
     _flat_posteriors,
     _normalized,
+    _random_tables,
     baum_welch,
     check_positive_ints,
     check_state_cap,
@@ -67,14 +68,8 @@ class TshmmParams(ChainParams):
 
 
 def random_tshmm_params(m1, m2, alphabet_size, seed):
-    rng = _as_rng(seed)
-    return TshmmParams(
-        m1, m2,
-        rng.dirichlet(np.ones(m2), size=m2),
-        rng.dirichlet(np.ones(m1), size=(m2, m1)),
-        rng.dirichlet(np.ones(m2 * m1)),
-        rng.dirichlet(np.ones(alphabet_size), size=m1),
-    )
+    return _random_tables(TshmmParams, seed, m1=m1, m2=m2, K=alphabet_size,
+                          **{"m2*m1": m2 * m1})
 
 
 def _tshmm_flat(params):

@@ -20,7 +20,8 @@ EM loop every model kind shares: each trainer hands it a step function
 and gets back the fitted parameters and the FitReport.  Every M-step
 turns its expected counts into rows with ``_normalized``, so SMOOTHING is
 applied here and nowhere else, and tallies emissions with
-``_emission_counts``.
+``_emission_counts``.  ``_random_tables`` draws a random start from the
+same ``table`` declarations.
 
 Every sampler draws through ``_cdf`` and ``_draw``: ``_cdf(table)`` is a
 flat memoryview over the cumulative sums of the table's last-axis rows,
@@ -381,13 +382,20 @@ def _masked_dirichlet(rng, mask):
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def _random_tables(cls, seed, **given):
+    """A cls random start: every field `given` does not supply is a
+    ``table``, drawn in field order as flat-Dirichlet rows of the shape its
+    size symbols take in `given`."""
+    rng = _as_rng(seed)
+    for f in fields(cls):
+        if f.name not in given:
+            *rows, width = (given[symbol] for symbol in f.metadata["shape"])
+            given[f.name] = rng.dirichlet(np.ones(width), size=tuple(rows))
+    return cls(**{f.name: given[f.name] for f in fields(cls)})
+
+
 def random_params(n_states, alphabet_size, seed):
     """Flat-Dirichlet random parameters (the random-HMM baseline and EM inits)."""
     if n_states < 1 or alphabet_size < 1:
         raise ValueError("sizes must be >= 1")
-    rng = _as_rng(seed)
-    return HmmParams(
-        rng.dirichlet(np.ones(n_states)),
-        rng.dirichlet(np.ones(n_states), size=n_states),
-        rng.dirichlet(np.ones(alphabet_size), size=n_states),
-    )
+    return _random_tables(HmmParams, seed, n=n_states, K=alphabet_size)

@@ -16,10 +16,10 @@ treble and bass lines of all pieces come from one sort
 (`_musicality_rows`); each piece's MI counts are its own sub-joint; and
 the per-piece scores are per-row RMSEs (`piece_scores`).  Each
 per-piece function is the one-row case of its stacked form, and every
-piece gets the exact values of scoring it alone; only `_pitch_counts`
-and `_musicality_rows` reject an empty piece.  Pieces are numbered by
-their index in the batch; the command line reports the position of each
-piece in its batch.json `pieces` list.
+piece gets the exact values of scoring it alone; only `_pitch_counts`,
+`_musicality_rows` and `interval_class_table` reject an empty piece.
+Pieces are numbered by their index in the batch; the command line
+reports the position of each piece in its batch.json `pieces` list.
 """
 
 from __future__ import annotations
@@ -244,11 +244,9 @@ def _stacked_lines(pieces):
     """`_lines` of every piece at once: treble and bass of each (piece,
     timestamp) group, piece by piece, with each group's piece; the chords,
     and each chord's piece.  One stable lexsort orders the notes by piece,
-    then time, keeping input order within a timestamp."""
+    then time, keeping input order within a timestamp; no piece is empty."""
     owner = np.repeat(np.arange(len(pieces)), [len(seq) for seq in pieces])
     pitches = np.concatenate([np.asarray(seq.pitches, dtype=np.int64) for seq in pieces])
-    if len(pitches) == 0:
-        return pitches, pitches, owner, [], owner
     times = np.concatenate([np.asarray(seq.timestamps) for seq in pieces])
     order = np.lexsort((times, owner))
     times, owner, pitches = times[order], owner[order], pitches[order]
@@ -333,6 +331,8 @@ def interval_class_table(seq, mode):
     mode steps along the treble and bass lines."""
     if mode not in ("harmonic", "melodic"):
         raise ValueError("mode must be 'harmonic' or 'melodic'")
+    if len(seq) == 0:
+        raise ValueError("empty sequence")
     treble, bass, chords = _lines(seq)
     if mode == "harmonic":
         classes = _chord_interval_classes(chords)

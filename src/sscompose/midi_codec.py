@@ -15,6 +15,7 @@ import numpy as np
 
 TICKS_PER_QUARTER = 480  # time base of generated pieces
 MAX_DIVISION = 32767  # a MIDI Header's division has 15 bits
+MAX_PITCH = 127  # a MIDI note number has 7 bits
 MAX_TICK = np.iinfo(np.int64).max
 
 
@@ -119,8 +120,8 @@ def parse_midi_csv(text):
                 velocity = int(fields[5])
             except ValueError:
                 raise MidiCsvError(f"line {lineno}: non-numeric note record field") from None
-            if not 0 <= pitch <= 127:
-                raise MidiCsvError(f"line {lineno}: pitch {pitch} outside 0-127")
+            if not 0 <= pitch <= MAX_PITCH:
+                raise MidiCsvError(f"line {lineno}: pitch {pitch} outside 0-{MAX_PITCH}")
             if not 0 <= time <= MAX_TICK:
                 raise MidiCsvError(f"line {lineno}: timestamp {time} outside 0-{MAX_TICK}")
             if rectype == "note_on_c" and velocity > 0:

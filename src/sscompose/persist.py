@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .hmm import FitReport
-from .midi_codec import PitchAlphabet
+from .midi_codec import MAX_PITCH, PitchAlphabet
 from .registry import PARAM_TYPES, ModelSpec, TrainedModel
 
 FORMAT_NAME = "sscompose-model"
@@ -144,7 +144,7 @@ def _model_from_dict_checked(data):
     if not isinstance(tag, str) or tag not in PARAM_TAGS:
         raise ValueError(f"unknown parameter type {tag!r} in model file")
     report = data.get("report")
-    alphabet = PitchAlphabet(_symbols(data["alphabet"], "alphabet", 127, increasing=True))
+    alphabet = PitchAlphabet(_symbols(data["alphabet"], "alphabet", MAX_PITCH, increasing=True))
     params = _decode(PARAM_TAGS[tag], data["params"], "params")
     try:
         params.validate(atol=1e-8, n_symbols=alphabet.size)

@@ -41,6 +41,7 @@ from .hmm import (
     _masked_dirichlet,
     _normalized,
     _posteriors,
+    _random_tables,
     run_em,
     table,
 )
@@ -92,13 +93,9 @@ def random_hsmm_params(n_states, alphabet_size, d_max, seed):
         raise ValueError("HSMM needs at least 2 states (no self-transitions)")
     rng = _as_rng(seed)
     # drawn before the initial distribution: seeded fits depend on the order
-    trans = _masked_dirichlet(rng, 1.0 - np.eye(n_states))
-    return HsmmParams(
-        rng.dirichlet(np.ones(n_states)),
-        trans,
-        rng.dirichlet(np.ones(alphabet_size), size=n_states),
-        rng.dirichlet(np.ones(d_max), size=n_states),
-    )
+    transition = _masked_dirichlet(rng, 1.0 - np.eye(n_states))
+    return _random_tables(HsmmParams, rng, transition=transition,
+                          n=n_states, K=alphabet_size, D=d_max)
 
 
 class _DwellChain:
@@ -150,14 +147,19 @@ def _hsmm_em_step(params, obs):
     return new, loglik
 
 
-def train_hsmm(obs, n_states, n_symbols, d_max, init=None, seed=None,
-               tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """EM via the forward-backward on the (state, dwell) chain."""
-    obs = _check_obs(obs, n_symbols)
+def _check_dwell_cap(d_max, obs):
+    """Raise ValueError unless 1 <= d_max < len(obs), for checked obs."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     if d_max >= len(obs):
         raise ValueError("d_max must be smaller than the sequence length")
+
+
+def train_hsmm(obs, n_states, n_symbols, d_max, init=None, seed=None,
+               tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """EM via the forward-backward on the (state, dwell) chain."""
+    obs = _check_obs(obs, n_symbols)
+    _check_dwell_cap(d_max, obs)
     if init is None:
         init = random_hsmm_params(n_states, n_symbols, d_max, seed)
     return run_em(lambda params: _hsmm_em_step(params, obs), init, tol, max_iter, seed)
@@ -353,10 +355,7 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
     obs = _check_obs(obs, n_symbols)
     if n_states < 2:
         raise ValueError("NSHMM needs at least 2 states")
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
-    if d_max >= len(obs):
-        raise ValueError("d_max must be smaller than the sequence length")
+    _check_dwell_cap(d_max, obs)
     if n_iter <= max(burn_in, 0):
         raise ValueError("n_iter must exceed burn_in")
     rng = _as_rng(seed)

@@ -32,6 +32,7 @@ from .hmm import (
     _normalized,
     _order_k_sampler,
     _posteriors,
+    _random_tables,
     baum_welch,
     check_positive_ints,
     check_state_cap,
@@ -230,13 +231,7 @@ class ArhmmParams(ChainParams):
 
 
 def random_arhmm_params(n_states, alphabet_size, seed):
-    rng = _as_rng(seed)
-    return ArhmmParams(
-        rng.dirichlet(np.ones(n_states)),
-        rng.dirichlet(np.ones(n_states), size=n_states),
-        rng.dirichlet(np.ones(alphabet_size), size=(n_states, alphabet_size)),
-        rng.dirichlet(np.ones(alphabet_size), size=n_states),
-    )
+    return _random_tables(ArhmmParams, seed, n=n_states, K=alphabet_size)
 
 
 def train_arhmm(obs, n_states, n_symbols, init=None, seed=None,

@@ -143,6 +143,16 @@ def test_rank_tie_broken_by_model_id(tmp_path, capsys):
     assert lines[1].split(",")[1] == "M2"
 
 
+def test_rank_tie_between_model_ids_of_different_types(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps({"model": "M2", "entropy_rmse": 0.03}))
+    b.write_text(json.dumps({"model": 7, "entropy_rmse": 0.03}))
+    assert _run("rank", "--criterion", "entropy-rmse", "--reports", a, b) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["7", "M2"]
+
+
 def test_rank_unknown_criterion(tmp_path, capsys):
     a = tmp_path / "a.json"
     a.write_text(json.dumps({"model": "M1", "entropy_rmse": 0.1}))
@@ -640,9 +650,26 @@ def _m1_true(params):
     return "params: m1 must be a positive integer"
 
 
+def _no_chains(params):
+    params["chain_sizes"] = []
+    return "params: chain_sizes must name at least one chain"
+
+
+def _cut_last_chain_tables(params):
+    del params["chain_initials"][-1], params["chain_transitions"][-1]
+    n = len(params["chain_sizes"])
+    return f"params: {n} chains need {n} initial and transition tables"
+
+
+def _no_layers(params):
+    params["layers"] = []
+    return "params: layers must hold at least one layer"
+
+
 @pytest.mark.parametrize("model,corrupt", [
     ("M7", _cut_initial), ("M10", _cut_initial), ("M12", _cut_chain_initials),
-    ("M13", _cut_layer_1_initial), ("M10", _m1_true),
+    ("M13", _cut_layer_1_initial), ("M10", _m1_true), ("M12", _no_chains),
+    ("M12", _cut_last_chain_tables), ("M13", _no_layers),
 ])
 def test_inconsistent_arhmm_tshmm_fhmm_lhmm_params_rejected_on_load(tmp_path, toy_piece,
                                                                     capsys, model, corrupt):
@@ -783,7 +810,11 @@ def test_count_arguments_range_checked(tmp_path, toy_piece, capsys):
             (["train", "--input", piece, "--model", "M13", "--layers", "0"],
              "layers must be a positive integer"),
             (["train", "--input", piece, "--model", "M8", "--dmax", "0"],
-             "dmax must be a positive integer")]:
+             "dmax must be a positive integer"),
+            (["train", "--input", piece, "--model", "M8", "--states", "1"],
+             "HSMM needs at least 2 states (no self-transitions)"),
+            (["train", "--input", piece, "--model", "M9", "--states", "1"],
+             "NSHMM needs at least 2 states")]:
         capsys.readouterr()
         assert _run(*argv, "--out", bad) == 2
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]

@@ -405,6 +405,9 @@ def test_interval_class_table_errors():
         metrics.interval_class_table(PitchSequence([60], [0]), "harmonic")
     with pytest.raises(ValueError):
         metrics.interval_class_table(PitchSequence([60, 61], [0, 1]), "weird")
+    for mode in ("harmonic", "melodic"):
+        with pytest.raises(ValueError, match="^empty sequence$"):
+            metrics.interval_class_table(PitchSequence([], []), mode)
 
 
 # word boundaries of 64-bit machine words, where a fixed-width bit-vector

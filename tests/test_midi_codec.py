@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sscompose.midi_codec import (
+    MAX_DIVISION,
+    MAX_PITCH,
+    MAX_TICK,
     MidiCsvError,
     PitchSequence,
     build_alphabet,
@@ -176,3 +181,50 @@ def test_alphabet_names_the_first_unknown_pitch(pitches, offender):
 def test_alphabet_empty_error():
     with pytest.raises(ValueError):
         build_alphabet(PitchSequence([], []))
+
+
+def _mostly(good, odd):
+    """good, or odd one time in twenty: a document fails on its first odd
+    line, so most lines must be good for some documents to parse."""
+    return st.integers(0, 19).flatmap(lambda i: odd if i == 0 else good)
+
+
+# numbers around and far beyond every range the parser checks, and non-numbers
+_ODD_FIELDS = st.one_of(
+    st.integers(-3, 200).map(str), st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.sampled_from([str(MAX_DIVISION + 1), str(MAX_TICK + 1), "", "x", "6.5", "1e3"]))
+_PITCHES = _mostly(st.integers(0, MAX_PITCH).map(str), _ODD_FIELDS)
+_HEADERS = _mostly(
+    st.builds("0, 0, Header, 1, {}, {}".format, st.integers(1, 4),
+              st.sampled_from([1, 96, 480, MAX_DIVISION]).map(str)),
+    st.one_of(st.builds("0, 0, Header, 1, 1, {}".format, _ODD_FIELDS),
+              st.sampled_from(["0, 0, Header", "0, 0, Header, 1, 1"])))
+_NOTES = st.builds("{}, {}, {}, 0, {}, {}{}".format, st.integers(1, 4),  # the track
+                   _mostly(st.integers(0, 5000).map(str), _ODD_FIELDS),
+                   st.sampled_from(["Note_on_c", "Note_off_c", "note_on_c"]), _PITCHES,
+                   _mostly(st.integers(0, 127).map(str), _ODD_FIELDS),
+                   _mostly(st.just(""), st.just(", 1")))  # a stray seventh field
+# blank lines and records the parser skips, one with stray fields
+_OTHER_LINES = st.sampled_from(["", "   ", "1, 0, Start_track", "1, 0, Tempo, 500000",
+                                "2, 96, End_track, 5, x"])
+_LINES = _mostly(st.one_of(_NOTES, _NOTES, _NOTES, _OTHER_LINES),
+                 st.sampled_from(["1", "1, 0", "x"]))  # short records
+_DOCUMENTS = st.tuples(st.lists(_HEADERS, max_size=2), st.lists(_LINES, max_size=12)).map(
+    lambda t: t[0] + t[1]).flatmap(st.permutations)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_DOCUMENTS)
+def test_fuzzed_document_parses_or_raises_midi_csv_error(lines):
+    """Any document of blank lines, short records, Header variants (missing,
+    short, non-numeric or out-of-range division), stray fields, huge and
+    negative numbers and several tracks parses to a valid PitchSequence or
+    raises MidiCsvError."""
+    try:
+        seq = parse_midi_csv("\n".join(lines))
+    except MidiCsvError:
+        return
+    assert isinstance(seq, PitchSequence)
+    assert 1 <= seq.ticks_per_quarter <= MAX_DIVISION
+    assert np.all((seq.pitches >= 0) & (seq.pitches <= MAX_PITCH))
+    assert np.all(seq.timestamps >= 0) and np.all(np.diff(seq.timestamps) >= 0)

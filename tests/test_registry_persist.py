@@ -1,8 +1,11 @@
+import copy
 import dataclasses
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sscompose import hmm, persist, registry, tvar
 from sscompose.midi_codec import PitchSequence
@@ -214,3 +217,61 @@ def test_tvar_grid_audit_in_extra():
     model = registry.train_model("M14", seq)
     assert len(model.extra["grid_audit"]) == 8 * 4 * 3
     assert model.report is None
+
+
+@pytest.fixture(scope="module")
+def small_model_dicts():
+    """Model dicts of a small M1, M12 and M14 fit to a 16-note piece; M14's
+    grid audit is cut to two cells."""
+    seq = _toy_sequence(16)
+    dicts = {name: persist.model_to_dict(registry.train_model(name, seq, seed=0, **kw))
+             for name, kw in [("M1", {"states": 2, "max_iter": 1}),
+                              ("M12", {"chains": (2, 2), "max_iter": 1}), ("M14", {})]}
+    del dicts["M14"]["extra"]["grid_audit"][2:]
+    return dicts
+
+
+def _keys(container):
+    return list(container) if isinstance(container, dict) else range(len(container))
+
+
+def _changed(value, how):
+    """value after change `how`, or None where `how` drops it."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if how == "ragged":
+        if isinstance(value, list) and value:  # cut its first row, or make it one
+            return [value[0][:-1] if isinstance(value[0], list) else [value[0]], *value[1:]]
+        return [[0.5], [0.5, 0.5]]
+    return {"drop": None, "nan": float("nan"), "negative": -value if number else -1,
+            "huge": 10 ** 400 if number else 1e308, "type": "x" if number else 0.5}[how]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(["M1", "M12", "M14"]),
+       how=st.sampled_from(["drop", "type", "nan", "negative", "huge", "ragged", "version"]),
+       data=st.data())
+def test_fuzzed_model_dict_loads_or_raises_value_error(small_model_dicts, name, how, data):
+    """A model dict with one key dropped, one value's type changed, NaN,
+    negative or huge entries, a ragged list or an unknown version loads or
+    raises ValueError, and nothing else."""
+    model = copy.deepcopy(small_model_dicts[name])
+    if how == "version":
+        model["version"] = data.draw(st.sampled_from([0, 2, "1", None, [1]]))
+    else:
+        # walk down from the top or from the parameters, stopping at a leaf,
+        # an empty container or by a coin flip
+        owner = data.draw(st.sampled_from([model, model["params"]]))
+        key = data.draw(st.sampled_from(_keys(owner)))
+        while isinstance(owner[key], (dict, list)) and owner[key] and data.draw(st.booleans()):
+            owner = owner[key]
+            key = data.draw(st.sampled_from(_keys(owner)))
+        value = _changed(owner[key], how)
+        if value is None:
+            del owner[key]
+        else:
+            owner[key] = value
+    try:
+        loaded = persist.model_from_dict(model)
+    except ValueError:
+        return
+    assert isinstance(loaded, registry.TrainedModel)
