@@ -4,12 +4,12 @@ Forward filtering with a state discount (coefficient drift) and a
 variance discount (volatility drift); order and discounts chosen by grid
 search on the cumulative one-step-ahead (Student-t) log marginal
 likelihood.  The cells of one order share their regressors, so the grid
-runs one filter per order on the stacked cells, and ``fit_tvar`` is that
-filter's one-cell case; a cell that goes numerically singular is flagged
-in place.  Generation samples a coefficient trajectory backwards from
-the filtered posteriors and simulates the observation equation forward;
-real-valued output is binned to the nearest pitch of the training
-alphabet.
+runs one filter per order on the stacked cells and flags, after its loop,
+each cell that went numerically singular; the winner is filtered again
+alone (``fit_tvar`` is the one-cell case).  Generation samples a
+coefficient trajectory backwards from the filtered posteriors and
+simulates the observation equation forward; real-valued output is
+binned to the nearest pitch of the training alphabet.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ class TvarSpec:
     def __post_init__(self):
         if any(not (0.0 < d <= 1.0) for d in self.state_discounts + self.var_discounts):
             raise ValueError("discounts must lie in (0, 1]")
-        if any(d < 1 for d in self.orders):
-            raise ValueError("orders must be >= 1")
+        check_positive_ints(("orders", d) for d in self.orders)
 
 
 @dataclass
@@ -86,10 +85,11 @@ def fit_tvar(series, order, state_discount, var_discount):
     Student-t log densities.  Raises FloatingPointError when an update
     goes numerically singular.
     """
+    TvarSpec((order,), (state_discount,), (var_discount,))  # raises on a bad argument
     y = np.asarray(series, dtype=float)
-    if len(y) <= int(order) + 1:
+    if len(y) <= order + 1:
         raise ValueError("series must be longer than order + 1")
-    [fit] = _stacked_filter(y, int(order), [(state_discount, var_discount)])
+    [fit] = _stacked_filter(y, order, [(state_discount, var_discount)])
     if isinstance(fit, str):
         raise FloatingPointError(fit)
     return fit
@@ -102,7 +102,7 @@ def _stacked_filter(y, d, cells):
     (cells, d, d) covariances.  Every cell shares the regressors F, and
     each stacked slice does one cell's arithmetic, so a cell gets the same
     bits alone or in a stack.  A cell whose predictive variance q goes
-    non-finite or non-positive is flagged in place at that step.
+    non-finite or non-positive is flagged after the loop, from its q history.
 
     Returns one entry per cell, in order: its TvarFit, or the message
     naming the first step where it went singular.
@@ -119,17 +119,12 @@ def _stacked_filter(y, d, cells):
     # residual, prior degrees of freedom and predictive variance
     hist = [np.empty((k, steps, d)), np.empty((k, steps, d, d))] + [
         np.empty((k, steps)) for _ in range(5)]
-    errors = [None] * k
     for i, t in enumerate(range(d, len(y))):
         F = y[t - d:t][::-1]  # most recent lag first
         R = C / delta[:, None, None]
         n_prior = beta * n_dof
         f = m @ F
         q = np.matmul(np.matmul(F, R), F) + s_est
-        ok = np.isfinite(q) & (q > 0)
-        if not ok.all():
-            for cell in np.flatnonzero(~ok).tolist():
-                errors[cell] = errors[cell] or f"numerically singular update at step {i}"
         e = y[t] - f
         A = np.matmul(R, F) / q[:, None]
         m = m + A * e[:, None]
@@ -146,16 +141,18 @@ def _stacked_filter(y, d, cells):
     # one density call per stack; cumsum adds left to right, as a running
     # scalar sum would (np.sum adds pairwise and can differ in the last bit)
     log_marginal = np.cumsum(stats.t.logpdf(errs, df=dfs, scale=np.sqrt(qs)), axis=1)[:, -1]
-    return [error or TvarFit(d, float(sd), float(vd), means[c], covs[c], s_hist[c],
-                             dof_hist[c], float(log_marginal[c]), series=y)
-            for c, ((sd, vd), error) in enumerate(zip(cells, errors))]
+    singular = ~(np.isfinite(qs) & (qs > 0))  # (cells, steps)
+    return [f"numerically singular update at step {singular[c].argmax()}" if singular[c].any()
+            else TvarFit(d, float(sd), float(vd), means[c], covs[c], s_hist[c], dof_hist[c],
+                         float(log_marginal[c]), series=y)
+            for c, (sd, vd) in enumerate(cells)]
 
 
 def grid_search(spec, series):
     """Fit every (order, state discount, variance discount) cell, one
-    stacked filter per order, and return (best_fit, audit) with a
-    deterministic tie-break: smaller order, then larger state discount,
-    then larger variance discount.
+    stacked filter per order, and return (best_fit, audit): the best audit
+    entry, filtered again alone, with a tie-break to the smaller order, then
+    the larger state discount, then the larger variance discount.
 
     A cell whose filter goes numerically singular, or whose order leaves
     the series too short to filter, is listed in the audit with
@@ -165,8 +162,6 @@ def grid_search(spec, series):
     """
     y = np.asarray(series, dtype=float)
     audit = []
-    best = None
-    best_key = None
     cells = list(itertools.product(spec.state_discounts, spec.var_discounts))
     for order in spec.orders:
         if len(y) <= order + 1:
@@ -180,18 +175,16 @@ def grid_search(spec, series):
                 audit.append({**cell, "log_marginal": None, "error": fit})
                 continue
             audit.append({**cell, "log_marginal": fit.log_marginal})
-            key = (fit.log_marginal, -order, sd, vd)
-            # a running best, not a max over every order's fits: each fit
-            # holds its order's stacked covariance history, and keeping all
-            # eight orders alive costs about 25 MiB of peak memory on P500
-            if best_key is None or key > best_key:
-                best, best_key = fit, key
-    if best is None:
+    win = max((cell for cell in audit if cell["log_marginal"] is not None), default=None,
+              key=lambda c: (c["log_marginal"], -c["order"], c["state_discount"], c["var_discount"]))
+    if win is None:
         shortest = min(spec.orders) + 2
         if len(y) < shortest:
             raise ValueError(f"a piece of {len(y)} notes is too short for the TVAR grid, "
                              f"which needs at least {shortest}")
         raise FloatingPointError(f"every TVAR grid cell failed; first: {audit[0]['error']}")
+    # the winner alone: a stacked fit would hold its whole order's history
+    [best] = _stacked_filter(y, win["order"], [(win["state_discount"], win["var_discount"])])
     return best, audit
 
 
@@ -215,13 +208,13 @@ def backward_sample(fit, length, seed, sample_coeffs=True, innovation_scale=1.0)
         v = v * fit.dof[-1] / rng.chisquare(fit.dof[-1])
         scale_T = fit.coeff_covs[-1] * (v / fit.s[-1])
         theta[-1] = rng.multivariate_normal(fit.coeff_means[-1], scale_T,
-                                            method="svd")
+                                            method="svd", check_valid="raise")
         for t in range(steps - 2, -1, -1):
             # discount evolution: B_t = delta, residual variance (1 - delta) C_t
             mean = fit.coeff_means[t] + delta * (theta[t + 1] - fit.coeff_means[t])
             cov = (1.0 - delta) * fit.coeff_covs[t] * (v / fit.s[t])
-            theta[t] = mean if delta >= 1.0 else rng.multivariate_normal(mean, cov,
-                                                                         method="svd")
+            theta[t] = mean if delta >= 1.0 else rng.multivariate_normal(
+                mean, cov, method="svd", check_valid="raise")
     else:
         theta[:] = fit.coeff_means
 

@@ -860,9 +860,15 @@ def test_failed_generate_creates_no_output_dir(tmp_path, toy_piece, capsys):
                                             3.0).tolist()
     explosive = tmp_path / "explosive.json"
     explosive.write_text(json.dumps(data))
+    # the last filtered covariance is no longer positive semi-definite
+    data = json.loads((run / "M14_model.json").read_text())
+    data["params"]["coeff_covs"][-1][0][0] *= -10
+    not_psd = tmp_path / "not_psd.json"
+    not_psd.write_text(json.dumps(data))
     for i, argv in enumerate([["--model", broken],
                               ["--model", run / "M15_model.json", "--seed", "-1"],
-                              ["--model", explosive, "--length", "2000"]]):
+                              ["--model", explosive, "--length", "2000"],
+                              ["--model", not_psd]]):
         out = tmp_path / f"out{i}"
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:

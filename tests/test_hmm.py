@@ -72,6 +72,19 @@ def test_log_likelihood_rejects_a_symbol_outside_every_chain_types_alphabet(kind
         hmm.log_likelihood(params, [0, 1, 3, 0])
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: hmm.log_likelihood(hmm.random_params(2, 3, 0), []),
+     "observation sequence must be a non-empty 1-d array"),
+    (lambda: hmm.random_params(0, 3, 0), "sizes must be >= 1"),
+    (lambda: hierarchical.train_tshmm([0, 1, 2, 1], 0, 2, 3), "state counts must be >= 1"),
+    (lambda: hmm.log_likelihood(variants.random_khmm_params(2, 3, 3, 0), [0, 1]),
+     "sequence shorter than the model order"),
+], ids=["empty-sequence", "no-states", "tshmm-no-states", "shorter-than-order"])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_zero_probability_error():
     params = hmm.HmmParams([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]],
                            [[1.0, 0.0], [0.0, 1.0]])

@@ -50,7 +50,9 @@ def test_entropy_empty_error():
     (lambda: metrics.pitch_histogram([], [60]), "empty sequence"),
     (lambda: metrics.mutual_information([60, 62], []),
      "cannot compute mutual information with an empty sequence"),
-], ids=["dissonance", "large-interval", "histogram", "mutual-information"])
+    (lambda: metrics.evaluate_batch(PitchSequence([60, 62, 64], [0, 1, 2]), []),
+     "batch must contain at least one piece"),
+], ids=["dissonance", "large-interval", "histogram", "mutual-information", "empty-batch"])
 def test_one_piece_metrics_reject_an_empty_piece(score, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         score()

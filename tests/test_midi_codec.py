@@ -145,6 +145,16 @@ def test_empty_emit_error():
         emit_midi_csv(PitchSequence([], []))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: PitchSequence([60, 62], [0]), "pitches and timestamps must have equal length"),
+    (lambda: emit_midi_csv(PitchSequence([60, 62], [0, 240]), note_duration=0),
+     "note_duration must be positive"),
+], ids=["unequal-lengths", "zero-duration"])
+def test_sequence_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_alphabet_roundtrip():
     seq = parse_midi_csv(ODE_TO_JOY_BAR_1)
     alpha = build_alphabet(seq)

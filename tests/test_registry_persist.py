@@ -190,6 +190,12 @@ def test_report_persisted_with_trace(tmp_path):
     assert loaded.report.iterations == model.report.iterations
 
 
+def test_model_to_dict_rejects_an_unlisted_parameter_type():
+    model = registry.train_model("M1", _toy_sequence(), seed=0, max_iter=1, states=3)
+    with pytest.raises(TypeError, match="^cannot serialize parameters of type object$"):
+        persist.model_to_dict(dataclasses.replace(model, params=object()))
+
+
 def test_every_chain_parameter_type_derives_from_chain_params():
     others = [cls for cls in registry.PARAM_TYPES if not issubclass(cls, hmm.ChainParams)]
     assert others == [tvar.TvarFit]

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -48,13 +49,20 @@ def test_fit_covariances_psd():
 def test_fit_short_series_error():
     with pytest.raises(ValueError):
         tvar.fit_tvar(np.arange(5.0), 4, 0.95, 0.95)
+    # fit_tvar checks its arguments with TvarSpec's rule
+    y = np.cumsum(np.random.default_rng(0).standard_normal(60))
+    for args in [(3, 1.5, 0.9), (3, 0.9, 0.0), (3, 0.9, np.nan), (0, 0.9, 0.9),
+                 (2.5, 0.9, 0.9), (-1, 0.9, 0.9), (True, 0.9, 0.9)]:
+        with pytest.raises(ValueError):
+            tvar.fit_tvar(y, *args)
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         tvar.TvarSpec(state_discounts=(1.5,))
-    with pytest.raises(ValueError):
-        tvar.TvarSpec(orders=(0,))
+    for orders in [(0,), (2.5,), (7, -1), (True,)]:
+        with pytest.raises(ValueError, match="orders must be a positive integer"):
+            tvar.TvarSpec(orders=orders)
 
 
 def test_grid_search_single_cell():
@@ -144,6 +152,8 @@ def test_bin_to_alphabet_subset_and_errors():
     assert set(out.tolist()) <= {40, 45, 60}
     with pytest.raises(ValueError):
         tvar.bin_to_alphabet([np.nan], alpha)
+    with pytest.raises(ValueError, match="^alphabet is empty$"):
+        tvar.bin_to_alphabet([60.0], PitchAlphabet(np.array([])))
 
 
 @pytest.mark.parametrize("order,state_discount,var_discount",
@@ -232,6 +242,21 @@ def test_stacked_grid_gives_each_cell_the_one_cell_filter_bits():
     alone = tvar.fit_tvar(y, best.order, best.state_discount, best.var_discount)
     for name in ("coeff_means", "coeff_covs", "s", "dof"):
         assert np.array_equal(getattr(best, name), getattr(alone, name)), name
+
+
+def test_grid_search_returns_a_fit_that_holds_only_its_own_cell():
+    # the winner is filtered again alone, so its order's stacked history is freed
+    rng = np.random.default_rng(41)
+    y = 50.0 + np.cumsum(rng.integers(-2, 3, 500)) % 12
+    tvar.grid_search(tvar.TvarSpec(), y)  # imports scipy.stats before tracing
+    tracemalloc.start()
+    try:
+        best, _ = tvar.grid_search(tvar.TvarSpec(), y)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    own = sum(getattr(best, name).nbytes for name in ("coeff_means", "coeff_covs", "s", "dof"))
+    assert held < 2 * own
 
 
 def test_singular_cells_leave_the_stack_and_the_rest_keep_their_bits():
