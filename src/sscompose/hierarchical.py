@@ -22,9 +22,8 @@ from .hmm import (
     ChainParams,
     HmmParams,
     _as_rng,
-    _cdf,
     _check_obs,
-    _draw,
+    _draw_rows,
     _emission_counts,
     _flat_posteriors,
     _normalized,
@@ -274,17 +273,15 @@ def lhmm_sampler(params):
     """Top-down ancestral sampler draw(length, seed) through the layer
     stack: the top layer's chain, then each lower layer emits one symbol
     per symbol of the layer above, with its length uniforms drawn after the
-    layer above."""
+    layer above, all in one call."""
     top = sampler(params.layers[-1])
-    lower = [_cdf(layer.emission) for layer in reversed(params.layers[:-1])]
+    lower = [_draw_rows(layer.emission) for layer in reversed(params.layers[:-1])]
 
     def draw(length, seed):
         rng = _as_rng(seed)
         seq = top(length, rng)
-        for emis in lower:
-            u = rng.random(length).tolist()
-            seq = np.array([_draw(emis, s, ui) for s, ui in zip(seq.tolist(), u)],
-                           dtype=np.int64)
+        for emit in lower:
+            seq = emit(seq, rng.random(length))
         return seq
 
     return draw

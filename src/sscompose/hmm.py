@@ -23,22 +23,26 @@ applied here and nowhere else, and tallies emissions with
 ``_emission_counts``.  ``_random_tables`` draws a random start from the
 same ``table`` declarations.
 
-Every sampler draws through ``_cdf`` and ``_draw``: ``_cdf(table)`` is a
-flat memoryview over the cumulative sums of the table's last-axis rows,
-with the row width, and ``_draw(cdf, row, u)`` bisects one row for
-uniform u.  A uniform at or above the row's last cumulative value takes
-the first column that reaches that value, which always has mass.  Each
+Every sampler draws by inverse cdf on ``_cumulative`` rows: a uniform
+takes the first column whose cumulative value exceeds it.  The rows hold
++inf from the first column that reaches the row's total on, so a uniform
+at or above the total (rounding can leave a total just below u) takes
+that column, which always has mass.  A piece's walk draws what is
+sequential, the hidden states (and dwells), with ``_draw(cdf, row, u)``
+on a flat ``_cdf(table)``; then ``_draw_rows(table) -> draw(rows, u)``
+draws all its symbols in one vectorized pass (the ARHMM's emission row
+depends on the previous symbol, so its walk draws both).  Each
 parameter type has a sampler builder, ``sampler(params) -> draw(length,
 seed)``, that makes its tables once (``sampler`` here,
 ``_order_k_sampler`` for any order-k chain), so a batch of pieces shares
 them.  A symbol sampler's builder returns ``_block_sampler(walk,
 n_uniforms)``: ``draw`` draws one block of ``n_uniforms(length)``
-uniforms from the seed, and ``walk(u, length)`` reads them in order.
+uniforms from the seed, and ``walk(u, length)`` reads that array.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -303,64 +307,87 @@ def viterbi(params, obs):
     return path
 
 
-def _cdf(table):
-    """Inverse-cdf table of table's last-axis rows: a flat memoryview over
-    np.cumsum(table, axis=-1) and the row width.  Rows are numbered in C
-    order, so row z * K + x of an (n, K, K) table is table[z, x]."""
+def _cumulative(table):
+    """The cumulative sums of table's last-axis rows as (rows, width), rows
+    in C order (row z * K + x of an (n, K, K) table is table[z, x]), each
+    +inf from its first entry that reaches the row's total on."""
     cum = np.cumsum(table, axis=-1)
-    return memoryview(cum.reshape(-1)), cum.shape[-1]
+    cum = cum.reshape(-1, cum.shape[-1])
+    cum[cum >= cum[:, -1:]] = np.inf
+    return cum
+
+
+def _cdf(table):
+    """_draw's table: a flat memoryview over the _cumulative rows, and the row width."""
+    cum = _cumulative(table)
+    return memoryview(cum.reshape(-1)), cum.shape[1]
 
 
 def _draw(cdf, row, u):
-    """Inverse-cdf draw of uniform u from a row of a _cdf table: the first
-    column whose cumulative value exceeds u.  A u at or above the row's
-    last value takes the first column equal to that value, the last one
-    with mass (rounding can leave a row's total just below u)."""
+    """Inverse-cdf draw of uniform u from a row of a _cdf table."""
     flat, width = cdf
     start = row * width
-    column = bisect_right(flat, u, start, start + width) - start
-    if column < width:
-        return column
-    return bisect_left(flat, flat[start + width - 1], start, start + width) - start
+    return bisect_right(flat, u, start, start + width) - start
+
+
+def _draw_rows(table):
+    """draw(rows, u): _draw's column for each pair of row rows[i] of table
+    and uniform u[i], as one array (it gathers (len(rows), width) floats)."""
+    cum = _cumulative(table)
+
+    def draw(rows, u):
+        return (cum[rows] <= u[:, None]).sum(axis=1)
+
+    return draw
 
 
 def _block_sampler(walk, n_uniforms):
     """draw(length, seed) of a symbol sampler: walk(u, length) returns the
-    symbols, reading in order from u, an iterator over one block of
-    n_uniforms(length) uniforms drawn from the seed (a Generator passed as
-    the seed moves past the whole block)."""
+    symbols, reading u, the array of one block of n_uniforms(length)
+    uniforms drawn from the seed (a Generator passed as the seed moves past
+    the whole block)."""
 
     def draw(length, seed):
         if length < 1:
             raise ValueError("length must be >= 1")
-        u = iter(_as_rng(seed).random(n_uniforms(length)).tolist())
-        return np.array(walk(u, length), dtype=np.int64)
+        return np.asarray(walk(_as_rng(seed).random(n_uniforms(length)), length),
+                          dtype=np.int64)
 
     return draw
 
 
 def _order_k_sampler(step_tables, emission):
     """Ancestral sampler draw(length, seed) of an order-k chain,
-    k = len(step_tables) - 1, with every table's _cdf built once.
+    k = len(step_tables) - 1, with every table built once.
 
     step_tables[i] holds the next-state rows after i states, indexed by
     those states read as base-n digits; step_tables[k] applies from step k
     on, indexed by the last k states.  Step t draws its state with uniform
-    2t and its symbol with uniform 2t + 1, so the block is read whole.
+    2t and its symbol with uniform 2t + 1: the walk draws the states in
+    order, bisecting the steady-state table inline, and then every symbol
+    is drawn at once.
     """
-    steps = [_cdf(table) for table in step_tables]
-    emis = _cdf(emission)
-    k, n = len(steps) - 1, len(emission)
-    keep = n ** (k - 1)  # contexts keep the last k - 1 states before the next is appended
+    heads = [_cdf(table) for table in step_tables[:-1]]
+    flat, n = _cdf(step_tables[-1])
+    emit = _draw_rows(emission)
+    k = len(heads)
+    contexts = n ** k
 
     def walk(u, length):
-        obs = [0] * length
+        states = []
         context = 0
-        for t, (u_state, u_symbol) in enumerate(zip(u, u)):  # uniforms 2t and 2t + 1
-            z = _draw(steps[t] if t < k else steps[k], context, u_state)
-            obs[t] = _draw(emis, z, u_symbol)
-            context = context % keep * n + z
-        return obs
+        for cdf, u_state in zip(heads, u[:2 * k:2].tolist()):
+            z = _draw(cdf, context, u_state)
+            states.append(z)
+            context = context * n + z
+        # from step k on, the state is read off its position j in the flat
+        # table: z = j % n, and the next context is j % contexts
+        start = context * n
+        for u_state in u[2 * k::2].tolist():
+            j = bisect_right(flat, u_state, start, start + n)
+            states.append(j)
+            start = j % contexts * n
+        return emit(np.array(states) % n, u[1::2])
 
     return _block_sampler(walk, lambda length: 2 * length)
 

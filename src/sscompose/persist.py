@@ -99,7 +99,8 @@ def _numbers(value):
 def _symbols(value, where, high, increasing=False):
     """Decode a non-empty JSON array of integers in 0..high (strictly
     increasing when asked) as an int64 array."""
-    value = _decode_value(list[int], value, where)
+    if not isinstance(value, list):
+        raise ValueError(f"corrupt model file: {where} is not a JSON array")
     # type(v) is int rejects JSON booleans; the order is compared only on integers
     ints = bool(value) and all(type(v) is int and 0 <= v <= high for v in value)
     if not ints or (increasing and any(a >= b for a, b in zip(value, value[1:]))):

@@ -37,6 +37,7 @@ from .hmm import (
     _cdf,
     _check_obs,
     _draw,
+    _draw_rows,
     _emission_counts,
     _masked_dirichlet,
     _normalized,
@@ -168,18 +169,26 @@ def train_hsmm(obs, n_states, n_symbols, d_max, init=None, seed=None,
 def hsmm_sampler(params):
     """Dwell-explicit sampler draw(length, seed): the first state, then per
     segment its dwell, one symbol per step of it and the next state, each
-    from the next uniform; the last dwell may overshoot and is truncated."""
-    init, trans = _cdf(params.initial), _cdf(params.transition)
-    dur, emis = _cdf(params.duration), _cdf(params.emission)
+    from the next uniform; the last dwell may overshoot and is truncated.
+    The walk draws states and dwells; the symbols are then drawn at once,
+    step t of segment s from uniform t + 2s + 2."""
+    init, trans, dur = _cdf(params.initial), _cdf(params.transition), _cdf(params.duration)
+    emit = _draw_rows(params.emission)
 
     def walk(u, length):
-        obs = []
-        z = _draw(init, 0, next(u))
-        while len(obs) < length:
-            d = _draw(dur, z, next(u)) + 1
-            obs += [_draw(emis, z, next(u)) for _ in range(min(d, length - len(obs)))]
-            z = _draw(trans, z, next(u))
-        return obs
+        x = u.tolist()
+        z = _draw(init, 0, x[0])
+        states, dwells = [], []
+        i, t = 1, 0  # the next uniform, the next step
+        while t < length:
+            d = min(_draw(dur, z, x[i]) + 1, length - t)
+            states.append(z)
+            dwells.append(d)
+            t += d
+            i += d + 2
+            z = _draw(trans, z, x[i - 1])
+        segment = np.repeat(np.arange(len(states)), dwells)
+        return emit(np.array(states)[segment], u[np.arange(length) + 2 * segment + 2])
 
     # the first state, and at most length segments of dwell, symbols and switch
     return _block_sampler(walk, lambda length: 3 * length + 1)
@@ -274,13 +283,20 @@ def _renormalize(alpha, t):
     alpha /= total
 
 
+def _draw_one(p, u):
+    """_draw's clamped column for uniform u on the one row p, searched in
+    its cumulative sums."""
+    cum = np.cumsum(p)
+    return min(int(cum.searchsorted(u, "right")), int(cum.searchsorted(cum[-1])))
+
+
 def _nshmm_ffbs(params, obs, rng):
     """Sample a state path from its posterior (forward filter, backward sample).
 
     A step whose successor enters a segment (dwell index 0) or sits at the
-    saturated dwell index D - 1 is the inverse-cdf draw `_draw(_cdf(w /
-    w.sum()), 0, u)` over its predecessor weights w, laid out (state,
-    dwell) as on the dense (n, D) table.  A saturated step has two nonzero
+    saturated dwell index D - 1 is the inverse-cdf draw `_draw_one(w /
+    w.sum(), u)` over its predecessor weights w, laid out (state, dwell)
+    as on the dense (n, D) table.  A saturated step has two nonzero
     weights and is drawn from those two scalars; the outcome, _draw's clamp
     included, is the dense draw's.  A step inside a dwell run below the cap
     has one predecessor, so the run back to its entry is filled at once;
@@ -296,7 +312,7 @@ def _nshmm_ffbs(params, obs, rng):
     path = np.empty(T, dtype=np.int64)
     dwell = np.empty(T, dtype=np.int64)  # 0-based dwell index
     w = alphas[-1].T.ravel()
-    j, dd = divmod(_draw(_cdf(w / w.sum()), 0, u[-1]), D)
+    j, dd = divmod(_draw_one(w / w.sum(), u[-1]), D)
     path[-1], dwell[-1] = j, dd
     t = T - 2
     while t >= 0:
@@ -308,7 +324,7 @@ def _nshmm_ffbs(params, obs, rng):
             total = w.sum()
             if total <= 0:
                 raise ZeroProbabilityError("degenerate backward-sampling weights")
-            j, dd = divmod(_draw(_cdf(w / total), 0, u[t]), D)
+            j, dd = divmod(_draw_one(w / total, u[t]), D)
         elif dd < D - 1:
             # steps t - dd + 1 .. t were j at dwell indices 0 .. dd - 1
             entry = t - dd + 1
@@ -419,23 +435,30 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
 def nshmm_sampler(params):
     """Ancestral sampler draw(length, seed) threading the dwell counter: the
     first state and symbol, then per step stay or leave, the next state on
-    leaving, and the symbol, each from the next uniform."""
-    init, switch, emis = _cdf(params.initial), _cdf(params.switch), _cdf(params.emission)
+    leaving, and the symbol, each from the next uniform.  The walk records
+    each step's state and the position of its symbol's uniform; the
+    symbols are then drawn at once."""
+    init, switch = _cdf(params.initial), _cdf(params.switch)
+    emit = _draw_rows(params.emission)
     stay = params.stay_profile.tolist()
     D = params.d_max
 
     def walk(u, length):
-        z = _draw(init, 0, next(u))
-        d = 0
-        obs = [_draw(emis, z, next(u))]
+        x = u.tolist()
+        z = _draw(init, 0, x[0])
+        d, i = 0, 2  # the dwell index, the next uniform
+        states, at = [z], [1]
         for _ in range(1, length):
-            if next(u) < stay[z][d]:
+            if x[i] < stay[z][d]:
                 d = min(d + 1, D - 1)
             else:
-                z = _draw(switch, z, next(u))
+                i += 1
+                z = _draw(switch, z, x[i])
                 d = 0
-            obs.append(_draw(emis, z, next(u)))
-        return obs
+            states.append(z)
+            at.append(i + 1)
+            i += 2
+        return emit(np.array(states), u[at])
 
     # two uniforms for the first step, at most three for each later one
     return _block_sampler(walk, lambda length: 3 * length - 1)

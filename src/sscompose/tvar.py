@@ -212,24 +212,26 @@ def backward_sample(fit, length, seed, sample_coeffs=True, innovation_scale=1.0)
         for t in range(steps - 2, -1, -1):
             # discount evolution: B_t = delta, residual variance (1 - delta) C_t
             mean = fit.coeff_means[t] + delta * (theta[t + 1] - fit.coeff_means[t])
-            cov = (1.0 - delta) * fit.coeff_covs[t] * (v / fit.s[t])
             theta[t] = mean if delta >= 1.0 else rng.multivariate_normal(
-                mean, cov, method="svd", check_valid="raise")
+                mean, (1.0 - delta) * fit.coeff_covs[t] * (v / fit.s[t]),
+                method="svd", check_valid="raise")
     else:
         theta[:] = fit.coeff_means
 
-    lags = list(fit.series[:d][::-1])  # most recent first
-    out = np.empty(length)
+    # the simulated values newest first, then the training series' opening
+    # values: out[t] is history[length - 1 - t], and step t's lags, newest
+    # first, are history[length - t:length - t + d]
+    history = np.empty(length + d)
+    history[length:] = fit.series[:d][::-1]
     sd_noise = np.sqrt(v) * innovation_scale
     eps = rng.standard_normal(length)
     # an explosive fit overflows to inf or nan, which bin_to_alphabet rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(length):
-            coeff = theta[min(t, steps - 1)]
-            x = float(coeff @ np.asarray(lags)) + sd_noise * eps[t]
-            out[t] = x
-            lags = [x] + lags[:-1]
-    return out
+            at = length - t
+            history[at - 1] = float(theta[min(t, steps - 1)] @ history[at:at + d]) \
+                + sd_noise * eps[t]
+    return history[length - 1::-1]
 
 
 def bin_to_alphabet(series, alphabet):

@@ -266,6 +266,7 @@ def arhmm_sampler(params):
     K = params.n_symbols
 
     def walk(u, length):
+        u = iter(u.tolist())
         z = _draw(init, 0, next(u))
         obs = [_draw(init_emis, z, next(u))]
         for u_state, u_symbol in zip(u, u):

@@ -12,7 +12,8 @@ over a batch; the `stepwise_*_sample` samplers
 are per-kind loops that draw with `np.searchsorted` on each cumulative
 row (`_draw_from`), frozen copies of the samplers before their tables
 were built once per model, which the library samplers must reproduce
-draw for draw.
+draw for draw; `stepwise_tvar_sample` is the TVAR sampler as it was
+before its lags were read from one history buffer.
 """
 
 import itertools
@@ -792,3 +793,31 @@ def stepwise_nshmm_sample(params, length, seed):
             d = 0
         obs[t] = _draw_from(cum_emis[z], rng.random())
     return obs
+
+
+def stepwise_tvar_sample(fit, length, seed):
+    """TVAR backward sampling with the discount covariance built at every
+    step, then a forward simulation that rebuilds its list of lags, newest
+    first, at every step."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    rng = _as_rng(seed)
+    d, steps, delta = fit.order, fit.n_steps, fit.state_discount
+    v = fit.s[-1] * fit.dof[-1] / rng.chisquare(fit.dof[-1])
+    theta = np.empty((steps, d))
+    theta[-1] = rng.multivariate_normal(fit.coeff_means[-1], fit.coeff_covs[-1] * (v / fit.s[-1]),
+                                        method="svd", check_valid="raise")
+    for t in range(steps - 2, -1, -1):
+        mean = fit.coeff_means[t] + delta * (theta[t + 1] - fit.coeff_means[t])
+        cov = (1.0 - delta) * fit.coeff_covs[t] * (v / fit.s[t])
+        theta[t] = mean if delta >= 1.0 else rng.multivariate_normal(
+            mean, cov, method="svd", check_valid="raise")
+    lags = list(fit.series[:d][::-1])
+    out = np.empty(length)
+    sd_noise = np.sqrt(v)
+    eps = rng.standard_normal(length)
+    for t in range(length):
+        x = float(theta[min(t, steps - 1)] @ np.asarray(lags)) + sd_noise * eps[t]
+        out[t] = x
+        lags = [x] + lags[:-1]
+    return out

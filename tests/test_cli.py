@@ -901,21 +901,27 @@ BAD_SYMBOLS = "training_symbols must be a non-empty list of integers in 0-7"
     ("extra", 5, "extra is not a JSON object"),
     ("alphabet", {"a": 1}, "alphabet is not a JSON array"),
     ("training_symbols", 7, "training_symbols is not a JSON array"),
+    ("alphabet", "55", "alphabet is not a JSON array"),
+    ("training_symbols", None, "training_symbols is not a JSON array"),
     ("alphabet", [200, 56, 57, 58, 59, 60, 61, 62], BAD_ALPHABET),
     ("alphabet", [55.7, 56, 57, 58, 59, 60, 61, 62], BAD_ALPHABET),
     ("alphabet", [55, 55, 57, 58, 59, 60, 61, 62], BAD_ALPHABET),
     ("alphabet", [True, 56, 57, 58, 59, 60, 61, 62], BAD_ALPHABET),
+    ("alphabet", ["55", 56, 57, 58, 59, 60, 61, 62], BAD_ALPHABET),
     ("alphabet", [62, 61, 60, 59, 58, 57, 56, 55], BAD_ALPHABET),
     ("alphabet", [], BAD_ALPHABET),
     ("training_symbols", [0, 1, 99], BAD_SYMBOLS),
     ("training_symbols", [0, -1, 2], BAD_SYMBOLS),
     ("training_symbols", [0, 1.5, 2], BAD_SYMBOLS),
     ("training_symbols", [False, 1, 2], BAD_SYMBOLS),
+    ("training_symbols", [0, "1", 2], BAD_SYMBOLS),
+    ("training_symbols", [0, [1], 2], BAD_SYMBOLS),
     ("training_symbols", [], BAD_SYMBOLS),
-], ids=["extra", "alphabet", "training_symbols", "alphabet-above-127", "alphabet-float",
-        "alphabet-duplicate", "alphabet-bool", "alphabet-decreasing", "alphabet-empty",
+], ids=["extra", "alphabet", "training_symbols", "alphabet-string", "training_symbols-null",
+        "alphabet-above-127", "alphabet-float", "alphabet-duplicate", "alphabet-bool",
+        "alphabet-string-entry", "alphabet-decreasing", "alphabet-empty",
         "symbols-outside-alphabet", "symbols-negative", "symbols-float", "symbols-bool",
-        "symbols-empty"])
+        "symbols-string", "symbols-nested", "symbols-empty"])
 def test_non_container_model_field_rejected_on_load(tmp_path, toy_piece, capsys,
                                                     field, value, message):
     piece, _ = toy_piece

@@ -1,7 +1,8 @@
-"""The samplers build their tables once per model, read one block of
-uniforms per piece and draw by bisection; these tests hold them to the
-frozen per-piece samplers in oracles.py and to np.searchsorted, draw for
-draw."""
+"""The samplers build their tables once per model and read one block of
+uniforms per piece; their walks bisect for the hidden states and then
+draw every symbol of the piece in one vectorized pass.  These tests hold
+them to the frozen per-piece samplers in oracles.py, and both draws to
+np.searchsorted under one clamp, draw for draw."""
 
 import numpy as np
 import pytest
@@ -140,6 +141,7 @@ def test_draw_finds_the_clamped_searchsorted_column(n_rows, width, data):
                                         max_size=n_rows * width))).reshape(n_rows, width)
     cum = np.cumsum(table, axis=-1)
     cdf = hmm._cdf(table)
+    pairs = []
     for row in range(n_rows):
         # every cumulative value (ties included), just around them, and past the last one
         uniforms = {0.0, 1.0, float(cum[row, -1]) + 0.5, *data.draw(
@@ -150,3 +152,7 @@ def test_draw_finds_the_clamped_searchsorted_column(n_rows, width, data):
             want = min(int(np.searchsorted(cum[row], u, side="right")),
                        int(np.searchsorted(cum[row], cum[row, -1], side="left")))
             assert hmm._draw(cdf, row, float(u)) == want
+            pairs.append((row, float(u), want))
+    # the vectorized draw takes every pair at once, rows in any order
+    rows, uniforms, want = map(np.array, zip(*data.draw(st.permutations(pairs))))
+    assert np.array_equal(hmm._draw_rows(table)(rows, uniforms), want)

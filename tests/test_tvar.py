@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import batch_conjugate_regression, stepwise_tvar_log_marginal
+from oracles import (batch_conjugate_regression, stepwise_tvar_log_marginal,
+                     stepwise_tvar_sample)
 from sscompose import tvar
 from sscompose.midi_codec import PitchAlphabet
 
@@ -136,6 +137,17 @@ def test_backward_sample_seeded_and_sized():
     b = tvar.backward_sample(fit, 25, seed=5)
     assert len(a) == 25
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("state_discount", [1.0, 0.95])
+def test_backward_sample_matches_the_frozen_sampler(state_discount):
+    rng = np.random.default_rng(9)
+    y = np.cumsum(rng.standard_normal(40)) + 60
+    fit = tvar.fit_tvar(y, 3, state_discount, 0.9)
+    for length in (1, fit.order, fit.n_steps + 15):
+        for seed in range(4):
+            want = stepwise_tvar_sample(fit, length, seed)
+            assert np.array_equal(tvar.backward_sample(fit, length, seed), want)
 
 
 def test_bin_to_alphabet_nearest():
