@@ -147,8 +147,6 @@ def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
         extra["grid_audit"] = audit
     elif kind == "random":
         params = hmm.random_params(opts["states"], K, seed)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled model kind {kind!r}")
     if warnings:
         extra["warnings"] = warnings
     return TrainedModel(spec, alphabet, params, report, obs,

@@ -284,8 +284,8 @@ def _renormalize(alpha, t):
 
 
 def _draw_one(p, u):
-    """_draw's clamped column for uniform u on the one row p, searched in
-    its cumulative sums."""
+    """_draw's clamped column for uniform u on the one row p: with a new row
+    per draw, building _draw's cdf or a _cumulative row costs 1.4x as much."""
     cum = np.cumsum(p)
     return min(int(cum.searchsorted(u, "right")), int(cum.searchsorted(cum[-1])))
 
@@ -293,19 +293,21 @@ def _draw_one(p, u):
 def _nshmm_ffbs(params, obs, rng):
     """Sample a state path from its posterior (forward filter, backward sample).
 
-    A step whose successor enters a segment (dwell index 0) or sits at the
-    saturated dwell index D - 1 is the inverse-cdf draw `_draw_one(w /
-    w.sum(), u)` over its predecessor weights w, laid out (state, dwell)
-    as on the dense (n, D) table.  A saturated step has two nonzero
-    weights and is drawn from those two scalars; the outcome, _draw's clamp
-    included, is the dense draw's.  A step inside a dwell run below the cap
-    has one predecessor, so the run back to its entry is filled at once;
-    it still reads the uniforms of its steps.
+    The last step, and each step whose successor enters a segment (dwell
+    index 0) or sits at the saturated index D - 1, is `_draw_one(w /
+    w.sum(), u)` over its predecessor weights w, laid out (state, dwell).
+    A run below the cap has one predecessor per step, so it is filled back
+    to its entry at once, still reading its steps' uniforms.
+
+    Only an entry checks its weights: the drawn successor has positive
+    forward mass, which ``_nshmm_forward`` made from the weights of a run
+    or saturated step, bit for bit (renormalising by a total of at most 1
+    maps only 0 to 0), but an entry's mass sums over dwell before
+    multiplying by switch, so for D >= 2 underflow can zero every product.
     """
     T = len(obs)
     D = params.d_max
     alphas = _nshmm_forward(params, obs)
-    stay = params.stay_profile.tolist()
     leave = 1.0 - params.stay_profile.T
     switch_to = params.switch.T.copy()  # row j = switch[:, j]
     u = rng.random(T)[::-1].tolist()  # u[t] draws step t; the last step draws first
@@ -320,7 +322,7 @@ def _nshmm_ffbs(params, obs, rng):
             # previous step left some state i at any dwell
             w = (alphas[t] * leave * switch_to[j]).T.ravel()
             if D == 1:  # or stayed in j with the saturated counter
-                w[j] += alphas.item(t, 0, j) * stay[j][0]
+                w[j] += alphas.item(t, 0, j) * params.stay_profile[j, 0]
             total = w.sum()
             if total <= 0:
                 raise ZeroProbabilityError("degenerate backward-sampling weights")
@@ -328,24 +330,14 @@ def _nshmm_ffbs(params, obs, rng):
         elif dd < D - 1:
             # steps t - dd + 1 .. t were j at dwell indices 0 .. dd - 1
             entry = t - dd + 1
-            w = np.diagonal(alphas[entry:t + 1, :dd, j]) * params.stay_profile[j, :dd]
-            if np.minimum.reduce(w) <= 0:  # w.min() without its Python wrapper
-                raise ZeroProbabilityError("degenerate backward-sampling weights")
             path[entry:t + 1] = j
             dwell[entry:t + 1] = np.arange(dd)
             t, dd = entry - 1, 0
             continue
         else:
             # saturated: the previous step was j at dwell D - 2 or D - 1
-            w_on = alphas.item(t, dd - 1, j) * stay[j][dd - 1]
-            w_sat = alphas.item(t, dd, j) * stay[j][dd]
-            total = w_on + w_sat
-            if total <= 0:
-                raise ZeroProbabilityError("degenerate backward-sampling weights")
-            # the cdf rises to cdf at (j, D - 2), then to top at (j, D - 1)
-            cdf = w_on / total
-            top = cdf + w_sat / total
-            dd = D - 1 if cdf <= u[t] and cdf < top else dd - 1
+            w = alphas[t, D - 2:, j] * params.stay_profile[j, D - 2:]
+            dd = D - 2 + _draw_one(w / w.sum(), u[t])
         path[t], dwell[t] = j, dd
         t -= 1
     return path, dwell

@@ -1103,3 +1103,36 @@ def test_fuzzed_batch_scores_cleanly_and_exports_parseable_pieces(pieces, entrie
         assert _run("export", "--input", piece, "--batch", batch, "--out", root / "ex") in (0, 2)
         for path in (root / "ex").glob("top_*.csv"):
             parse_midi_csv(path.read_text())
+
+
+# short pieces of the kinds that stress a fit: one pitch repeated, a few
+# notes, a two-letter alphabet, and a walk that ends in a long run.  22
+# notes is the shortest that M8's and M9's dwell cap of 20 leaves fittable.
+_AWKWARD_PIECES = {
+    "one-pitch": [60] * 22,
+    "five-notes": [60, 62, 64, 65, 67],
+    "two-pitch": np.random.default_rng(0).choice([60, 67], 22).tolist(),
+    "walk-then-repeats": [60, 62, 61, 63, 65, 64] + [64] * 16,
+}
+
+
+def test_every_model_trains_and_generates_or_fails_cleanly_on_awkward_pieces(tmp_path, capsys):
+    for label, pitches in _AWKWARD_PIECES.items():
+        piece = tmp_path / f"{label}.csv"
+        piece.write_text(emit_midi_csv(PitchSequence.eighths(pitches)))
+        for name in sorted(registry.REGISTRY):
+            out = tmp_path / label / name
+            calls = [("train", "--input", piece, "--model", name, "--seed", "0",
+                      "--max-iter", "2", "--out", out),
+                     ("generate", "--model", out / f"{name}_model.json", "--n", "1",
+                      "--seed", "1", "--out", out / "batch")]
+            for argv in calls:
+                status = _run(*argv)
+                errors = [line for line in capsys.readouterr().err.splitlines()
+                          if line.startswith("error:")]
+                assert (status, len(errors)) in ((0, 0), (2, 1)), (label, name, argv[0], errors)
+                if status:
+                    break
+            else:
+                written = (out / "batch" / "pieces" / "piece_0000.txt").read_text().split()
+                assert set(map(int, written)) <= set(pitches), (label, name)

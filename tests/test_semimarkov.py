@@ -276,6 +276,64 @@ def test_nshmm_ffbs_survives_vanishing_likelihoods(monkeypatch, D):
         semimarkov._nshmm_ffbs(params, obs, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("D", [1, 2, 3, 6])
+def test_nshmm_ffbs_matches_dense_sampler_at_saturated_weights(D):
+    # stay entries of exactly 0.0 and 1.0 (where expit saturates) give run,
+    # entry and saturated steps predecessor cells of weight zero, switch
+    # entries down to 1e-100 give weights far below the rest, and uniforms
+    # of 0.0 and just below 1 draw the ends of each cdf.  Subnormal weights
+    # are left out: the dense filter renormalises every step, so it rounds
+    # them differently.
+    rng = np.random.default_rng(400 + D)
+    top = np.nextafter(1.0, 0.0)
+    n = 4
+    runs = saturated = 0
+    for seed in range(30):
+        params = _random_nshmm(rng, n, 3, D, stay_high=0.99)
+        stay = params.stay_profile
+        stay[rng.random((n, D)) < 0.25] = 0.0
+        stay[rng.random((n, D)) < 0.25] = 1.0
+        tiny = (rng.random((n, n)) < 0.3) & (params.switch > 0)
+        params.switch[tiny] = rng.choice([1e-12, 1e-30, 1e-100], np.count_nonzero(tiny))
+        params.switch /= params.switch.sum(axis=1, keepdims=True)
+        obs = rng.integers(0, 3, 40)
+        u = rng.random(len(obs))
+        u[rng.random(len(obs)) < 0.3] = top
+        u[rng.random(len(obs)) < 0.3] = 0.0
+        got = _ffbs_outcome(semimarkov._nshmm_ffbs, params, obs, _ScriptedUniforms(u))
+        want = _ffbs_outcome(dense_nshmm_ffbs, params, obs, _ScriptedUniforms(u))
+        assert got == want
+        if not isinstance(got, str):
+            dwell = np.array(got[1])
+            runs += np.count_nonzero((dwell[1:] > 0) & (dwell[1:] < D - 1))
+            saturated += np.count_nonzero(dwell[1:] == D - 1)
+    assert saturated > 0 and (D < 3 or runs > 0)
+
+
+def test_nshmm_ffbs_entry_raises_when_every_backward_product_underflows():
+    # state 1 leaves with mass 1.75e-24 from each dwell index at step 1,
+    # for state 0 with probability 1e-300.  The forward filter sums the two
+    # before it multiplies, 3.5e-24 * 1e-300 -> 5e-324 > 0, so step 2 can be
+    # state 0 entering a segment (the only cell a uniform of 0.0 can draw);
+    # each backward product, 1.75e-24 * 1e-300, rounds to 0.  State 2 never
+    # leaves, and state 0 cannot switch to itself.
+    delta, s = 7e-24, 1e-300
+    params = semimarkov.NshmmParams(
+        np.array([delta, delta, 1.0 - 2 * delta]),
+        np.array([[0.0, 1.0, 0.0], [s, 0.0, 1.0 - s], [0.5, 0.5, 0.0]]),
+        np.array([[1.0, 0.0]] * 3),
+        np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 1.0]]))
+    obs = np.zeros(3, dtype=np.int64)
+    alphas = semimarkov._nshmm_forward(params, obs)
+    assert alphas[2, 0, 0] > 0
+    assert not np.any(alphas[1] * (1.0 - params.stay_profile.T) * params.switch[:, 0])
+    u = [0.0, 0.5, 0.5]  # the last step draws first
+    with pytest.raises(hmm.ZeroProbabilityError, match="degenerate backward-sampling weights"):
+        semimarkov._nshmm_ffbs(params, obs, _ScriptedUniforms(u))
+    with pytest.raises(ValueError, match="degenerate backward-sampling weights"):
+        dense_nshmm_ffbs(params, obs, _ScriptedUniforms(u))
+
+
 def test_hsmm_params_validate():
     params = semimarkov.random_hsmm_params(3, 4, 5, seed=0)
     params.validate(n_symbols=4)
