@@ -47,12 +47,13 @@ def _write_json(path, payload):
     return path
 
 
-def _write_manifest(out_dir, command, config, artifacts, started):
-    return _write_json(os.path.join(out_dir, f"{command}_manifest.json"), {
-        "command": command,
+def _write_manifest(args, out_dir, config, artifacts):
+    """Write the manifest of command args.command, timed from args.started."""
+    return _write_json(os.path.join(out_dir, f"{args.command}_manifest.json"), {
+        "command": args.command,
         "config": config,
         "artifacts": artifacts,
-        "wall_clock_seconds": time.time() - started,
+        "wall_clock_seconds": time.time() - args.started,
     })
 
 
@@ -65,7 +66,6 @@ def _check_at_least(args, *flags):
 
 
 def cmd_train(args):
-    started = time.time()
     _check_at_least(args, ("--restarts", 1), ("--max-iter", 1))
     if not np.isfinite(args.tol):
         raise ValueError(f"--tol must be a finite number, not {args.tol}")
@@ -95,8 +95,7 @@ def cmd_train(args):
               "restarts": args.restarts, "tol": args.tol,
               "max_iter": args.max_iter, "states": args.states,
               "order": args.order, "layers": args.layers, "dmax": args.dmax}
-    _write_manifest(out_dir, "train", config,
-                    {"model_file": model_path, "fit_report": report_path}, started)
+    _write_manifest(args, out_dir, config, {"model_file": model_path, "fit_report": report_path})
     for warning in report["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"{args.model}: final log-likelihood {loglik:.6f}")
@@ -104,7 +103,6 @@ def cmd_train(args):
 
 
 def cmd_generate(args):
-    started = time.time()
     _check_at_least(args, ("--n", 1), ("--length", 1), ("--seed", 0))
     model = persist.load_model(args.model)
     length = len(model.training_symbols) if args.length is None else args.length
@@ -129,7 +127,7 @@ def cmd_generate(args):
     batch_path = _write_json(os.path.join(out_dir, "batch.json"), batch)
     config = {"model_file": args.model, "n": args.n, "seed": args.seed,
               "length": length, "midi": args.midi}
-    _write_manifest(out_dir, "generate", config, {"batch": batch_path}, started)
+    _write_manifest(args, out_dir, config, {"batch": batch_path})
     print(f"generated {args.n} pieces of length {length} into {pieces_dir}")
     return 0
 
@@ -222,14 +220,12 @@ def _write_report_files(out_dir, report, scores, model_name):
 
 
 def cmd_evaluate(args):
-    started = time.time()
     batch, _, report, scores = _score_batch(args)
     for idx, reason in report.skipped:
         print(f"piece {idx} excluded from ACF/PACF pooling: {reason}", file=sys.stderr)
     out_dir = _make_out(args.out)
     artifacts = _write_report_files(out_dir, report, scores, batch.get("model", "?"))
-    _write_manifest(out_dir, "evaluate", {"input": args.input, "batch": args.batch},
-                    artifacts, started)
+    _write_manifest(args, out_dir, {"input": args.input, "batch": args.batch}, artifacts)
     print(f"entropy RMSE {report.entropy_rmse:.6f}, "
           f"musicality avg {report.musicality_average:.6f}, "
           f"temporal avg {report.temporal_average:.6f}")
@@ -261,7 +257,6 @@ def cmd_rank(args):
 
 
 def cmd_export(args):
-    started = time.time()
     _check_at_least(args, ("--top", 0))
     _, pieces, _, scores = _score_batch(args)
     chosen = []  # (criterion, piece index); a piece appears at most once
@@ -281,7 +276,7 @@ def cmd_export(args):
         exports.append({"criterion": criterion, "piece": idx, "path": path})
         print(f"{criterion}: piece {idx} -> {path}")
     config = {"input": args.input, "batch": args.batch, "top": args.top}
-    _write_manifest(out_dir, "export", config, {"exports": exports}, started)
+    _write_manifest(args, out_dir, config, {"exports": exports})
     return 0
 
 
@@ -343,6 +338,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.time()
     try:
         return args.func(args)
     except (MidiCsvError, ValueError, OSError, FloatingPointError) as exc:

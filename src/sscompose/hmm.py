@@ -30,8 +30,8 @@ at or above the total (rounding can leave a total just below u) takes
 that column, which always has mass.  A piece's walk draws what is
 sequential, the hidden states (and dwells), with ``_draw(cdf, row, u)``
 on a flat ``_cdf(table)``; then ``_draw_rows(table) -> draw(rows, u)``
-draws all its symbols in one vectorized pass (the ARHMM's emission row
-depends on the previous symbol, so its walk draws both).  Each
+draws all its symbols in one vectorized pass.  The ARHMM's and the
+NSHMM's walks draw their symbols as they go.  Each
 parameter type has a sampler builder, ``sampler(params) -> draw(length,
 seed)``, that makes its tables once (``sampler`` here,
 ``_order_k_sampler`` for any order-k chain), so a batch of pieces shares

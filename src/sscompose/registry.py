@@ -147,6 +147,10 @@ def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
         extra["grid_audit"] = audit
     elif kind == "random":
         params = hmm.random_params(opts["states"], K, seed)
+    if kind in ("nshmm", "tvar", "random"):  # fitted without EM: name a budget that was set
+        warnings += _resolved_options(spec, {
+            "tol": None if tol == hmm.DEFAULT_TOL else tol,
+            "max_iter": None if max_iter == hmm.DEFAULT_MAX_ITER else max_iter})[1]
     if warnings:
         extra["warnings"] = warnings
     return TrainedModel(spec, alphabet, params, report, obs,

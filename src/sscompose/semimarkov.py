@@ -102,15 +102,13 @@ def random_hsmm_params(n_states, alphabet_size, d_max, seed):
 class _DwellChain:
     """A chain on (state, dwell index) as an operator for ``@``: state j at
     dwell index d stays, moving to dwell index min(d + 1, D - 1), with
-    probability stay[j, d], or leaves with probability leave[j, d]
-    (1 - stay unless given) for state k at dwell index 0 with probability
-    switch[j, k]."""
+    probability stay[j, d], or leaves with probability leave[j, d] for
+    state k at dwell index 0 with probability switch[j, k]."""
 
     __array_ufunc__ = None  # numpy then hands `alpha @ op` to __rmatmul__
 
-    def __init__(self, stay, switch, leave=None):
-        self.stay, self.switch = stay, switch
-        self.leave = 1.0 - stay if leave is None else leave
+    def __init__(self, stay, switch, leave):
+        self.stay, self.switch, self.leave = stay, switch, leave
         D = stay.shape[1]
         self.next_dwell = np.minimum(np.arange(1, D + 1), D - 1)
 
@@ -153,7 +151,7 @@ def _check_dwell_cap(d_max, obs):
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     if d_max >= len(obs):
-        raise ValueError("d_max must be smaller than the sequence length")
+        raise ValueError(f"d_max {d_max} must be smaller than the sequence length {len(obs)}")
 
 
 def train_hsmm(obs, n_states, n_symbols, d_max, init=None, seed=None,
@@ -224,7 +222,7 @@ class NshmmParams(ChainParams):
     def chain(self, obs):
         """The dwell-augmented chain; every state starts at dwell index 0."""
         return (self.initial[:, None] * np.eye(1, self.d_max),
-                _DwellChain(self.stay_profile, self.switch),
+                _DwellChain(self.stay_profile, self.switch, 1.0 - self.stay_profile),
                 self.emission.T[obs][:, :, None])
 
 
@@ -427,30 +425,24 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
 def nshmm_sampler(params):
     """Ancestral sampler draw(length, seed) threading the dwell counter: the
     first state and symbol, then per step stay or leave, the next state on
-    leaving, and the symbol, each from the next uniform.  The walk records
-    each step's state and the position of its symbol's uniform; the
-    symbols are then drawn at once."""
-    init, switch = _cdf(params.initial), _cdf(params.switch)
-    emit = _draw_rows(params.emission)
+    leaving, and the symbol, each from the next uniform."""
+    init, switch, emis = _cdf(params.initial), _cdf(params.switch), _cdf(params.emission)
     stay = params.stay_profile.tolist()
     D = params.d_max
 
     def walk(u, length):
-        x = u.tolist()
-        z = _draw(init, 0, x[0])
-        d, i = 0, 2  # the dwell index, the next uniform
-        states, at = [z], [1]
+        u = iter(u.tolist())
+        z = _draw(init, 0, next(u))
+        d = 0
+        obs = [_draw(emis, z, next(u))]
         for _ in range(1, length):
-            if x[i] < stay[z][d]:
+            if next(u) < stay[z][d]:
                 d = min(d + 1, D - 1)
             else:
-                i += 1
-                z = _draw(switch, z, x[i])
+                z = _draw(switch, z, next(u))
                 d = 0
-            states.append(z)
-            at.append(i + 1)
-            i += 2
-        return emit(np.array(states), u[at])
+            obs.append(_draw(emis, z, next(u)))
+        return obs
 
     # two uniforms for the first step, at most three for each later one
     return _block_sampler(walk, lambda length: 3 * length - 1)

@@ -584,6 +584,37 @@ def _scale_piece(tmp_path, n_notes):
     return piece
 
 
+@pytest.mark.parametrize("model", ["M8", "M9"])
+def test_dwell_cap_error_names_the_cap_and_the_piece_length(tmp_path, capsys, model):
+    run = tmp_path / "run"
+    assert _run("train", "--input", _scale_piece(tmp_path, 16), "--model", model,
+                "--out", run) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: d_max 20 must be smaller than the sequence length 16"]
+    assert not run.exists()
+
+
+def test_a_smaller_dwell_cap_fits_a_short_piece(tmp_path):
+    assert _run("train", "--input", _scale_piece(tmp_path, 16), "--model", "M8",
+                "--dmax", "8", "--max-iter", "2", "--out", tmp_path / "run") == 0
+
+
+@pytest.mark.parametrize("model,flag,value,warnings", [
+    ("M9", "--max-iter", "2", ["option 'max_iter' is not used by M9; ignored"]),
+    ("M15", "--tol", "1e-3", ["option 'tol' is not used by M15; ignored"]),
+    ("M1", "--max-iter", "2", []),
+], ids=["M9", "M15", "M1"])
+def test_an_em_budget_flag_warns_only_for_models_fitted_without_em(tmp_path, capsys, model,
+                                                                   flag, value, warnings):
+    run = tmp_path / "run"
+    assert _run("train", "--input", _scale_piece(tmp_path, 22), "--model", model,
+                flag, value, "--out", run) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"warning: {warning}" for warning in warnings]
+    report = json.loads((run / f"{model}_fit_report.json").read_text())
+    assert report["warnings"] == warnings
+
+
 def test_m14_train_audits_orders_a_short_piece_cannot_fit(tmp_path, capsys):
     # 10 notes fit orders up to 8: the filter needs more than order + 1 values
     run = tmp_path / "run"

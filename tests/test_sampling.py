@@ -1,6 +1,7 @@
 """The samplers build their tables once per model and read one block of
 uniforms per piece; their walks bisect for the hidden states and then
-draw every symbol of the piece in one vectorized pass.  These tests hold
+draw every symbol of the piece in one vectorized pass (the ARHMM's and
+the NSHMM's walks draw their symbols as they go).  These tests hold
 them to the frozen per-piece samplers in oracles.py, and both draws to
 np.searchsorted under one clamp, draw for draw."""
 
@@ -104,6 +105,28 @@ def test_a_piece_that_reads_the_whole_block_matches_the_frozen_sampler(builder, 
             block.random(n_uniforms(length))
             assert rng.bit_generator.state == block.bit_generator.state
             assert np.array_equal(draw(length, seed), want)
+
+
+def _always_staying_nshmm(d_max):
+    # each state favours its own symbol, so a wrong state shows in the piece
+    params = semimarkov.NshmmParams(np.full(3, 1 / 3), (1.0 - np.eye(3)) / 2,
+                                    np.full((3, 4), 0.1) + 0.6 * np.eye(3, 4),
+                                    np.ones((3, d_max)))
+    params.validate()
+    return params
+
+
+# a piece that never leaves its first state has its dwell counter saturated
+# at index D - 1 from step D - 1 on; at D = 1 it is saturated from the start
+@pytest.mark.parametrize("d_max", [1, 3])
+def test_nshmm_walk_with_a_saturated_dwell_counter_matches_the_frozen_sampler(d_max):
+    params = _always_staying_nshmm(d_max)
+    draw = semimarkov.nshmm_sampler(params)
+    for length in (1, 2, 50):
+        for seed in range(4):
+            # arrays only: the oracle reads 2 * length of the block's 3 * length - 1
+            assert np.array_equal(draw(length, seed),
+                                  stepwise_nshmm_sample(params, length, seed))
 
 
 SMALL_PARAMS = {
