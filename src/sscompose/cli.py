@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -71,8 +72,9 @@ def cmd_train(args):
         raise ValueError(f"--tol must be a finite number, not {args.tol}")
     _check_at_least(args, ("--seed", 0))
     seq = _read_piece(args.input)
+    seedless = registry.REGISTRY[args.model].kind == "tvar"  # M14's grid search draws nothing
     model, loglik = None, -np.inf
-    for r in range(args.restarts):
+    for r in range(1 if seedless else args.restarts):
         candidate = registry.train_model(
             args.model, seq, seed=args.seed + r, tol=args.tol,
             max_iter=args.max_iter, states=args.states, order=args.order,
@@ -90,6 +92,9 @@ def cmd_train(args):
                       log_likelihood_trace=list(model.report.log_likelihood_trace))
     report.update(model.extra)
     report.setdefault("warnings", [])
+    if seedless and args.restarts > 1:
+        report["warnings"] = [*report["warnings"],
+                              f"option 'restarts' is not used by {args.model}; ignored"]
     report_path = _write_json(os.path.join(out_dir, f"{args.model}_fit_report.json"), report)
     config = {"input": args.input, "model": args.model, "seed": args.seed,
               "restarts": args.restarts, "tol": args.tol,
@@ -132,6 +137,24 @@ def cmd_generate(args):
     return 0
 
 
+def _piece_pitches(text):
+    """The pitches of a piece file, one a line; ValueError says what is wrong.
+
+    Text exactly as generate writes it, every line a pitch 0-MAX_PITCH in
+    ASCII decimal ended by one newline, is parsed in one call.  Other text
+    is parsed line by line: blank lines are ignored and int() strips the
+    whitespace around a number."""
+    if re.fullmatch(r"(?:(?:1[01][0-9]|12[0-7]|[1-9]?[0-9])\n)+", text):  # 0-127
+        return np.fromstring(text, dtype=np.int64, sep="\n")
+    pitches = list(map(int, filter(str.strip, text.split("\n"))))
+    if not pitches:
+        raise ValueError("empty piece file")
+    if not 0 <= min(pitches) <= max(pitches) <= MAX_PITCH:
+        outside = next(p for p in pitches if not 0 <= p <= MAX_PITCH)
+        raise ValueError(f"pitch {outside} outside 0-{MAX_PITCH}")
+    return pitches
+
+
 def _load_batch(batch_dir):
     batch_path = os.path.join(batch_dir, "batch.json")
     if not os.path.exists(batch_path):
@@ -154,14 +177,7 @@ def _load_batch(batch_dir):
         try:
             with open(path) as fh:
                 text = fh.read()
-            # blank lines are ignored; int() strips the whitespace around a number
-            pitches = list(map(int, filter(str.strip, text.split("\n"))))
-            if not pitches:
-                raise ValueError("empty piece file")
-            if not 0 <= min(pitches) <= max(pitches) <= MAX_PITCH:
-                outside = next(p for p in pitches if not 0 <= p <= MAX_PITCH)
-                raise ValueError(f"pitch {outside} outside 0-{MAX_PITCH}")
-            pieces[position] = PitchSequence.eighths(pitches, tpq)
+            pieces[position] = PitchSequence.eighths(_piece_pitches(text), tpq)
         except (OSError, ValueError) as exc:
             problems.append(f"{rel}: {exc}")
     return batch, pieces, problems

@@ -169,11 +169,12 @@ def levenshtein_batch(text, patterns):
     of +1 and -1 vertical deltas over the pattern, and each text symbol
     updates them in a constant number of word operations.  Every pattern
     of a batch runs in the same automaton (Hyyrö, Fredriksson & Navarro
-    2005, JEA 10): each non-empty pattern has its own slot of len + c
-    bits in one Python int, c = bit_length(len(text)) + 1.  The zero bits
-    above a pattern absorb the carry of the addition, so no slot reads
-    another's, and leave room for the slot's two score counters, which
-    tally the +1 and -1 horizontal deltas of the pattern's last row.
+    2005, JEA 10): each non-empty pattern has its own slot of len + 1
+    bits in one Python int.  The zero guard bit above a pattern absorbs
+    the carry of the addition, so no slot reads another's.  After the
+    whole text the vectors hold the table's final column, whose top cell
+    D[0][n] is n, so a pattern's distance D[m][n] is n plus the number of
+    +1 deltas in its slot minus the number of -1 deltas.
     Every vector is kept to the pattern bits (`mask`), with ~y written as
     mask ^ (y & mask), so no int goes negative: CPython's bitwise
     operations on negative ints take a slow two's-complement path.
@@ -185,39 +186,34 @@ def levenshtein_batch(text, patterns):
     slots = [i for i, p in enumerate(patterns) if len(p)]
     if not slots:
         return distances
-    c = n.bit_length() + 1
     lengths = np.array([len(patterns[i]) for i in slots])
-    starts = np.cumsum(lengths + c) - (lengths + c)
+    starts = np.cumsum(lengths + 1) - (lengths + 1)
     # one code per symbol of text or patterns; guard bits hold -1, which matches nothing
     flat = np.concatenate([patterns[i] for i in slots])
     _, codes = np.unique(np.concatenate([text, flat]), return_inverse=True)
-    layout = np.full(len(flat) + c * len(slots), -1)
-    layout[np.arange(len(flat)) + c * np.repeat(np.arange(len(slots)), lengths)] = codes[n:]
+    layout = np.full(len(flat) + len(slots), -1)
+    layout[np.arange(len(flat)) + np.repeat(np.arange(len(slots)), lengths)] = codes[n:]
     text_codes = codes[:n].tolist()
     peq = {k: int.from_bytes(np.packbits(layout == k, bitorder="little").tobytes(), "little")
            for k in set(text_codes)}
-    mask = lows = tops = 0
+    mask = lows = 0
     for start, m in zip(starts.tolist(), lengths.tolist()):
         mask |= ((1 << m) - 1) << start
         lows |= 1 << start
-        tops |= 1 << (start + m - 1)
-    pv, mv, plus, minus = mask, 0, 0, 0
+    pv, mv = mask, 0
     for k in text_codes:
         eq = peq[k]
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq      # the carry may reach a guard bit
         ph = mv | (mask ^ ((xh | pv) & mask))
         mh = pv & xh
-        plus += ph & tops
-        minus += mh & tops
         ph = ((ph << 1) | lows) & mask    # row 0 of each table grows by one per symbol
         mh = (mh << 1) & mask
         pv = mh | (mask ^ (xv | ph))
         mv = ph & xv
-    counter = (1 << c) - 1
     for i, start, m in zip(slots, starts.tolist(), lengths.tolist()):
-        top = start + m - 1
-        distances[i] = m + ((plus >> top) & counter) - ((minus >> top) & counter)
+        slot = (1 << m) - 1
+        distances[i] = n + ((pv >> start) & slot).bit_count() - ((mv >> start) & slot).bit_count()
     return distances
 
 

@@ -80,10 +80,6 @@ class PitchAlphabet:
         return self.symbols[np.asarray(indices, dtype=np.int64)]
 
 
-def _fields(line):
-    return [f.strip() for f in line.split(",")]
-
-
 def parse_midi_csv(text):
     """Parse a midicsv-convention document into a PitchSequence.
 
@@ -93,14 +89,15 @@ def parse_midi_csv(text):
     """
     ticks_per_quarter = None
     ons = []  # (timestamp, file_position, pitch)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = _fields(line)
+    # int() strips the whitespace around a number, as str.strip does, but
+    # for U+001F; splitlines already ends a line at U+001C-U+001E
+    for lineno, line in enumerate(text.replace("\x1f", " ").splitlines(), start=1):
+        fields = line.split(",")
         if len(fields) < 3:
+            if not line.strip():  # blank lines are skipped
+                continue
             raise MidiCsvError(f"line {lineno}: expected at least 3 fields, got {len(fields)}")
-        rectype = fields[2].lower()
+        rectype = fields[2].strip().lower()
         if rectype == "header":
             if len(fields) < 6:
                 raise MidiCsvError(f"line {lineno}: malformed Header record")

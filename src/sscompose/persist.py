@@ -164,8 +164,7 @@ def _model_from_dict_checked(data):
 
 def save_model(model, path):
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh)
-        fh.write("\n")
+        fh.write(json.dumps(model_to_dict(model)) + "\n")  # json.dump encodes in pure Python
 
 
 def load_model(path):

@@ -13,7 +13,9 @@ are per-kind loops that draw with `np.searchsorted` on each cumulative
 row (`_draw_from`), frozen copies of the samplers before their tables
 were built once per model, which the library samplers must reproduce
 draw for draw; `stepwise_tvar_sample` is the TVAR sampler as it was
-before its lags were read from one history buffer.
+before its lags were read from one history buffer.  `linewise_piece_file`
+is the command line's piece-file parse from before it read generate's
+own files in one call.
 """
 
 import itertools
@@ -330,6 +332,21 @@ def rowwise_levenshtein(a, b):
                               table[i][j - 1] + 1,
                               table[i - 1][j - 1] + (a[i - 1] != b[j - 1]))
     return table[len(a)][len(b)]
+
+
+def linewise_piece_file(path):
+    """A piece file's pitches, parsed line by line: a list of ints, or the
+    OSError or ValueError whose message `evaluate` reports for the file.
+    Blank lines are ignored; int() strips the whitespace around a number."""
+    with open(path) as fh:
+        text = fh.read()
+    pitches = list(map(int, filter(str.strip, text.split("\n"))))
+    if not pitches:
+        raise ValueError("empty piece file")
+    if not 0 <= min(pitches) <= max(pitches) <= 127:
+        outside = next(p for p in pitches if not 0 <= p <= 127)
+        raise ValueError(f"pitch {outside} outside 0-127")
+    return pitches
 
 
 def rowwise_acf_pacf(values, max_lag):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import linewise_piece_file
 
 from sscompose import cli, hierarchical, hmm, registry, tvar
 from sscompose.cli import main
@@ -313,7 +314,18 @@ def test_timestamp_beyond_int64_clean_error(tmp_path, capsys, time):
     ("0, 0, Header, 1, 1, 480\n1, 0\n", "line 2: expected at least 3 fields, got 2"),
     ("0, 0, Header, 1, 1\n", "line 1: malformed Header record"),
     ("0, 0, Header, 1, 1, abc\n", "line 1: non-numeric division in Header"),
-], ids=["short-record", "short-header", "non-numeric-division"])
+    # spaces and tabs around every field, and U+001F, which str.strip strips and int() does not
+    ("0, 0, Header, 1, 1, 480\n    \n \t1\t, 0 \n", "line 3: expected at least 3 fields, got 2"),
+    (" 0 ,\t0\t, Header ,\t1 , 1\t\n", "line 1: malformed Header record"),
+    ("\t0 ,  0\t, Header ,\t1 , 1 ,\t abc \t\n", "line 1: non-numeric division in Header"),
+    ("\x1f0\x1f,0,\x1fHeader\x1f,1,1,\x1f6.5\x1f\n", "line 1: non-numeric division in Header"),
+    ("0, 0, Header, 1, 1, 480\n \t1 ,\t0 , Note_on_c ,\t0 , 6 0\t,\t80 \n",
+     "line 2: non-numeric note record field"),
+    ("0, 0, Header, 1, 1, 480\n\x1f1\x1f,\x1f0 , Note_on_c\x1f, 0, 200\x1f,\t80\x1f\n",
+     "line 2: pitch 200 outside 0-127"),
+], ids=["short-record", "short-header", "non-numeric-division", "padded-short-record",
+        "padded-short-header", "padded-non-numeric-division", "unit-separator-padding",
+        "padded-non-numeric-pitch", "unit-separator-pitch-out-of-range"])
 def test_malformed_midi_csv_record_clean_error(tmp_path, capsys, text, message):
     piece = tmp_path / "piece.csv"
     piece.write_text(text + "1, 0, Note_on_c, 0, 60, 80\n")
@@ -502,6 +514,27 @@ def test_restarts_keep_best_likelihood(tmp_path, toy_piece):
          "--seed", "0", "--restarts", "3", "--max-iter", "15", "--out", multi)
     report = json.loads((multi / "M1_fit_report.json").read_text())
     assert report["final_log_likelihood"] == max(singles)
+
+
+def test_m14_restarts_fit_once_and_name_the_ignored_flag(tmp_path, toy_piece, capsys,
+                                                        monkeypatch):
+    """M14's grid search takes no seed, so every restart would fit the same model."""
+    piece, _ = toy_piece
+    calls = []
+    grid_search = tvar.grid_search
+    monkeypatch.setattr(tvar, "grid_search", lambda *a, **k: calls.append(a) or grid_search(*a, **k))
+    assert _run("train", "--input", piece, "--model", "M14", "--out", tmp_path / "one") == 0
+    assert capsys.readouterr().err == "" and len(calls) == 1
+    assert _run("train", "--input", piece, "--model", "M14", "--restarts", "3",
+                "--out", tmp_path / "three") == 0
+    warning = "option 'restarts' is not used by M14; ignored"
+    assert capsys.readouterr().err.strip().splitlines() == [f"warning: {warning}"]
+    assert len(calls) == 2
+    one, three = tmp_path / "one", tmp_path / "three"
+    assert (three / "M14_model.json").read_bytes() == (one / "M14_model.json").read_bytes()
+    assert json.loads((three / "M14_fit_report.json").read_text())["warnings"] == [warning]
+    assert json.loads((one / "M14_fit_report.json").read_text())["warnings"] == []
+    assert json.loads((three / "train_manifest.json").read_text())["config"]["restarts"] == 3
 
 
 def test_m14_train_persists_grid_audit(tmp_path, toy_piece):
@@ -1067,6 +1100,84 @@ def test_piece_file_lines(tmp_path, text, outcome):
     else:
         assert problems == [] and list(pieces) == [0]
         assert pieces[0].pitches.tolist() == outcome
+
+
+def _assert_loads_as_linewise_parse(root, texts):
+    """_load_batch reads a batch of piece files with these texts exactly as
+    the line-by-line parse does: the same pitches, the same problems."""
+    batch = root / "batch"
+    (batch / "pieces").mkdir(parents=True)
+    names = [f"pieces/piece_{i:04d}.txt" for i in range(len(texts))]
+    want_pieces, want_problems = {}, []
+    for position, (name, text) in enumerate(zip(names, texts)):
+        (batch / name).write_bytes(text.encode())
+        try:
+            want_pieces[position] = linewise_piece_file(batch / name)
+        except ValueError as exc:
+            want_problems.append(f"{name}: {exc}")
+    (batch / "batch.json").write_text(json.dumps({"pieces": names}))
+    _, pieces, problems = cli._load_batch(batch)
+    assert problems == want_problems
+    assert {i: seq.pitches.tolist() for i, seq in pieces.items()} == want_pieces
+    for seq in pieces.values():
+        assert seq.pitches.dtype == np.int64
+        assert seq.timestamps.tolist() == list(range(0, 240 * len(seq), 240))
+
+
+# texts that miss generate's layout (one pitch 0-127 in ASCII decimal,
+# ended by one newline, per line) by one detail
+_NEAR_MISSES = ["060\n", "+60\n", "128\n", "-1\n", "1_0\n", "\u0666\u0660\n", " 60\n",
+                "60 \n", "60\r\n62\r\n", "60\n62", "60\n\n62\n", "\n", "", "60 62\n",
+                "6.5\n", f"{10 ** 30}\n"]
+
+
+@pytest.fixture()
+def fromstring_calls(monkeypatch):
+    """The positional arguments of every np.fromstring call the test makes."""
+    calls = []
+    fromstring = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda *a, **k: calls.append(a) or fromstring(*a, **k))
+    return calls
+
+
+def test_near_miss_piece_files_are_parsed_line_by_line(tmp_path, fromstring_calls):
+    _assert_loads_as_linewise_parse(tmp_path, _NEAR_MISSES)
+    # open() reads "\r\n" as "\n", so only the CRLF file arrives in generate's layout
+    assert fromstring_calls == [("60\n62\n",)]
+    _assert_loads_as_linewise_parse(tmp_path / "within", [f"64\n{miss}" for miss in _NEAR_MISSES])
+
+
+def test_generated_piece_files_are_parsed_in_one_call(tmp_path, toy_piece, fromstring_calls):
+    piece, _ = toy_piece
+    assert _run("train", "--input", piece, "--model", "M1", "--states", "3",
+                "--max-iter", "2", "--out", tmp_path) == 0
+    assert _run("generate", "--model", tmp_path / "M1_model.json", "--n", "4",
+                "--out", tmp_path / "gen") == 0
+    _, pieces, problems = cli._load_batch(tmp_path / "gen")
+    assert len(fromstring_calls) == 4 and problems == []
+    for i, seq in pieces.items():
+        path = tmp_path / "gen" / "pieces" / f"piece_{i:04d}.txt"
+        assert seq.pitches.tolist() == linewise_piece_file(path)
+    # every pitch 0-127 takes the one call
+    text = "".join(f"{p}\n" for p in range(128))
+    assert cli._piece_pitches(text).tolist() == list(range(128)) and len(fromstring_calls) == 5
+
+
+_GENERATED_LINES = st.lists(st.integers(0, 127).map(str), min_size=1, max_size=30)
+_PIECE_TEXTS = st.one_of(
+    _GENERATED_LINES.map(lambda lines: "".join(f"{line}\n" for line in lines)),
+    st.tuples(_GENERATED_LINES, st.lists(st.sampled_from(_NEAR_MISSES), min_size=1, max_size=2),
+              st.integers(0, 30)).map(
+        lambda t: "".join(f"{line}\n" for line in t[0][:t[2]]) + "".join(t[1])
+        + "".join(f"{line}\n" for line in t[0][t[2]:])),
+    st.text(st.sampled_from("0123456789\n\r\t -+_.e\u0666"), max_size=20))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(texts=st.lists(_PIECE_TEXTS, min_size=1, max_size=5))
+def test_fuzzed_piece_files_load_as_the_linewise_parse(texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_loads_as_linewise_parse(pathlib.Path(tmp), texts)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "export"])

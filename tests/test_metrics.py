@@ -488,13 +488,28 @@ def test_levenshtein_batch_at_word_boundaries(length):
 
 
 def test_levenshtein_batch_counters_of_one_note_patterns_against_a_long_text():
-    """Each slot's score counters count up to the text length above a
-    one-bit pattern; a slot with one guard bit would carry into the next."""
+    """Fifty one-note patterns, each in a slot of two bits, against a text
+    of 1000 symbols: the distances reach the text length."""
     rng = np.random.default_rng(27)
     for alphabet in (1, 2, 5):
         text = rng.integers(0, alphabet, 1000)
         patterns = [rng.integers(0, alphabet + 1, 1) for _ in range(50)]
         _assert_batch_matches_table_dp(text, patterns)
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 20])
+def test_levenshtein_batch_with_one_guard_bit_per_slot(alphabet):
+    """Adjacent slots of 1, 63, 64, 65 and 500 bits, each with one guard
+    bit above it, between empty patterns: an alphabet of one symbol
+    carries the addition through every slot into its guard bit."""
+    rng = np.random.default_rng(30 + alphabet)
+    empty = np.zeros(0, dtype=np.int64)
+    for text_length in (0, 1, 500):
+        text = rng.integers(0, alphabet, text_length)
+        patterns = [empty] + [rng.integers(0, alphabet, m) for m in (1, 63, 64, 65, 500)]
+        patterns += [empty, text[:64], rng.integers(0, alphabet, 1)]
+        _assert_batch_matches_table_dp(text, patterns)
+        _assert_batch_matches_table_dp(text, patterns[::-1])
 
 
 def test_levenshtein_batch_with_empty_sides_and_patterns_longer_than_the_text():

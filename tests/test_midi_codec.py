@@ -105,6 +105,19 @@ def test_whitespace_tolerance():
     assert parse_midi_csv(text).pitches.tolist() == [60]
 
 
+@pytest.mark.parametrize("pad", [" ", "\t", " \t ", "\x1f", "\xa0", "\u3000"])
+def test_whitespace_around_every_field(pad):
+    """Whitespace around any field, U+001F too (str.strip strips it and
+    int() does not), and a line of only whitespace change nothing."""
+    clean = ["0,0,Header,1,1,96", "1,0,Note_on_c,0,60,80", "1,96,note_on_c,0,62,80",
+             "1,96,Note_off_c,0,60,0", "1,192,End_track"]
+    padded = [pad * 3] + [",".join(pad + f + pad for f in line.split(",")) for line in clean]
+    got, want = parse_midi_csv("\n".join(padded)), parse_midi_csv("\n".join(clean))
+    assert got.pitches.tolist() == want.pitches.tolist() == [60, 62]
+    assert got.timestamps.tolist() == want.timestamps.tolist() == [0, 96]
+    assert got.ticks_per_quarter == want.ticks_per_quarter == 96
+
+
 def test_blank_lines_skipped():
     text = "\n0, 0, Header, 1, 1, 480\n   \n\t\n1, 0, Note_on_c, 0, 60, 80\n\n"
     assert parse_midi_csv(text).pitches.tolist() == [60]

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 from typing import get_type_hints
 
 import numpy as np
@@ -102,6 +103,7 @@ def test_save_load_roundtrip_bitexact(tmp_path, name, kw):
     model = registry.train_model(name, seq, seed=3, **kw)
     path = tmp_path / f"{name}.json"
     persist.save_model(model, path)
+    assert path.read_text() == json.dumps(persist.model_to_dict(model)) + "\n"
     loaded = persist.load_model(path)
     resaved = tmp_path / f"{name}_resaved.json"
     persist.save_model(loaded, resaved)
