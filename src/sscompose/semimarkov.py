@@ -15,9 +15,9 @@ the state path, conjugate Dirichlet draws for the categorical parameters
 and random-walk Metropolis on the dwell logits.  Its forward filter runs
 once per sweep, so it has its own recursion, ``_nshmm_forward``: the same
 chain on a (T, D, n) layout, with the per-step scale left out (every
-backward draw renormalises its weights), at about a third of the numpy
-calls per step.  Keeping ``_DwellChain`` as it is keeps the HSMM's EM
-bits, and keeps the shared recursion free of a branch for one caller.
+backward draw renormalises its weights), at seven numpy calls per step
+to about fifteen in the shared one.  Keeping ``_DwellChain`` as it is keeps
+the HSMM's EM bits, and the shared recursion free of a branch for one caller.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .hmm import (
     DEFAULT_TOL,
@@ -242,33 +241,36 @@ def _nshmm_forward(params, obs):
     by their total, so it cancels.  Step 0, every RENORM_EVERY-th step
     after it and the last step are renormalised, and raise
     ZeroProbabilityError if their mass has vanished.  This is the chain of
-    ``NshmmParams.chain`` on a (dwell, state) layout, where a step is five
-    numpy calls on preset views; ``hmm._scaled_forward`` on ``_DwellChain``
-    makes about fifteen.
+    ``NshmmParams.chain`` on a (dwell, state) layout, where a step is seven
+    numpy calls, each writing into a preset view or buffer;
+    ``hmm._scaled_forward`` on ``_DwellChain`` makes about fifteen.
     """
     n, D = params.stay_profile.shape
     stay = params.stay_profile.T.copy()  # (D, n)
     leave = 1.0 - stay
     stay_run, stay_sat = stay[:-1], stay[-1]
-    lik = params.emission.T[obs]          # (T, n)
+    # each symbol's likelihoods tiled over the dwell axis, so that a step's
+    # last multiply is same-shape rather than broadcast
+    lik = list(np.repeat(params.emission.T[:, None, :], D, axis=1))  # K of (D, n)
     alphas = np.zeros((len(obs), D, n))
-    alphas[0, 0] = params.initial * lik[0]
-    ones, left = np.ones(D), np.empty((D, n))
+    alphas[0, 0] = params.initial * lik[obs[0]][0]
+    ones, left, kept = np.ones(D), np.empty((D, n)), np.empty(n)
+    multiply, add, switch = np.multiply, np.add, params.switch
     # per step: the previous and current alpha, the step's likelihoods, the
     # dwell indices below the cap before and after a stay, and the
     # saturated dwell index D - 1 before and after
-    steps = zip(alphas, alphas[1:], lik[1:], alphas[:, :-1], alphas[1:, 1:],
-                alphas[:, -1], alphas[1:, -1])
+    steps = zip(alphas, alphas[1:], [lik[k] for k in obs[1:].tolist()], alphas[:, :-1],
+                alphas[1:, 1:], alphas[:, -1], alphas[1:, -1])
     for t, (prev, cur, lik_t, prev_run, cur_run, prev_sat, cur_sat) in enumerate(steps, 1):
         if (t - 1) % RENORM_EVERY == 0:
             _renormalize(prev, t - 1)
-        np.multiply(prev, leave, out=left)
-        cur[0] = np.dot(np.dot(ones, left), params.switch)
-        np.multiply(prev_run, stay_run, out=cur_run)
+        multiply(prev, leave, left)
+        ones.dot(left).dot(switch, out=cur[0])
+        multiply(prev_run, stay_run, cur_run)
         # the saturated counter keeps its mass; added after row 0 is set
         # because for D == 1 that is row 0
-        cur_sat += prev_sat * stay_sat
-        np.multiply(cur, lik_t, out=cur)
+        add(cur_sat, multiply(prev_sat, stay_sat, kept), cur_sat)
+        multiply(cur, lik_t, cur)
     _renormalize(alphas[-1], len(obs) - 1)
     return alphas
 
@@ -284,7 +286,7 @@ def _renormalize(alpha, t):
 def _draw_one(p, u):
     """_draw's clamped column for uniform u on the one row p: with a new row
     per draw, building _draw's cdf or a _cumulative row costs 1.4x as much."""
-    cum = np.cumsum(p)
+    cum = p.cumsum()  # np.cumsum without its Python-level wrapper
     return min(int(cum.searchsorted(u, "right")), int(cum.searchsorted(cum[-1])))
 
 
@@ -293,7 +295,8 @@ def _nshmm_ffbs(params, obs, rng):
 
     The last step, and each step whose successor enters a segment (dwell
     index 0) or sits at the saturated index D - 1, is `_draw_one(w /
-    w.sum(), u)` over its predecessor weights w, laid out (state, dwell).
+    w.sum(), u)` over its predecessor weights w, laid out (state, dwell);
+    a saturated step has two weights and takes the same draw in floats.
     A run below the cap has one predecessor per step, so it is filled back
     to its entry at once, still reading its steps' uniforms.
 
@@ -306,22 +309,26 @@ def _nshmm_ffbs(params, obs, rng):
     T = len(obs)
     D = params.d_max
     alphas = _nshmm_forward(params, obs)
-    leave = 1.0 - params.stay_profile.T
+    leave = 1.0 - params.stay_profile
+    stay_rows = params.stay_profile.tolist()
     switch_to = params.switch.T.copy()  # row j = switch[:, j]
+    weights = np.empty_like(leave)  # an entry step's weights, (state, dwell)
+    w = weights.reshape(-1)  # a view: the weights in draw order
     u = rng.random(T)[::-1].tolist()  # u[t] draws step t; the last step draws first
     path = np.empty(T, dtype=np.int64)
     dwell = np.empty(T, dtype=np.int64)  # 0-based dwell index
-    w = alphas[-1].T.ravel()
-    j, dd = divmod(_draw_one(w / w.sum(), u[-1]), D)
+    last = alphas[-1].T.ravel()
+    j, dd = divmod(_draw_one(last / last.sum(), u[-1]), D)
     path[-1], dwell[-1] = j, dd
     t = T - 2
     while t >= 0:
         if dd == 0:
             # previous step left some state i at any dwell
-            w = (alphas[t] * leave * switch_to[j]).T.ravel()
+            np.multiply(alphas[t].T, leave, weights)
+            weights *= switch_to[j][:, None]
             if D == 1:  # or stayed in j with the saturated counter
-                w[j] += alphas.item(t, 0, j) * params.stay_profile[j, 0]
-            total = w.sum()
+                w[j] += alphas.item(t, 0, j) * stay_rows[j][0]
+            total = np.add.reduce(w)
             if total <= 0:
                 raise ZeroProbabilityError("degenerate backward-sampling weights")
             j, dd = divmod(_draw_one(w / total, u[t]), D)
@@ -333,21 +340,27 @@ def _nshmm_ffbs(params, obs, rng):
             t, dd = entry - 1, 0
             continue
         else:
-            # saturated: the previous step was j at dwell D - 2 or D - 1
-            w = alphas[t, D - 2:, j] * params.stay_profile[j, D - 2:]
-            dd = D - 2 + _draw_one(w / w.sum(), u[t])
+            # saturated: the previous step was j at dwell D - 2 or D - 1,
+            # drawn in floats with _draw_one's products, sum, quotients,
+            # cumulative sum and comparisons
+            w0 = alphas.item(t, D - 2, j) * stay_rows[j][D - 2]
+            w1 = alphas.item(t, D - 1, j) * stay_rows[j][D - 1]
+            total = w0 + w1
+            c0 = w0 / total
+            c1 = c0 + w1 / total
+            dd = D - 2 + min((c0 <= u[t]) + (c1 <= u[t]), int(c0 < c1))
         path[t], dwell[t] = j, dd
         t -= 1
     return path, dwell
 
 
-def _dwell_loglik(a, b, dwells, stays):
-    # np.maximum, np.minimum and np.add.reduce are np.clip and np.sum
-    # without their Python-level wrappers
-    s = np.minimum(np.maximum(expit(a + b * dwells), 1e-12), 1.0 - 1e-12)
-    ll = np.add.reduce(np.where(stays, np.log(s), np.log1p(-s)))
-    ll -= 0.5 * (a * a + b * b) / PRIOR_SCALE ** 2
-    return ll
+def _dirichlet_rows(rng, counts):
+    """One Dirichlet draw per row of counts, bit for bit and draw for draw
+    ``[rng.dirichlet(row) for row in counts]``: for rows whose largest
+    count is at least 0.1, numpy draws each row's gammas in order and scales
+    them by one over their running sum."""
+    g = rng.standard_gamma(counts)
+    return g * (1.0 / np.cumsum(g, axis=1)[:, -1:])
 
 
 def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
@@ -358,6 +371,8 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
     acceptance rate and the chain settings.  flat_dwell pins the dwell
     slope to zero so the model collapses to a stationary HMM.
     """
+    from scipy.special import expit  # here, so that importing the package skips scipy
+
     obs = _check_obs(obs, n_symbols)
     if n_states < 2:
         raise ValueError("NSHMM needs at least 2 states")
@@ -380,34 +395,47 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
     accepted = 0
     for it in range(n_iter):
         path, dwell = _nshmm_ffbs(NshmmParams(initial, switch, emission, profile), obs, rng)
+        prev_state = path[:-1]
+        moves = path[1:] != prev_state
 
         # conjugate draws
         init_counts = np.ones(n)
         init_counts[path[0]] += 1.0
         initial = rng.dirichlet(init_counts)
-        emis_counts = np.ones((n, K))
-        np.add.at(emis_counts, (path, obs), 1.0)
-        emission = np.vstack([rng.dirichlet(row) for row in emis_counts])
-        switch_counts = np.ones((n, n)) * offdiag + 1e-12
-        moves = path[1:] != path[:-1]
-        np.add.at(switch_counts, (path[:-1][moves], path[1:][moves]), 1.0)
-        switch = np.vstack([rng.dirichlet(row) for row in switch_counts]) * offdiag
+        # 1.0 plus an integer count is exact, so the counts can be taken at once
+        emis_counts = 1.0 + np.bincount(path * K + obs, minlength=n * K).reshape(n, K)
+        emission = _dirichlet_rows(rng, emis_counts)
+        # np.add.at adds 1.0 once per move; from 1 + 1e-12, adding a pair's
+        # whole count at once rounds differently once that count reaches 8191
+        switch_counts = offdiag + 1e-12
+        np.add.at(switch_counts, (prev_state[moves], path[1:][moves]), 1.0)
+        switch = _dirichlet_rows(rng, switch_counts) * offdiag
         switch /= switch.sum(axis=1, keepdims=True)
 
-        # Metropolis on the dwell logits, one walk per state
-        prev_dwell = dwell[:-1] + 1.0
-        stays = ~moves
-        prev_state = path[:-1]
-        for i in range(n):
-            sel = prev_state == i
-            dw, st = prev_dwell[sel], stays[sel]
-            cur = _dwell_loglik(a[i], b[i], dw, st)
-            a_prop = a[i] + PROPOSAL_SCALE * rng.standard_normal()
-            b_prop = b[i] if flat_dwell else b[i] + PROPOSAL_SCALE * rng.standard_normal()
-            prop = _dwell_loglik(a_prop, b_prop, dw, st)
-            if np.log(rng.random()) < prop - cur:
-                a[i], b[i] = a_prop, b_prop
-                accepted += 1
+        # Metropolis on the dwell logits, one walk per state: each state's
+        # normals and uniform are drawn in turn, then every state's current
+        # (row 0) and proposed (row 1) log-likelihood is scored at once
+        draws = np.array([(rng.standard_normal(),
+                           0.0 if flat_dwell else rng.standard_normal(),
+                           rng.random()) for _ in range(n)])
+        logit_a = np.stack((a, a + PROPOSAL_SCALE * draws[:, 0]))
+        logit_b = np.stack((b, b + PROPOSAL_SCALE * draws[:, 1]))
+        # the steps grouped by their previous state, each group in time order
+        order = np.argsort(prev_state, kind="stable")
+        by_state = prev_state[order]
+        logits = logit_a[:, by_state] + logit_b[:, by_state] * (dwell[:-1][order] + 1.0)
+        # np.maximum and np.minimum are np.clip without its Python-level wrapper
+        s = np.minimum(np.maximum(expit(logits), 1e-12), 1.0 - 1e-12)
+        terms = np.where(~moves[order], np.log(s), np.log1p(-s))
+        # one reduce per state's slice keeps each sum's pairwise order;
+        # np.add.reduceat would add each slice sequentially
+        ends = np.cumsum(np.bincount(prev_state, minlength=n)).tolist()
+        loglik = np.array([np.add.reduce(terms[:, lo:hi], axis=1)
+                           for lo, hi in zip([0] + ends, ends)]).T
+        loglik -= 0.5 * (logit_a * logit_a + logit_b * logit_b) / PRIOR_SCALE ** 2
+        accept = np.log(draws[:, 2]) < loglik[1] - loglik[0]
+        accepted += int(np.count_nonzero(accept))
+        a, b = np.where(accept, logit_a[1], a), np.where(accept, logit_b[1], b)
         profile = expit(a[:, None] + b[:, None] * dwell_grid[None, :])
 
         if it >= burn_in:

@@ -15,15 +15,19 @@ were built once per model, which the library samplers must reproduce
 draw for draw; `stepwise_tvar_sample` is the TVAR sampler as it was
 before its lags were read from one history buffer.  `linewise_piece_file`
 is the command line's piece-file parse from before it read generate's
-own files in one call.
+own files in one call.  `frozen_nshmm_forward`, `frozen_nshmm_ffbs` and
+`frozen_train_nshmm` are M9's forward filter, backward sampler and
+Metropolis-within-Gibbs fit from before its sweep was cut to fewer numpy
+calls, which the library must reproduce bit for bit.
 """
 
 import itertools
 import math
+import types
 
 import numpy as np
 from scipy import stats
-from scipy.special import gammaln
+from scipy.special import expit, gammaln
 
 
 def all_paths(n_states, length):
@@ -642,6 +646,156 @@ def dense_nshmm_ffbs(params, obs, rng):
             w[j, D - 1] += alphas[t][j, D - 1] * stay[j, D - 1]
         path[t], dwell[t] = draw(w)
     return path, dwell
+
+
+def frozen_nshmm_forward(params, obs, renorm_every=8):
+    """M9's forward filter as it was before its step wrote every product
+    into a preset buffer: the library's ``_nshmm_forward`` must give these
+    (T, D, n) alphas bit for bit, renormalising step 0, every
+    renorm_every-th step after it and the last step."""
+    n, D = params.stay_profile.shape
+    stay = params.stay_profile.T.copy()  # (D, n)
+    leave = 1.0 - stay
+    stay_run, stay_sat = stay[:-1], stay[-1]
+    lik = params.emission.T[obs]          # (T, n)
+    alphas = np.zeros((len(obs), D, n))
+    alphas[0, 0] = params.initial * lik[0]
+    ones, left = np.ones(D), np.empty((D, n))
+
+    def renormalize(alpha, t):
+        total = np.add.reduce(alpha, axis=None)
+        if total <= 0.0:
+            raise ValueError(f"sequence has probability zero by step {t}")
+        alpha /= total
+
+    steps = zip(alphas, alphas[1:], lik[1:], alphas[:, :-1], alphas[1:, 1:],
+                alphas[:, -1], alphas[1:, -1])
+    for t, (prev, cur, lik_t, prev_run, cur_run, prev_sat, cur_sat) in enumerate(steps, 1):
+        if (t - 1) % renorm_every == 0:
+            renormalize(prev, t - 1)
+        np.multiply(prev, leave, out=left)
+        cur[0] = np.dot(np.dot(ones, left), params.switch)
+        np.multiply(prev_run, stay_run, out=cur_run)
+        cur_sat += prev_sat * stay_sat
+        np.multiply(cur, lik_t, out=cur)
+    renormalize(alphas[-1], len(obs) - 1)
+    return alphas
+
+
+def _frozen_draw_one(p, u):
+    cum = np.cumsum(p)
+    return min(int(cum.searchsorted(u, "right")), int(cum.searchsorted(cum[-1])))
+
+
+def frozen_nshmm_ffbs(params, obs, rng):
+    """M9's backward sampler as it was before its entry weights went into
+    one buffer and its saturated steps were drawn in floats."""
+    T = len(obs)
+    D = params.stay_profile.shape[1]
+    alphas = frozen_nshmm_forward(params, obs)
+    leave = 1.0 - params.stay_profile.T
+    switch_to = params.switch.T.copy()
+    u = rng.random(T)[::-1].tolist()
+    path = np.empty(T, dtype=np.int64)
+    dwell = np.empty(T, dtype=np.int64)
+    w = alphas[-1].T.ravel()
+    j, dd = divmod(_frozen_draw_one(w / w.sum(), u[-1]), D)
+    path[-1], dwell[-1] = j, dd
+    t = T - 2
+    while t >= 0:
+        if dd == 0:
+            w = (alphas[t] * leave * switch_to[j]).T.ravel()
+            if D == 1:
+                w[j] += alphas.item(t, 0, j) * params.stay_profile[j, 0]
+            total = w.sum()
+            if total <= 0:
+                raise ValueError("degenerate backward-sampling weights")
+            j, dd = divmod(_frozen_draw_one(w / total, u[t]), D)
+        elif dd < D - 1:
+            entry = t - dd + 1
+            path[entry:t + 1] = j
+            dwell[entry:t + 1] = np.arange(dd)
+            t, dd = entry - 1, 0
+            continue
+        else:
+            w = alphas[t, D - 2:, j] * params.stay_profile[j, D - 2:]
+            dd = D - 2 + _frozen_draw_one(w / w.sum(), u[t])
+        path[t], dwell[t] = j, dd
+        t -= 1
+    return path, dwell
+
+
+def _frozen_dwell_loglik(a, b, dwells, stays, prior_scale):
+    s = np.minimum(np.maximum(expit(a + b * dwells), 1e-12), 1.0 - 1e-12)
+    ll = np.add.reduce(np.where(stays, np.log(s), np.log1p(-s)))
+    ll -= 0.5 * (a * a + b * b) / prior_scale ** 2
+    return ll
+
+
+def frozen_train_nshmm(obs, n_states, n_symbols, d_max, seed, n_iter=300, burn_in=100,
+                       flat_dwell=False, proposal_scale=0.3, prior_scale=3.0):
+    """M9's Metropolis-within-Gibbs fit as it was before its sweep was
+    batched: per-row ``rng.dirichlet`` calls, one Metropolis step per
+    state in turn, and the frozen forward filter and backward sampler.
+    Returns ((initial, switch, emission, stay_profile), info), which the
+    library's ``train_nshmm`` must reproduce bit for bit."""
+    obs = np.asarray(obs, dtype=np.int64)
+    rng = _as_rng(seed)
+    n, K, D = n_states, n_symbols, d_max
+    offdiag = 1.0 - np.eye(n)
+    dwell_grid = np.arange(1, D + 1, dtype=float)
+
+    a = np.zeros(n)
+    b = np.zeros(n)
+    switch = rng.dirichlet(np.ones(n), size=n) * offdiag
+    switch = switch / switch.sum(axis=1, keepdims=True)
+    emission = rng.dirichlet(np.ones(K), size=n)
+    initial = rng.dirichlet(np.ones(n))
+
+    profile = expit(a[:, None] + b[:, None] * dwell_grid[None, :])
+    sums = [np.zeros(n), np.zeros((n, n)), np.zeros((n, K)), np.zeros((n, D))]
+    accepted = 0
+    for it in range(n_iter):
+        params = types.SimpleNamespace(initial=initial, switch=switch, emission=emission,
+                                       stay_profile=profile)
+        path, dwell = frozen_nshmm_ffbs(params, obs, rng)
+
+        init_counts = np.ones(n)
+        init_counts[path[0]] += 1.0
+        initial = rng.dirichlet(init_counts)
+        emis_counts = np.ones((n, K))
+        np.add.at(emis_counts, (path, obs), 1.0)
+        emission = np.vstack([rng.dirichlet(row) for row in emis_counts])
+        switch_counts = np.ones((n, n)) * offdiag + 1e-12
+        moves = path[1:] != path[:-1]
+        np.add.at(switch_counts, (path[:-1][moves], path[1:][moves]), 1.0)
+        switch = np.vstack([rng.dirichlet(row) for row in switch_counts]) * offdiag
+        switch /= switch.sum(axis=1, keepdims=True)
+
+        prev_dwell = dwell[:-1] + 1.0
+        stays = ~moves
+        prev_state = path[:-1]
+        for i in range(n):
+            sel = prev_state == i
+            dw, st = prev_dwell[sel], stays[sel]
+            cur = _frozen_dwell_loglik(a[i], b[i], dw, st, prior_scale)
+            a_prop = a[i] + proposal_scale * rng.standard_normal()
+            b_prop = b[i] if flat_dwell else b[i] + proposal_scale * rng.standard_normal()
+            prop = _frozen_dwell_loglik(a_prop, b_prop, dw, st, prior_scale)
+            if np.log(rng.random()) < prop - cur:
+                a[i], b[i] = a_prop, b_prop
+                accepted += 1
+        profile = expit(a[:, None] + b[:, None] * dwell_grid[None, :])
+
+        if it >= burn_in:
+            for total, draw in zip(sums, (initial, switch, emission, profile)):
+                total += draw
+
+    n_kept = n_iter - max(burn_in, 0)
+    info = {"acceptance_rate": accepted / (n_iter * n), "iterations": n_iter,
+            "burn_in": burn_in, "kept_draws": n_kept,
+            "seed": seed if isinstance(seed, int) else None}
+    return tuple(total / n_kept for total in sums), info
 
 
 def stepwise_tvar_log_marginal(y, order, state_discount, var_discount,

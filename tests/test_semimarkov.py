@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import dense_nshmm_ffbs, enum_hsmm_counts, enum_hsmm_loglik, enum_nshmm_loglik
+from oracles import (dense_nshmm_ffbs, enum_hsmm_counts, enum_hsmm_loglik, enum_nshmm_loglik,
+                     frozen_nshmm_forward, frozen_train_nshmm)
 from sscompose import hmm, semimarkov
 
 # duration rows with leading and trailing zeros (D = 3), and D = 1
@@ -332,6 +333,66 @@ def test_nshmm_ffbs_entry_raises_when_every_backward_product_underflows():
         semimarkov._nshmm_ffbs(params, obs, _ScriptedUniforms(u))
     with pytest.raises(ValueError, match="degenerate backward-sampling weights"):
         dense_nshmm_ffbs(params, obs, _ScriptedUniforms(u))
+
+
+def _forward_outcome(forward, params, obs):
+    try:
+        return forward(params, obs).tobytes()
+    except ValueError as exc:  # ZeroProbabilityError included
+        return str(exc)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 7, 20])
+def test_nshmm_forward_matches_frozen_filter(D):
+    # stay entries of exactly 0.0 and 1.0, pieces of 2-300 notes, and on
+    # every third piece zero likelihoods, so that some pieces vanish
+    rng = np.random.default_rng(500 + D)
+    vanished = 0
+    for length in [2, 3, 9, 17, 40, 120, 300]:
+        for i in range(6):
+            n = int(rng.integers(2, 6))
+            params = _random_nshmm(rng, n, 3, D, stay_high=0.99)
+            stay = params.stay_profile
+            stay[rng.random((n, D)) < 0.2] = 0.0
+            stay[rng.random((n, D)) < 0.2] = 1.0
+            if i % 3 == 0:
+                params.emission[rng.random((n, 3)) < 0.5] = 0.0
+            obs = rng.integers(0, 3, length)
+            got = _forward_outcome(semimarkov._nshmm_forward, params, obs)
+            assert got == _forward_outcome(frozen_nshmm_forward, params, obs)
+            vanished += isinstance(got, str)
+    assert 0 < vanished < 14
+
+
+@pytest.mark.parametrize("n,K,D,T", [(3, 4, 1, 40), (3, 4, 2, 50), (6, 3, 4, 30),
+                                     (2, 2, 6, 120)])
+@pytest.mark.parametrize("flat_dwell", [False, True])
+def test_nshmm_fit_matches_frozen_sweep(n, K, D, T, flat_dwell):
+    obs = np.random.default_rng(600 + T).integers(0, K, T)
+    for seed in range(4):
+        params, info = semimarkov.train_nshmm(obs, n, K, D, seed=seed, n_iter=40, burn_in=10,
+                                              flat_dwell=flat_dwell)
+        want, want_info = frozen_train_nshmm(obs, n, K, D, seed, n_iter=40, burn_in=10,
+                                             flat_dwell=flat_dwell)
+        got = (params.initial, params.switch, params.emission, params.stay_profile)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert info == want_info
+
+
+def test_dirichlet_rows_match_per_row_draws():
+    rng = np.random.default_rng(700)
+    for _ in range(50):
+        n = int(rng.integers(2, 12))
+        # emission-like counts, and switch-like ones with a 1e-12 diagonal
+        tables = [1.0 + rng.integers(0, 40, (n, int(rng.integers(2, 15)))).astype(float),
+                  (1.0 - np.eye(n)) * (1.0 + rng.integers(0, 9000, (n, n))) + 1e-12]
+        for counts in tables:
+            seed = int(rng.integers(2**32))
+            mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = semimarkov._dirichlet_rows(mine, counts)
+            want = np.vstack([theirs.dirichlet(row) for row in counts])
+            assert got.tobytes() == want.tobytes()
+            assert mine.random() == theirs.random()
 
 
 def test_hsmm_params_validate():

@@ -311,3 +311,11 @@ def test_importing_the_package_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_importing_the_command_line_leaves_scipy_unloaded():
+    # only M9's fit and M14's grid use scipy, and each imports it when it runs
+    code = "import sys, sscompose.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
