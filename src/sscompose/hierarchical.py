@@ -5,12 +5,16 @@ The two-hidden-state model runs the first-order forward-backward on the
 and applies the proportional M-step updates for C and D; emission hangs
 off S only.  The factorial model does exact EM on the Cartesian-product
 chain with the emission row picked by the rounded mean of the 1-based
-chain ordinals.  The layered model stacks Baum-Welch fits on successive
-Viterbi paths.
+chain ordinals.  Training runs that chain's transition as an operator, one
+small matmul per chain, and sums xi over t in numpy's own loops, not BLAS,
+so the fit does not depend on the BLAS thread count; sampling walks the
+dense product table, most of whose rows a batch of pieces visits.  The
+layered model stacks Baum-Welch fits on successive Viterbi paths.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -27,6 +31,7 @@ from .hmm import (
     _emission_counts,
     _flat_posteriors,
     _normalized,
+    _posteriors,
     _random_tables,
     baum_welch,
     check_positive_ints,
@@ -139,7 +144,9 @@ class FhmmParams(ChainParams):
         return {"levels": n_emission_levels(sizes)}
 
     def chain(self, obs):
-        return _fhmm_flat(self).chain(obs)
+        """The product chain; each product state emits from its level's row."""
+        lik = self.emission[:, obs][_emission_rows(self.chain_sizes)].T
+        return reduce(np.kron, self.chain_initials), _KronChain(self.chain_transitions), lik
 
 
 def emission_level(states):
@@ -169,6 +176,52 @@ def random_fhmm_params(chain_sizes, alphabet_size, seed):
     )
 
 
+class _KronChain:
+    """The product chain's transition, the Kronecker product of the chain
+    transitions over product states in ``np.kron``'s order, as an operator
+    for ``@``: each product is one small matmul per chain (_kron_rotate),
+    with the transposes held once."""
+
+    __array_ufunc__ = None  # numpy then hands `alpha @ op` to __rmatmul__
+
+    def __init__(self, transitions):
+        self.transitions = transitions
+        self.transposed = [np.ascontiguousarray(A.T) for A in transitions]
+
+    def __rmatmul__(self, alpha):  # alpha @ op
+        return _kron_rotate(alpha, self.transitions).reshape(-1)
+
+    def __matmul__(self, v):  # op @ v
+        return _kron_rotate(v, self.transposed).reshape(-1)
+
+    def xi_sums(self, alpha, right):
+        """Each chain's xi summed over t (hmm._posteriors' alpha and right):
+        its transition times alpha contracted, in an einsum loop rather
+        than BLAS, with right moved back by every other chain's transition."""
+        sizes = [len(A) for A in self.transitions]
+        sums = []
+        for j, A in enumerate(self.transitions):
+            moved = _kron_rotate(right.T, self.transposed, skip=j)
+
+            def chain_first(x):  # (t and chains before j, j, chains after j) -> (j, the rest)
+                x = x.reshape(-1, sizes[j], math.prod(sizes[j + 1:]))
+                return np.moveaxis(x, 1, 0).reshape(sizes[j], -1)
+
+            sums.append(A * np.einsum("ir,jr->ij", chain_first(alpha[:-1]), chain_first(moved)))
+        return sums
+
+
+def _kron_rotate(x, mats, skip=None):
+    """x's leading axes, one per matrix of mats, each multiplied by it (x @ A
+    along that axis) on a (rest, n) view and moved last, so the 2-d result
+    has x's axis order again; the axis of mats[skip] is only moved."""
+    for j, A in enumerate(mats):
+        x = x.reshape(len(A), -1).T
+        if j != skip:
+            x = x @ A
+    return x
+
+
 def _fhmm_flat(params):
     """The Cartesian-product chain as a first-order HMM; each product state
     emits from its emission level's row."""
@@ -180,23 +233,19 @@ def _fhmm_flat(params):
 
 def _fhmm_em_step(params, obs):
     sizes = params.chain_sizes
-    m = len(sizes)
-    K = params.n_symbols
-    loglik, gamma, xi_sum = _flat_posteriors(params, obs)
-    xi_full = xi_sum.reshape(tuple(sizes) + tuple(sizes))
-
-    chain_transitions = []
-    chain_initials = []
+    initial, op, obs_lik = params.chain(obs)
+    loglik, alpha, right, gamma = _posteriors(initial, op, obs_lik)
     g0 = gamma[0].reshape(sizes)
-    for j in range(m):
-        axes = tuple(a for a in range(2 * m) if a not in (j, m + j))
-        chain_transitions.append(_normalized(xi_full.sum(axis=axes)))
-        chain_initials.append(g0.sum(axis=tuple(a for a in range(m) if a != j)))
-
-    n_levels = params.emission.shape[0]
-    gamma_lvl = gamma @ np.eye(n_levels)[_emission_rows(sizes)]   # (T, n_levels)
-    new = FhmmParams(tuple(sizes), chain_initials, chain_transitions,
-                     _normalized(_emission_counts(obs, gamma_lvl, K)))
+    chain_initials = [g0.sum(axis=tuple(a for a in range(len(sizes)) if a != j))
+                      for j in range(len(sizes))]
+    rows = _emission_rows(sizes)
+    # each level's gamma as a sum over its product states, not a BLAS product
+    gamma_lvl = np.stack([gamma[:, rows == level].sum(axis=1)
+                          for level in range(len(params.emission))], axis=1)
+    del obs_lik, gamma, g0  # frees two (T, P) arrays (g0 is a view) before the xi sums
+    new = FhmmParams(tuple(sizes), chain_initials,
+                     [_normalized(xi) for xi in op.xi_sums(alpha, right)],
+                     _normalized(_emission_counts(obs, gamma_lvl, params.n_symbols)))
     return new, loglik
 
 

@@ -10,18 +10,20 @@ them all.  Each type states its exact first-order chain once, as
 obs_lik[t] holds step t's likelihoods.
 ``log_likelihood`` runs the scaled forward pass on that chain for any
 type, and ``_flat_posteriors`` is the E-step of every chain with a dense
-transition.  Each step's alpha takes the shape of the initial
-distribution ((n,) for a plain chain, (n, D) for the (state, dwell)
-chains in ``semimarkov``), and obs_lik[t] only has to broadcast to it.
-The recursions touch the transition only through ``@``, so it may be a
-matrix or an operator supporting ``alpha @ A`` and ``A @ v`` (the
-order-k tuple chain and the dwell chains pass one).  ``run_em`` is the
-EM loop every model kind shares: each trainer hands it a step function
-and gets back the fitted parameters and the FitReport.  Every M-step
-turns its expected counts into rows with ``_normalized``, so SMOOTHING is
-applied here and nowhere else, and tallies emissions with
-``_emission_counts``.  ``_random_tables`` draws a random start from the
-same ``table`` declarations.
+transition; it sums xi over t in numpy's own einsum loop, not in BLAS,
+whose split of a long sum varies with its thread count, so fitted bits
+do not depend on that count.  Each step's alpha takes the shape of the
+initial distribution ((n,) for a plain chain, (n, D) for the (state,
+dwell) chains in ``semimarkov``), and obs_lik[t] only has to broadcast
+to it.  The recursions touch the transition only through ``@``, so it
+may be a matrix or an operator supporting ``alpha @ A`` and ``A @ v``
+(the order-k tuple chain, the dwell chains and the factorial chain pass
+one).  ``run_em`` is the EM loop every model kind shares: each trainer
+hands it a step function and gets back the fitted parameters and the
+FitReport.  Every M-step turns its expected counts into rows with
+``_normalized``, so SMOOTHING is applied here and nowhere else, and
+tallies emissions with ``_emission_counts``.  ``_random_tables`` draws a
+random start from the same ``table`` declarations.
 
 Every sampler draws by inverse cdf on ``_cumulative`` rows: a uniform
 takes the first column whose cumulative value exceeds it.  The rows hold
@@ -207,15 +209,18 @@ def _posteriors(initial, transition, obs_lik):
     per_step = (-1,) + (1,) * (alpha.ndim - 1)  # broadcasts scale over a step's states
     gamma = alpha * beta
     gamma /= gamma.sum(axis=tuple(range(1, gamma.ndim))).reshape(per_step)
-    return loglik, alpha, obs_lik[1:] * beta[1:] / scale[1:].reshape(per_step), gamma
+    right = beta[1:]  # in place: the same products, without two more (T, n) arrays
+    right *= obs_lik[1:]
+    right /= scale[1:].reshape(per_step)
+    return loglik, alpha, right, gamma
 
 
 def _flat_posteriors(params, obs):
     """E-step of a chain params.chain(obs) with a dense transition matrix:
-    (log-likelihood, gamma, xi summed over t)."""
+    (log-likelihood, gamma, xi summed over t in an einsum loop, not BLAS)."""
     initial, transition, obs_lik = params.chain(obs)
     loglik, alpha, right, gamma = _posteriors(initial, transition, obs_lik)
-    return loglik, gamma, transition * (alpha[:-1].T @ right)
+    return loglik, gamma, transition * np.einsum("ti,tj->ij", alpha[:-1], right)
 
 
 def _normalized(acc, mask=1.0):

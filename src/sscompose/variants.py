@@ -5,7 +5,8 @@ The order-k chain is realized exactly by embedding state tuples
 first embedded step emits the first k observations jointly so the
 likelihood and EM updates are exact.  The tuple chain runs through the
 shared forward-backward of ``hmm``, its sparse shift structure passed as
-a transition operator rather than a dense n^k x n^k matrix.  Left-right
+a transition operator rather than a dense n^k x n^k matrix: each product
+is one batch of n x n matmuls, one per suffix tuple.  Left-right
 structure is a zero mask on the transition tables that multiplicative EM
 updates preserve.
 """
@@ -114,19 +115,22 @@ def _tuple_initial(params):
 
 class _TupleShift:
     """The tuple chain's transition as an operator for ``@``: tuple
-    (z_1..z_k) moves only to (z_2..z_k, z), with probability table[tuple, z]."""
+    (z_1..z_k) moves only to (z_2..z_k, z), with probability table[tuple, z].
+    Each product is one batch of n x n matmuls, one per suffix
+    s = (z_2..z_k), on the table held suffix-first:
+    by_suffix[s, a, z] = table[(a, s), z]."""
 
     __array_ufunc__ = None  # numpy then hands `alpha @ op` to __rmatmul__
 
     def __init__(self, table, n):
-        self.table, self.n = table, n
+        self.n = n
+        self.by_suffix = np.ascontiguousarray(table.reshape(n, -1, n).transpose(1, 0, 2))
 
-    def __rmatmul__(self, alpha):  # alpha @ op: tuple (a, b) sends its mass to (b, z)
-        return (alpha[:, None] * self.table).reshape(self.n, -1).sum(axis=0)
+    def __rmatmul__(self, alpha):  # alpha @ op: tuple (a, s) sends its mass to (s, z)
+        return np.matmul(alpha.reshape(self.n, -1).T[:, None, :], self.by_suffix).ravel()
 
-    def __matmul__(self, v):  # op @ v: tuple (a, b) collects v over (b, z)
-        n = self.n
-        return (self.table.reshape(n, -1, n) * v.reshape(-1, n)).sum(axis=2).ravel()
+    def __matmul__(self, v):  # op @ v: tuple (a, s) collects v over (s, z)
+        return (self.by_suffix @ v.reshape(-1, self.n, 1)).T.ravel()
 
 
 def _khmm_em_step(params, obs, masks):

@@ -19,8 +19,13 @@ own files in one call.  `frozen_nshmm_forward`, `frozen_nshmm_ffbs` and
 `frozen_train_nshmm` are M9's forward filter, backward sampler and
 Metropolis-within-Gibbs fit from before its sweep was cut to fewer numpy
 calls, which the library must reproduce bit for bit.
+`frozen_dense_fhmm_step` is M12's EM step on the dense product chain and
+`FrozenTupleShift` the tuple chain's operator, both from before they ran
+as small matmuls on their factors, which the library must match within
+rounding.
 """
 
+import functools
 import itertools
 import math
 import types
@@ -231,6 +236,63 @@ def enum_fhmm_counts(params, obs):
             for counts, s in zip(transitions, states):
                 np.add.at(counts, (s[:, t - 1], s[:, t]), w)
     return transitions, emission
+
+
+def frozen_dense_fhmm_step(params, obs, smoothing):
+    """M12's EM step as it was before its chain ran on its factors: the
+    scaled forward-backward on the dense product chain of ``np.kron``
+    tables, the P x P xi sum reshaped to six axes for each chain's counts
+    and each level's gamma as a product with a one-hot table.  Returns the
+    log-likelihood and the step's (chain_initials, chain_transitions,
+    emission); the factored step must agree within rounding."""
+    sizes = tuple(params.chain_sizes)
+    m = len(sizes)
+    initial = functools.reduce(np.kron, params.chain_initials)
+    transition = functools.reduce(np.kron, params.chain_transitions)
+    ordinal_sum = (np.indices(sizes).reshape(m, -1) + 1).sum(axis=0)
+    level = (2 * ordinal_sum + m) // (2 * m)  # 1-based, the mean rounded half up
+    lik = params.emission[level - 1][:, obs].T
+    T, P = len(obs), len(initial)
+    alpha, scale = np.empty((T, P)), np.empty(T)
+    for t in range(T):
+        a = (initial if t == 0 else alpha[t - 1] @ transition) * lik[t]
+        scale[t] = a.sum()
+        alpha[t] = a / scale[t]
+    beta = np.ones((T, P))
+    for t in range(T - 2, -1, -1):
+        beta[t] = transition @ (lik[t + 1] * beta[t + 1]) / scale[t + 1]
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    right = lik[1:] * beta[1:] / scale[1:, None]
+    xi = (transition * (alpha[:-1].T @ right)).reshape(sizes + sizes)
+    g0 = gamma[0].reshape(sizes)
+    initials = [g0.sum(axis=tuple(a for a in range(m) if a != j)) for j in range(m)]
+    transitions = [smoothed_rows(xi.sum(axis=tuple(a for a in range(2 * m)
+                                                   if a not in (j, m + j))), smoothing)
+                   for j in range(m)]
+    gamma_lvl = gamma @ np.eye(len(params.emission))[level - 1]
+    counts = np.zeros(params.emission.shape)
+    np.add.at(counts.T, obs, gamma_lvl)
+    return float(np.log(scale).sum()), (initials, transitions, smoothed_rows(counts, smoothing))
+
+
+class FrozenTupleShift:
+    """The order-k tuple chain's transition operator as it was before it
+    ran as batched matmuls: each side broadcasts a (tuples, n) product and
+    sums it.  Tuple (z_1..z_k) moves only to (z_2..z_k, z), with
+    probability table[tuple, z]."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, table, n):
+        self.table, self.n = table, n
+
+    def __rmatmul__(self, alpha):
+        return (alpha[:, None] * self.table).reshape(self.n, -1).sum(axis=0)
+
+    def __matmul__(self, v):
+        n = self.n
+        return (self.table.reshape(n, -1, n) * v.reshape(-1, n)).sum(axis=2).ravel()
 
 
 def enum_hsmm_loglik(params, obs):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import (enum_fhmm_counts, enum_fhmm_loglik, enum_tshmm_counts,
-                     enum_tshmm_loglik, smoothed_rows, stepwise_lhmm_sample)
+                     enum_tshmm_loglik, frozen_dense_fhmm_step, smoothed_rows,
+                     stepwise_lhmm_sample)
 from sscompose import hierarchical, hmm
 
 
@@ -111,6 +112,23 @@ def test_fhmm_m_step_matches_enumerated_counts():
             assert got == pytest.approx(smoothed_rows(counts, hmm.SMOOTHING), rel=1e-10)
         assert fitted.emission == pytest.approx(smoothed_rows(emission, hmm.SMOOTHING),
                                                 rel=1e-10)
+
+
+def test_fhmm_factored_step_matches_the_frozen_dense_step():
+    rng = np.random.default_rng(9)
+    cases = [(1,), (3, 1), (1, 4, 2)] + [tuple(rng.integers(1, 7, rng.integers(1, 4)))
+                                         for _ in range(12)]
+    for i, sizes in enumerate(cases):  # sequences of 1 to 43 steps
+        K = int(rng.integers(1, 5))
+        params = hierarchical.random_fhmm_params(sizes, K, rng)
+        obs = rng.integers(0, K, 1 + 3 * i)
+        new, loglik = hierarchical._fhmm_em_step(params, obs)
+        want_loglik, want = frozen_dense_fhmm_step(params, obs, hmm.SMOOTHING)
+        assert loglik == pytest.approx(want_loglik, rel=1e-10)
+        initials, transitions, emission = want
+        for got, ref in zip([*new.chain_initials, *new.chain_transitions, new.emission],
+                            [*initials, *transitions, emission], strict=True):
+            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
 
 
 def test_fhmm_em_monotone():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import (enum_arhmm_counts, enum_arhmm_loglik, enum_khmm_loglik,
-                     enum_khmm_transition_counts, smoothed_rows, stepwise_hmm_sample,
-                     stepwise_khmm_sample)
+from oracles import (FrozenTupleShift, enum_arhmm_counts, enum_arhmm_loglik,
+                     enum_khmm_loglik, enum_khmm_transition_counts, smoothed_rows,
+                     stepwise_hmm_sample, stepwise_khmm_sample)
 from sscompose import hmm, variants
 
 
@@ -30,6 +30,28 @@ def test_khmm_order2_matches_enumeration():
         obs = rng.integers(0, 3, 7)
         got = hmm.log_likelihood(params, obs)
         assert got == pytest.approx(enum_khmm_loglik(params, obs), rel=1e-10)
+
+
+def _largest_n(order, cap):
+    n = 1
+    while (n + 1) ** order <= cap:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("left_right", [False, True])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_tuple_shift_matches_the_frozen_operator(order, left_right):
+    # n up to the largest with n ** order within the state cap; order 1
+    # stops at 1000 states, since its (n, n) table at the cap takes 800 MB
+    largest = _largest_n(order, 1000 if order == 1 else hmm.STATE_CAP)
+    rng = np.random.default_rng(order)
+    for n in (1, 2, 3, largest):
+        table = variants.random_khmm_params(n, order, 2, rng, left_right).transition
+        alpha, v = rng.random(n ** order), rng.random(n ** order)
+        got, want = variants._TupleShift(table, n), FrozenTupleShift(table, n)
+        np.testing.assert_allclose(alpha @ got, alpha @ want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got @ v, want @ v, rtol=1e-12, atol=0)
 
 
 def test_khmm_em_monotone():
