@@ -21,8 +21,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import persist, registry
 from .hmm import DEFAULT_MAX_ITER, DEFAULT_TOL
-from .midi_codec import (MAX_DIVISION, MAX_PITCH, TICKS_PER_QUARTER, MidiCsvError,
-                         PitchSequence, emit_midi_csv, parse_midi_csv)
+from .midi_codec import (MAX_DIVISION, MAX_PITCH, TICKS_PER_QUARTER, PitchSequence,
+                         emit_midi_csv, parse_midi_csv)
 
 OUTPUT_ROOT_ENV = "SSCOMPOSE_OUTPUT_ROOT"
 DEFAULT_TOP = 3
@@ -357,7 +357,7 @@ def main(argv=None):
     args.started = time.time()
     try:
         return args.func(args)
-    except (MidiCsvError, ValueError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

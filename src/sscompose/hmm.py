@@ -20,10 +20,10 @@ may be a matrix or an operator supporting ``alpha @ A`` and ``A @ v``
 (the order-k tuple chain, the dwell chains and the factorial chain pass
 one).  ``run_em`` is the EM loop every model kind shares: each trainer
 hands it a step function and gets back the fitted parameters and the
-FitReport.  Every M-step turns its expected counts into rows with
-``_normalized``, so SMOOTHING is applied here and nowhere else, and
-tallies emissions with ``_emission_counts``.  ``_random_tables`` draws a
-random start from the same ``table`` declarations.
+FitReport.  Each M-step makes rows with ``_normalized`` (SMOOTHING is
+added there only) and tallies emissions with ``_emission_counts``;
+``_dirichlet_rows`` draws masked or weighted random rows, and
+``_random_tables`` a random start from the ``table`` declarations.
 
 Every sampler draws by inverse cdf on ``_cumulative`` rows: a uniform
 takes the first column whose cumulative value exceeds it.  The rows hold
@@ -408,10 +408,16 @@ def sample(params, length, seed):
     return sampler(params)(length, seed)
 
 
-def _masked_dirichlet(rng, mask):
-    """Flat-Dirichlet rows restricted to mask's nonzero entries and renormalised."""
-    rows = rng.dirichlet(np.ones(mask.shape[1]), size=mask.shape[0]) * mask
-    return rows / rows.sum(axis=1, keepdims=True)
+def _dirichlet_rows(rng, counts, mask=None):
+    """One Dirichlet draw per row of counts, bit for bit and draw for draw
+    ``[rng.dirichlet(row) for row in counts]`` for rows whose largest count
+    is at least 0.1 (numpy's gammas in order, scaled by one over their
+    running sum); a 0/1 mask then zeroes entries and renormalises each row."""
+    g = rng.standard_gamma(counts)
+    rows = g * (1.0 / np.cumsum(g, axis=1)[:, -1:])
+    if mask is None:
+        return rows
+    return rows * mask / (rows * mask).sum(axis=1, keepdims=True)
 
 
 def _random_tables(cls, seed, **given):

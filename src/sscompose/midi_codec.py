@@ -88,7 +88,7 @@ def parse_midi_csv(text):
     and stably ordered by timestamp, preserving file order within a tick.
     """
     ticks_per_quarter = None
-    ons = []  # (timestamp, file_position, pitch)
+    ons = []  # (timestamp, pitch)
     # int() strips the whitespace around a number, as str.strip does, but
     # for U+001F; splitlines already ends a line at U+001C-U+001E
     for lineno, line in enumerate(text.replace("\x1f", " ").splitlines(), start=1):
@@ -122,13 +122,13 @@ def parse_midi_csv(text):
             if not 0 <= time <= MAX_TICK:
                 raise MidiCsvError(f"line {lineno}: timestamp {time} outside 0-{MAX_TICK}")
             if rectype == "note_on_c" and velocity > 0:
-                ons.append((time, lineno, pitch))
+                ons.append((time, pitch))
         # tempo/meta/track records are ignored: pitch is the modeling object
     if ticks_per_quarter is None:
         raise MidiCsvError("missing Header record")
     ons.sort(key=lambda e: e[0])  # stable: file order preserved within a tick
-    pitches = np.array([p for _, _, p in ons], dtype=np.int64)
-    times = np.array([t for t, _, _ in ons], dtype=np.int64)
+    pitches = np.array([p for _, p in ons], dtype=np.int64)
+    times = np.array([t for t, _ in ons], dtype=np.int64)
     return PitchSequence(pitches, times, ticks_per_quarter)
 
 
@@ -145,19 +145,21 @@ def emit_midi_csv(seq, note_duration=None):
         note_duration = max(1, eighth(seq.ticks_per_quarter))
     if note_duration <= 0:
         raise ValueError("note_duration must be positive")
-    events = []  # (time, order, record); offs sort before ons at equal ticks
-    for pos, (pitch, time) in enumerate(zip(seq.pitches, seq.timestamps)):
-        events.append((int(time), 1, pos, f"1, {int(time)}, Note_on_c, 0, {int(pitch)}, 80"))
+    # (time, kind, record): offs sort before ons at equal ticks, and the
+    # stable sort keeps note order among equal keys
+    events = []
+    for pitch, time in zip(seq.pitches, seq.timestamps):
+        events.append((int(time), 1, f"1, {int(time)}, Note_on_c, 0, {int(pitch)}, 80"))
         off = int(time) + note_duration
-        events.append((off, 0, pos, f"1, {off}, Note_off_c, 0, {int(pitch)}, 0"))
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
+        events.append((off, 0, f"1, {off}, Note_off_c, 0, {int(pitch)}, 0"))
+    events.sort(key=lambda e: (e[0], e[1]))
     end = events[-1][0]
     lines = [
         f"0, 0, Header, 1, 1, {seq.ticks_per_quarter}",
         "1, 0, Start_track",
         "1, 0, Tempo, 500000",
     ]
-    lines.extend(e[3] for e in events)
+    lines.extend(e[2] for e in events)
     lines.append(f"1, {end}, End_track")
     lines.append(f"0, {end}, End_of_file")
     return "\n".join(lines) + "\n"

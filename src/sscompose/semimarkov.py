@@ -35,10 +35,10 @@ from .hmm import (
     _block_sampler,
     _cdf,
     _check_obs,
+    _dirichlet_rows,
     _draw,
     _draw_rows,
     _emission_counts,
-    _masked_dirichlet,
     _normalized,
     _posteriors,
     _random_tables,
@@ -93,7 +93,7 @@ def random_hsmm_params(n_states, alphabet_size, d_max, seed):
         raise ValueError("HSMM needs at least 2 states (no self-transitions)")
     rng = _as_rng(seed)
     # drawn before the initial distribution: seeded fits depend on the order
-    transition = _masked_dirichlet(rng, 1.0 - np.eye(n_states))
+    transition = _dirichlet_rows(rng, np.ones((n_states, n_states)), 1.0 - np.eye(n_states))
     return _random_tables(HsmmParams, rng, transition=transition,
                           n=n_states, K=alphabet_size, D=d_max)
 
@@ -354,15 +354,6 @@ def _nshmm_ffbs(params, obs, rng):
     return path, dwell
 
 
-def _dirichlet_rows(rng, counts):
-    """One Dirichlet draw per row of counts, bit for bit and draw for draw
-    ``[rng.dirichlet(row) for row in counts]``: for rows whose largest
-    count is at least 0.1, numpy draws each row's gammas in order and scales
-    them by one over their running sum."""
-    g = rng.standard_gamma(counts)
-    return g * (1.0 / np.cumsum(g, axis=1)[:, -1:])
-
-
 def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
                 burn_in=100, flat_dwell=False):
     """Posterior-mean fit by Metropolis-within-Gibbs.
@@ -386,7 +377,7 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
 
     a = np.zeros(n)
     b = np.zeros(n)
-    switch = _masked_dirichlet(rng, offdiag)
+    switch = _dirichlet_rows(rng, np.ones((n, n)), offdiag)
     emission = rng.dirichlet(np.ones(K), size=n)
     initial = rng.dirichlet(np.ones(n))
 
@@ -409,8 +400,7 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
         # whole count at once rounds differently once that count reaches 8191
         switch_counts = offdiag + 1e-12
         np.add.at(switch_counts, (prev_state[moves], path[1:][moves]), 1.0)
-        switch = _dirichlet_rows(rng, switch_counts) * offdiag
-        switch /= switch.sum(axis=1, keepdims=True)
+        switch = _dirichlet_rows(rng, switch_counts, offdiag)
 
         # Metropolis on the dwell logits, one walk per state: each state's
         # normals and uniform are drawn in turn, then every state's current

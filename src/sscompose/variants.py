@@ -26,10 +26,10 @@ from .hmm import (
     _block_sampler,
     _cdf,
     _check_obs,
+    _dirichlet_rows,
     _draw,
     _emission_counts,
     _flat_posteriors,
-    _masked_dirichlet,
     _normalized,
     _order_k_sampler,
     _posteriors,
@@ -99,7 +99,7 @@ def random_khmm_params(n_states, order, alphabet_size, seed, left_right=False):
     check_state_cap(n_states ** order)
     rng = _as_rng(seed)
     initial = rng.dirichlet(np.ones(n_states))
-    *init_transitions, transition = [_masked_dirichlet(rng, mask)
+    *init_transitions, transition = [_dirichlet_rows(rng, np.ones(mask.shape), mask)
                                      for mask in _tuple_masks(n_states, order, left_right)]
     emission = rng.dirichlet(np.ones(alphabet_size), size=n_states)
     return KhmmParams(order, n_states, initial, init_transitions, transition, emission)
@@ -145,20 +145,18 @@ def _khmm_em_step(params, obs, masks):
                        right.reshape(T_emb - 1, P // n, n), optimize=True).reshape(P, n)
     transition = _normalized(params.transition * counts, masks[-1])
 
-    # initial distributions from the first tuple posterior
+    # the first tuple posterior's coordinate marginals: the first is the
+    # initial distribution, and all k weigh the emissions of x_1..x_k;
+    # each later tuple's last coordinate weighs one more symbol
     g0 = gamma[0].reshape((n,) * k)
-    initial = g0.reshape(n, -1).sum(axis=1) if k > 1 else g0.copy()
+    firsts = [g0.sum(axis=tuple(a for a in range(k) if a != i)) for i in range(k)]
     init_transitions = [
         _normalized(g0.reshape((n ** i, -1)).sum(axis=1).reshape(n ** (i - 1), n), mask)
         for i, mask in enumerate(masks[:-1], start=2)]
-
-    # emission weights: the first tuple's k coordinate marginals cover
-    # x_1..x_k, each later tuple's last coordinate covers one more symbol
-    firsts = [g0.sum(axis=tuple(a for a in range(k) if a != i)) for i in range(k)]
     lasts = gamma[1:].reshape(T_emb - 1, P // n, n).sum(axis=1)
     emission = _normalized(_emission_counts(obs, np.vstack([*firsts, lasts]), K))
 
-    new = KhmmParams(k, n, initial, init_transitions, transition, emission)
+    new = KhmmParams(k, n, firsts[0], init_transitions, transition, emission)
     return new, loglik
 
 

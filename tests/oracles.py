@@ -22,7 +22,12 @@ calls, which the library must reproduce bit for bit.
 `frozen_dense_fhmm_step` is M12's EM step on the dense product chain and
 `FrozenTupleShift` the tuple chain's operator, both from before they ran
 as small matmuls on their factors, which the library must match within
-rounding.
+rounding.  `frozen_masked_dirichlet`, `frozen_emit_midi_csv` and
+`frozen_khmm_em_step` are the masked flat-Dirichlet start, the MIDI-CSV
+emitter and KHMM's EM step as they were before the masked draw became
+one helper's option, the emitter's sort dropped its note positions and
+the step took its initial distribution from the first coordinate's
+marginal; the library must reproduce them bit for bit.
 """
 
 import functools
@@ -1054,3 +1059,54 @@ def stepwise_tvar_sample(fit, length, seed):
         out[t] = x
         lags = [x] + lags[:-1]
     return out
+
+
+def frozen_masked_dirichlet(rng, mask):
+    """Flat-Dirichlet rows restricted to mask's nonzero entries and renormalised."""
+    rows = rng.dirichlet(np.ones(mask.shape[1]), size=mask.shape[0]) * mask
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def frozen_emit_midi_csv(seq, note_duration):
+    """The MIDI-CSV emitter with each event's note position in its sort key."""
+    events = []  # (time, order, record); offs sort before ons at equal ticks
+    for pos, (pitch, time) in enumerate(zip(seq.pitches, seq.timestamps)):
+        events.append((int(time), 1, pos, f"1, {int(time)}, Note_on_c, 0, {int(pitch)}, 80"))
+        off = int(time) + note_duration
+        events.append((off, 0, pos, f"1, {off}, Note_off_c, 0, {int(pitch)}, 0"))
+    events.sort(key=lambda e: (e[0], e[1], e[2]))
+    end = events[-1][0]
+    lines = [
+        f"0, 0, Header, 1, 1, {seq.ticks_per_quarter}",
+        "1, 0, Start_track",
+        "1, 0, Tempo, 500000",
+    ]
+    lines.extend(e[3] for e in events)
+    lines.append(f"1, {end}, End_track")
+    lines.append(f"0, {end}, End_of_file")
+    return "\n".join(lines) + "\n"
+
+
+def frozen_khmm_em_step(params, obs, masks):
+    """KHMM's EM step with the initial distribution summed from the first
+    tuple posterior on its own.  The E-step and the row and emission rules
+    are the library's; returns (new_params, log_likelihood)."""
+    from sscompose.hmm import _emission_counts, _normalized, _posteriors
+    from sscompose.variants import KhmmParams
+
+    n, k = params.n_states, params.order
+    K = params.n_symbols
+    loglik, alpha, right, gamma = _posteriors(*params.chain(obs))
+    T_emb, P = gamma.shape
+    counts = np.einsum("tab,tbz->abz", alpha[:-1].reshape(T_emb - 1, n, P // n),
+                       right.reshape(T_emb - 1, P // n, n), optimize=True).reshape(P, n)
+    transition = _normalized(params.transition * counts, masks[-1])
+    g0 = gamma[0].reshape((n,) * k)
+    initial = g0.reshape(n, -1).sum(axis=1) if k > 1 else g0.copy()
+    init_transitions = [
+        _normalized(g0.reshape((n ** i, -1)).sum(axis=1).reshape(n ** (i - 1), n), mask)
+        for i, mask in enumerate(masks[:-1], start=2)]
+    firsts = [g0.sum(axis=tuple(a for a in range(k) if a != i)) for i in range(k)]
+    lasts = gamma[1:].reshape(T_emb - 1, P // n, n).sum(axis=1)
+    emission = _normalized(_emission_counts(obs, np.vstack([*firsts, lasts]), K))
+    return KhmmParams(k, n, initial, init_transitions, transition, emission), loglik

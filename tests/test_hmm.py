@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import enum_hmm_loglik, enum_viterbi_logprob, path_logprob
+from oracles import enum_hmm_loglik, enum_viterbi_logprob, frozen_masked_dirichlet, path_logprob
 from sscompose import hierarchical, hmm, semimarkov, variants
 
 
@@ -268,3 +268,23 @@ def test_random_params_seeded():
     b = hmm.random_params(3, 4, 7)
     assert np.array_equal(a.transition, b.transition)
     assert np.array_equal(a.emission, b.emission)
+
+
+def _masks_of_random_starts():
+    """Every mask a random start draws under: the tuple chains' (plain and
+    left-right) and the dwell chains' zero diagonal."""
+    for order in (1, 2, 3):
+        for n in range(1, 7):
+            for left_right in (False, True):
+                yield from variants._tuple_masks(n, order, left_right)
+    for n in range(2, 26):
+        yield 1.0 - np.eye(n)
+
+
+def test_masked_dirichlet_rows_match_the_frozen_masked_draw():
+    for i, mask in enumerate(_masks_of_random_starts()):
+        mine, theirs = np.random.default_rng(i), np.random.default_rng(i)
+        got = hmm._dirichlet_rows(mine, np.ones(mask.shape), mask)
+        want = frozen_masked_dirichlet(theirs, mask)
+        assert got.tobytes() == want.tobytes()
+        assert mine.bit_generator.state == theirs.bit_generator.state

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import frozen_emit_midi_csv
 from sscompose.midi_codec import (
     MAX_DIVISION,
     MAX_PITCH,
@@ -151,6 +152,18 @@ def test_emit_timestamps_non_decreasing():
     seq = PitchSequence([60, 61, 62], [0, 480, 960])
     times = [int(line.split(",")[1]) for line in emit_midi_csv(seq).splitlines()]
     assert times == sorted(times)
+
+
+def test_emit_matches_the_frozen_emitter_on_unsorted_chords():
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        length = int(rng.integers(1, 40))
+        duration = int(rng.choice([1, 60, 120, 240]))
+        # onsets on a grid of the note length, so note-offs share ticks
+        # with later note-ons, repeated for chords and left unsorted
+        times = duration * rng.integers(0, 12, length)
+        seq = PitchSequence(rng.integers(30, 90, length), times, int(rng.choice([96, 480])))
+        assert emit_midi_csv(seq, duration) == frozen_emit_midi_csv(seq, duration)
 
 
 def test_empty_emit_error():

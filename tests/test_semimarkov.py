@@ -395,6 +395,22 @@ def test_dirichlet_rows_match_per_row_draws():
             assert mine.random() == theirs.random()
 
 
+def test_masked_dirichlet_rows_match_the_hand_written_renormalisation():
+    rng = np.random.default_rng(701)
+    for _ in range(50):
+        n = int(rng.integers(2, 12))
+        offdiag = 1.0 - np.eye(n)
+        # NSHMM switch counts: 1 plus the moves off the diagonal, 1e-12 on it
+        counts = offdiag * (1.0 + rng.integers(0, 9000, (n, n))) + 1e-12
+        seed = int(rng.integers(2**32))
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = semimarkov._dirichlet_rows(mine, counts, offdiag)
+        want = np.vstack([theirs.dirichlet(row) for row in counts]) * offdiag
+        want /= want.sum(axis=1, keepdims=True)
+        assert got.tobytes() == want.tobytes()
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
 def test_hsmm_params_validate():
     params = semimarkov.random_hsmm_params(3, 4, 5, seed=0)
     params.validate(n_symbols=4)

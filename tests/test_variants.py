@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import (FrozenTupleShift, enum_arhmm_counts, enum_arhmm_loglik,
-                     enum_khmm_loglik, enum_khmm_transition_counts, smoothed_rows,
-                     stepwise_hmm_sample, stepwise_khmm_sample)
+                     enum_khmm_loglik, enum_khmm_transition_counts, frozen_khmm_em_step,
+                     smoothed_rows, stepwise_hmm_sample, stepwise_khmm_sample)
 from sscompose import hmm, variants
 
 
@@ -52,6 +52,23 @@ def test_tuple_shift_matches_the_frozen_operator(order, left_right):
         got, want = variants._TupleShift(table, n), FrozenTupleShift(table, n)
         np.testing.assert_allclose(alpha @ got, alpha @ want, rtol=1e-12, atol=0)
         np.testing.assert_allclose(got @ v, want @ v, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("left_right", [False, True])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_khmm_em_step_matches_the_frozen_step(order, left_right):
+    rng = np.random.default_rng(40 + order)
+    for n in (1, 2, 3, {1: 25, 2: 25, 3: 10, 4: 5}[order]):
+        params = variants.random_khmm_params(n, order, 5, rng, left_right)
+        obs = rng.integers(0, 5, 60)
+        masks = variants._tuple_masks(n, order, left_right)
+        got, got_ll = variants._khmm_em_step(params, obs, masks)
+        want, want_ll = frozen_khmm_em_step(params, obs, masks)
+        assert got_ll == want_ll
+        for a, b in [(got.initial, want.initial), (got.transition, want.transition),
+                     (got.emission, want.emission),
+                     *zip(got.init_transitions, want.init_transitions, strict=True)]:
+            assert a.tobytes() == b.tobytes()
 
 
 def test_khmm_em_monotone():
