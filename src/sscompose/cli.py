@@ -41,11 +41,15 @@ def _read_piece(path):
         return parse_midi_csv(fh.read())
 
 
-def _write_json(path, payload):
+def _write_text(path, text):
+    """Write text to path in one call; every file cli writes goes through here."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
     return path
+
+
+def _write_json(path, payload):
+    return _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _write_manifest(args, out_dir, config, artifacts):
@@ -118,14 +122,11 @@ def cmd_generate(args):
     os.makedirs(pieces_dir, exist_ok=True)
     piece_paths = []
     for i, seq in enumerate(pieces):
-        path = os.path.join(pieces_dir, f"piece_{i:04d}.txt")
-        with open(path, "w") as fh:
-            fh.write("\n".join(map(str, seq.pitches.tolist())) + "\n")
+        path = _write_text(os.path.join(pieces_dir, f"piece_{i:04d}.txt"),
+                           "\n".join(map(str, seq.pitches.tolist())) + "\n")
         piece_paths.append(os.path.relpath(path, out_dir))
         if args.midi:
-            midi_path = os.path.join(pieces_dir, f"piece_{i:04d}.csv")
-            with open(midi_path, "w") as fh:
-                fh.write(emit_midi_csv(seq))
+            _write_text(os.path.join(pieces_dir, f"piece_{i:04d}.csv"), emit_midi_csv(seq))
     batch = {"model": model.spec.name, "model_file": args.model,
              "master_seed": args.seed, "n": args.n, "length": length,
              "ticks_per_quarter": TICKS_PER_QUARTER, "seeds": seeds, "pieces": piece_paths}
@@ -159,8 +160,7 @@ def _load_batch(batch_dir):
     batch_path = os.path.join(batch_dir, "batch.json")
     if not os.path.exists(batch_path):
         raise FileNotFoundError(f"no batch.json in {batch_dir}")
-    with open(batch_path) as fh:
-        batch = json.load(fh)
+    batch = persist.read_json(batch_path)
     if not isinstance(batch, dict) or not isinstance(batch.get("pieces"), list):
         raise ValueError(f"{batch_path} is not a batch file: it needs a JSON object "
                          "with a \"pieces\" list")
@@ -205,12 +205,9 @@ def _score_batch(args):
 
 def _write_csv(path, header, rows):
     """Write a CSV file; every float cell, numpy's included, is repr(float(v))."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row) + "\n")
-    return path
+    lines = [header, *(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                                else str(v) for v in row) for row in rows)]
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_report_files(out_dir, report, scores, model_name):
@@ -252,8 +249,7 @@ def cmd_rank(args):
     key_field = metrics_mod.criterion_field(args.criterion)
     entries = []
     for path in args.reports:
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = persist.read_json(path)
         if not isinstance(payload, dict):
             raise ValueError(f"{path} is not a report: it needs a JSON object")
         if key_field not in payload:
@@ -285,10 +281,8 @@ def cmd_export(args):
     out_dir = _make_out(args.out)
     exports = []
     for criterion, idx in chosen:
-        seq = pieces[idx]
-        path = os.path.join(out_dir, f"top_{criterion}_{idx:04d}.csv")
-        with open(path, "w") as fh:
-            fh.write(emit_midi_csv(seq))
+        path = _write_text(os.path.join(out_dir, f"top_{criterion}_{idx:04d}.csv"),
+                           emit_midi_csv(pieces[idx]))
         exports.append({"criterion": criterion, "piece": idx, "path": path})
         print(f"{criterion}: piece {idx} -> {path}")
     config = {"input": args.input, "batch": args.batch, "top": args.top}

@@ -126,10 +126,6 @@ class FhmmParams(ChainParams):
     chain_transitions: list[np.ndarray]  # one (n_j, n_j) matrix per chain
     emission: np.ndarray = table("levels", "K")  # row = rounded mean ordinal - 1
 
-    @property
-    def n_product(self):
-        return int(np.prod(self.chain_sizes))
-
     def _bound_sizes(self, atol):
         sizes = self.chain_sizes
         if not sizes:
@@ -166,7 +162,7 @@ def _emission_rows(chain_sizes):
 
 
 def random_fhmm_params(chain_sizes, alphabet_size, seed):
-    check_state_cap(int(np.prod(chain_sizes)))
+    check_state_cap(math.prod(chain_sizes))
     rng = _as_rng(seed)
     return FhmmParams(
         tuple(chain_sizes),
@@ -255,7 +251,7 @@ def train_fhmm(obs, chain_sizes, n_symbols, init=None, seed=None,
     obs = _check_obs(obs, n_symbols)
     if init is None:
         init = random_fhmm_params(chain_sizes, n_symbols, seed)
-    check_state_cap(init.n_product)
+    check_state_cap(math.prod(init.chain_sizes))
     return run_em(lambda params: _fhmm_em_step(params, obs), init, tol, max_iter, seed)
 
 

@@ -287,8 +287,7 @@ def baum_welch(init, obs, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
                         _normalized(_emission_counts(obs, gamma, K)))
         return new, loglik
 
-    start = HmmParams(init.initial.copy(), init.transition.copy(), init.emission.copy())
-    return run_em(step, start, tol, max_iter, seed)
+    return run_em(step, init, tol, max_iter, seed)
 
 
 def viterbi(params, obs):

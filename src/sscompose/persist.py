@@ -167,6 +167,14 @@ def save_model(model, path):
         fh.write(json.dumps(model_to_dict(model)) + "\n")  # json.dump encodes in pure Python
 
 
-def load_model(path):
+def read_json(path):
+    """A JSON file's value; ValueError("<path>: <reason>") if it is not UTF-8 JSON."""
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both are
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def load_model(path):
+    return model_from_dict(read_json(path))

@@ -14,6 +14,7 @@ updates preserve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -77,9 +78,7 @@ class KhmmParams(ChainParams):
         n, k = self.n_states, self.order
         if len(obs) < k:
             raise ValueError("sequence shorter than the model order")
-        first = self.emission[:, obs[0]]
-        for i in range(1, k):
-            first = (first[:, None] * self.emission[:, obs[i]][None, :]).ravel()
+        first = reduce(np.kron, self.emission[:, obs[:k]].T)
         last_coord = np.arange(self.n_tuples) % n
         return (_tuple_initial(self), _TupleShift(self.transition, n),
                 np.vstack([first, self.emission[:, obs[k:]][last_coord].T]))

@@ -28,6 +28,11 @@ emitter and KHMM's EM step as they were before the masked draw became
 one helper's option, the emitter's sort dropped its note positions and
 the step took its initial distribution from the first coordinate's
 marginal; the library must reproduce them bit for bit.
+`frozen_khmm_first_step` is the tuple chain's first-step joint emission
+as it was built by a loop over the first k symbols, and
+`frozen_write_csv` the command line's CSV writer as it was before each
+file was written in one call; the library must reproduce them byte for
+byte.
 """
 
 import functools
@@ -1110,3 +1115,21 @@ def frozen_khmm_em_step(params, obs, masks):
     lasts = gamma[1:].reshape(T_emb - 1, P // n, n).sum(axis=1)
     emission = _normalized(_emission_counts(obs, np.vstack([*firsts, lasts]), K))
     return KhmmParams(k, n, initial, init_transitions, transition, emission), loglik
+
+
+def frozen_khmm_first_step(params, obs):
+    """The first embedded step's joint emission of x_1..x_k, one symbol at a time."""
+    first = params.emission[:, obs[0]]
+    for i in range(1, params.order):
+        first = (first[:, None] * params.emission[:, obs[i]][None, :]).ravel()
+    return first
+
+
+def frozen_write_csv(path, header, rows):
+    """The CSV writer, one write per line; every float cell is repr(float(v))."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                              else str(v) for v in row) + "\n")
+    return path

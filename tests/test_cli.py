@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import linewise_piece_file
+from oracles import frozen_write_csv, linewise_piece_file
 
 from sscompose import cli, hierarchical, hmm, registry, tvar
 from sscompose.cli import main
@@ -179,6 +179,43 @@ def test_rank_rejects_malformed_report(tmp_path, capsys, payload, message):
     assert captured.err.strip().splitlines() == [f"error: {bad}{message}"]
 
 
+BROKEN_JSON = {"not-json": b'{"model": "M1",', "not-utf8": b'\xff{"model": "M1"}'}
+
+
+@pytest.mark.parametrize("content", BROKEN_JSON.values(), ids=BROKEN_JSON.keys())
+def test_rank_names_a_report_that_is_not_json(tmp_path, capsys, content):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"model": "M2", "entropy_rmse": 0.2}))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert _run("rank", "--reports", good, bad) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("content", BROKEN_JSON.values(), ids=BROKEN_JSON.keys())
+def test_generate_names_a_model_file_that_is_not_json(tmp_path, capsys, content):
+    model = tmp_path / "M1_model.json"
+    model.write_bytes(content)
+    assert _run("generate", "--model", model, "--n", "1", "--out", tmp_path / "gen") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {model}: ")
+
+
+@pytest.mark.parametrize("content", BROKEN_JSON.values(), ids=BROKEN_JSON.keys())
+@pytest.mark.parametrize("command", ["evaluate", "export"])
+def test_batch_json_that_is_not_json_is_named(tmp_path, toy_piece, capsys, command, content):
+    piece, _ = toy_piece
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "batch.json").write_bytes(content)
+    assert _run(command, "--input", piece, "--batch", batch, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {batch / 'batch.json'}: ")
+
+
 def test_rank_accepts_nan_scores(tmp_path, capsys):
     a = tmp_path / "a.json"
     a.write_text(json.dumps({"model": "M1", "temporal_average": float("nan")}))
@@ -259,6 +296,16 @@ def test_evaluation_csv_cells_are_numbers(tmp_path, toy_piece):
                 int(cells[col])
             for col in float_cols:
                 float(cells[col])
+
+
+@pytest.mark.parametrize("rows", [
+    [("a", float("nan"), float("inf")), (float("-inf"), -0.0, 1e-300),
+     (np.float32(0.1), np.float64(2.5), np.int64(7)), ("piece", 3, "x,y")],
+    []], ids=["cells", "no-rows"])
+def test_csv_writer_matches_the_linewise_writer(tmp_path, rows):
+    got = cli._write_csv(tmp_path / "got.csv", "a,b,c", iter(rows))
+    want = frozen_write_csv(tmp_path / "want.csv", "a,b,c", iter(rows))
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_missing_batch_dir_clean_error(tmp_path, toy_piece, capsys):

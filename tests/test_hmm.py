@@ -116,6 +116,20 @@ def test_baum_welch_zero_iterations_returns_init():
     assert report.iterations == 0
 
 
+@pytest.mark.parametrize("max_iter", [1, 3])
+@pytest.mark.parametrize("masked", [False, True])
+def test_baum_welch_leaves_its_start_unchanged(max_iter, masked):
+    init = hmm.random_params(3, 4, 5)
+    before = [a.tobytes() for a in (init.initial, init.transition, init.emission)]
+    mask = 1.0 - np.eye(3) if masked else None
+    fitted, _ = hmm.baum_welch(init, [0, 1, 2, 3, 1, 0, 2], max_iter=max_iter,
+                               transition_mask=mask)
+    assert [a.tobytes() for a in (init.initial, init.transition, init.emission)] == before
+    assert fitted is not init
+    for name in ("initial", "transition", "emission"):
+        assert not np.shares_memory(getattr(fitted, name), getattr(init, name))
+
+
 def test_baum_welch_recovers_deterministic_cycle():
     obs = np.array([0, 1] * 100)
     # the generator alternates states deterministically, so its per-symbol

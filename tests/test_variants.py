@@ -3,6 +3,7 @@ import pytest
 
 from oracles import (FrozenTupleShift, enum_arhmm_counts, enum_arhmm_loglik,
                      enum_khmm_loglik, enum_khmm_transition_counts, frozen_khmm_em_step,
+                     frozen_khmm_first_step,
                      smoothed_rows, stepwise_hmm_sample, stepwise_khmm_sample)
 from sscompose import hmm, variants
 
@@ -89,6 +90,17 @@ def test_khmm_train_rejects_an_init_over_the_cap():
                                np.full((10, 2), 0.5))
     with pytest.raises(ValueError, match="exceeds the cap"):
         variants.train_khmm([0, 1] * 5, 10, 5, 2, init=init)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_khmm_first_step_matches_the_frozen_loop(order):
+    rng = np.random.default_rng(70 + order)
+    for n in range(1, 7):
+        params = variants.random_khmm_params(n, order, 3, rng)
+        # order + 4 draws from three symbols repeat one; the second obs is one symbol
+        for obs in (rng.integers(0, 3, order + 4), np.full(order + 2, 1)):
+            got = params.chain(obs)[2][0]
+            assert got.tobytes() == frozen_khmm_first_step(params, obs).tobytes()
 
 
 def test_khmm_sequence_length_check():
