@@ -10,6 +10,7 @@ when --out is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -290,6 +291,7 @@ def cmd_export(args):
     return 0
 
 
+@functools.cache  # a build costs about 15 parses, and every parse fills a new namespace
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sscompose",
@@ -313,7 +315,6 @@ def build_parser():
     train.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                        help="EM iteration cap (EM kinds only)")
     train.add_argument("--out", help="output directory")
-    train.set_defaults(func=cmd_train)
 
     gen = sub.add_parser("generate", help="sample a batch from a trained model")
     gen.add_argument("--model", required=True, help="model file from train")
@@ -322,26 +323,22 @@ def build_parser():
     gen.add_argument("--length", type=int, help="piece length (default: training length)")
     gen.add_argument("--midi", action="store_true", help="also write MIDI-CSV per piece")
     gen.add_argument("--out", help="output directory")
-    gen.set_defaults(func=cmd_generate)
 
     ev = sub.add_parser("evaluate", help="score a generated batch against its training piece")
     ev.add_argument("--input", required=True, help="training piece (MIDI-CSV)")
     ev.add_argument("--batch", required=True, help="batch directory from generate")
     ev.add_argument("--out", help="output directory")
-    ev.set_defaults(func=cmd_evaluate)
 
     rank = sub.add_parser("rank", help="order evaluation reports by a criterion")
     rank.add_argument("--criterion", default="entropy-rmse",
                       help=f"one of {', '.join(metrics_mod.CRITERIA)}")
     rank.add_argument("--reports", nargs="+", required=True, help="report.json files")
-    rank.set_defaults(func=cmd_rank)
 
     exp = sub.add_parser("export", help="export top pieces per criterion as MIDI-CSV")
     exp.add_argument("--input", required=True, help="training piece (MIDI-CSV)")
     exp.add_argument("--batch", required=True, help="batch directory from generate")
     exp.add_argument("--top", type=int, default=DEFAULT_TOP, help="pieces per criterion")
     exp.add_argument("--out", help="output directory")
-    exp.set_defaults(func=cmd_export)
     return parser
 
 
@@ -350,7 +347,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     args.started = time.time()
     try:
-        return args.func(args)
+        # looked up per call, so a wrapper put on cmd_* after the parser was built runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

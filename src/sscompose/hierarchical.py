@@ -6,9 +6,10 @@ and applies the proportional M-step updates for C and D; emission hangs
 off S only.  The factorial model does exact EM on the Cartesian-product
 chain with the emission row picked by the rounded mean of the 1-based
 chain ordinals.  Training runs that chain's transition as an operator, one
-small matmul per chain, and sums xi over t in numpy's own loops, not BLAS,
-so the fit does not depend on the BLAS thread count; sampling walks the
-dense product table, most of whose rows a batch of pieces visits.  The
+small matmul per chain in row blocks that OpenBLAS keeps on the calling
+thread, and sums xi over t in numpy's own loops, not BLAS, so the fit does
+not depend on the BLAS thread count; sampling walks the dense product
+table, most of whose rows a batch of pieces visits.  The
 layered model stacks Baum-Welch fits on successive Viterbi paths.
 """
 
@@ -214,8 +215,29 @@ def _kron_rotate(x, mats, skip=None):
     for j, A in enumerate(mats):
         x = x.reshape(len(A), -1).T
         if j != skip:
-            x = x @ A
+            x = _one_thread_matmul(x, A)
     return x
+
+
+# OpenBLAS runs a dgemm of at most 65536 * 4 multiply-adds on the calling
+# thread and splits a larger one across its worker threads, whose memory then
+# stays in the process and whose wake-up can stall a call for tens of ms.
+ONE_THREAD_MULADDS = 2 ** 18
+
+
+def _one_thread_matmul(x, A):
+    """x @ A with the same bits, in even row blocks of at most
+    ONE_THREAD_MULADDS multiply-adds each.  No block holds one row: numpy
+    hands a one-row product to gemv, whose sums differ from dgemm's, so a
+    product that would need blocks that small stays one x @ A."""
+    blocks = -(-len(x) // max(ONE_THREAD_MULADDS // A.size, 1))
+    if blocks == 1 or len(x) < 2 * blocks:
+        return x @ A
+    out = np.empty((len(x), A.shape[1]))
+    bounds = [len(x) * b // blocks for b in range(blocks + 1)]
+    for i, j in zip(bounds, bounds[1:]):
+        np.matmul(x[i:j], A, out=out[i:j])
+    return out
 
 
 def _fhmm_flat(params):

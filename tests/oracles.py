@@ -32,7 +32,10 @@ marginal; the library must reproduce them bit for bit.
 as it was built by a loop over the first k symbols, and
 `frozen_write_csv` the command line's CSV writer as it was before each
 file was written in one call; the library must reproduce them byte for
-byte.
+byte.  `frozen_kron_rotate` and `frozen_kron_xi_sums` are M12's factored
+chain products and xi sums from before each product ran in row blocks
+that OpenBLAS keeps on one thread; the library must match them bit for
+bit.
 """
 
 import functools
@@ -284,6 +287,34 @@ def frozen_dense_fhmm_step(params, obs, smoothing):
     counts = np.zeros(params.emission.shape)
     np.add.at(counts.T, obs, gamma_lvl)
     return float(np.log(scale).sum()), (initials, transitions, smoothed_rows(counts, smoothing))
+
+
+def frozen_kron_rotate(x, mats, skip=None):
+    """x's leading axes, one per matrix of mats, each multiplied by it in
+    one x @ A on a (rest, n) view and moved last; the axis of mats[skip] is
+    only moved."""
+    for j, A in enumerate(mats):
+        x = x.reshape(len(A), -1).T
+        if j != skip:
+            x = x @ A
+    return x
+
+
+def frozen_kron_xi_sums(transitions, alpha, right):
+    """Each chain's xi summed over t, with right moved back by every other
+    chain's transition through frozen_kron_rotate."""
+    sizes = [len(A) for A in transitions]
+    transposed = [np.ascontiguousarray(A.T) for A in transitions]
+    sums = []
+    for j, A in enumerate(transitions):
+        moved = frozen_kron_rotate(right.T, transposed, skip=j)
+
+        def chain_first(x):
+            x = x.reshape(-1, sizes[j], math.prod(sizes[j + 1:]))
+            return np.moveaxis(x, 1, 0).reshape(sizes[j], -1)
+
+        sums.append(A * np.einsum("ir,jr->ij", chain_first(alpha[:-1]), chain_first(moved)))
+    return sums
 
 
 class FrozenTupleShift:

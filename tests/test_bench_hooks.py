@@ -4,6 +4,7 @@ refactor drops or renames an attribute it wraps, or stops calling one
 through its module, instead of leaving that to a benchmark run."""
 
 import importlib
+import json
 import pathlib
 import sys
 
@@ -97,3 +98,20 @@ def test_evaluate_scores_its_batch_in_one_call_each(spans, tmp_path):
     names = [span["name"] for span in tracer.dump()]
     assert names.count("metrics.evaluate_batch") == 1
     assert names.count("metrics.piece_scores") == 1
+
+
+def test_commands_wrapped_after_an_earlier_command_are_seen(spans, tmp_path):
+    """The benchmark installs its wrappers after commands have run in the
+    same process; main must still call each command through its module."""
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"model": "M1", "entropy_rmse": 0.04}))
+    rank = ["rank", "--reports", str(report)]
+    assert cli.main(rank) == 0
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        assert cli.main(rank) == 0
+    finally:
+        tracer.restore()
+    assert cli.main(rank) == 0
+    assert [span["name"] for span in tracer.dump()].count("cli.rank") == 1

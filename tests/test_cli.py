@@ -134,6 +134,28 @@ def test_rank_orders_reports_and_is_stable(tmp_path, capsys):
     assert first == second
 
 
+def test_main_reuses_one_parser_and_each_command_gets_its_own_defaults(tmp_path, toy_piece,
+                                                                       monkeypatch):
+    piece, _ = toy_piece
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"model": "M1", "entropy_rmse": 0.04}))
+    parser, parsed = cli.build_parser(), []
+    parse_args = parser.parse_args
+
+    def spy(argv):
+        args = parse_args(argv)
+        parsed.append(dict(vars(args)))
+        return args
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    train = ["train", "--input", str(piece), "--model", "M1", "--seed", "3",
+             "--max-iter", "1", "--out", str(tmp_path)]
+    rank = ["rank", "--reports", str(report)]
+    assert main(train) == 0 and main(rank) == 0
+    fresh = cli.build_parser.__wrapped__()
+    assert parsed == [dict(vars(fresh.parse_args(argv))) for argv in (train, rank)]
+
+
 def test_rank_tie_broken_by_model_id(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

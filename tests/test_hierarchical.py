@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import (enum_fhmm_counts, enum_fhmm_loglik, enum_tshmm_counts,
-                     enum_tshmm_loglik, frozen_dense_fhmm_step, smoothed_rows,
-                     stepwise_lhmm_sample)
+                     enum_tshmm_loglik, frozen_dense_fhmm_step, frozen_kron_rotate,
+                     frozen_kron_xi_sums, smoothed_rows, stepwise_lhmm_sample)
 from sscompose import hierarchical, hmm
 
 
@@ -129,6 +129,51 @@ def test_fhmm_factored_step_matches_the_frozen_dense_step():
         for got, ref in zip([*new.chain_initials, *new.chain_transitions, new.emission],
                             [*initials, *transitions, emission], strict=True):
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+
+
+def _random_transitions(rng, sizes):
+    return [rng.dirichlet(np.ones(n), size=n) for n in sizes]
+
+
+def test_kron_rotate_keeps_its_bits_around_the_block_size():
+    # one chain: the product has as many rows as x has columns; block + 1 rows
+    # in blocks of block rows would leave a one-row block
+    rng = np.random.default_rng(10)
+    for n in range(1, 16):
+        A = _random_transitions(rng, [n])[0]
+        block = hierarchical.ONE_THREAD_MULADDS // A.size
+        for rows in (block - 1, block, block + 1):
+            x = rng.random((n, rows))
+            for mats in ([A], [np.ascontiguousarray(A.T)]):
+                assert np.array_equal(hierarchical._kron_rotate(x, mats),
+                                      frozen_kron_rotate(x, mats))
+
+
+def test_kron_rotate_keeps_its_bits_for_every_skip():
+    rng = np.random.default_rng(11)
+    cases = [(1,), (15, 1), (1, 15, 10, 5)] + [
+        tuple(int(n) for n in rng.integers(1, 16, rng.integers(1, 5))) for _ in range(12)]
+    for sizes in cases:
+        mats = _random_transitions(rng, sizes)
+        P = int(np.prod(sizes))
+        x = rng.random((P, int(rng.integers(1, 2 ** 19 // P + 2))))
+        for skip in (None, *range(len(sizes))):
+            assert np.array_equal(hierarchical._kron_rotate(x, mats, skip=skip),
+                                  frozen_kron_rotate(x, mats, skip=skip)), (sizes, skip)
+
+
+def test_fhmm_xi_sums_keep_their_bits():
+    rng = np.random.default_rng(12)
+    cases = [(15, 10, 5), (8, 1, 13)] + [
+        tuple(int(n) for n in rng.integers(1, 16, rng.integers(1, 5))) for _ in range(6)]
+    for sizes in cases:
+        transitions = _random_transitions(rng, sizes)
+        P = int(np.prod(sizes))
+        T = int(rng.integers(2, 2 ** 19 // P + 3))
+        alpha, right = rng.random((T, P)), rng.random((T - 1, P))
+        got = hierarchical._KronChain(transitions).xi_sums(alpha, right)
+        for g, want in zip(got, frozen_kron_xi_sums(transitions, alpha, right), strict=True):
+            assert np.array_equal(g, want), sizes
 
 
 def test_fhmm_em_monotone():
