@@ -38,7 +38,10 @@ def _make_out(out):
 
 
 def _read_piece(path):
-    with open(path) as fh:
+    # text events (titles, copyright notices) may hold bytes that are not
+    # UTF-8, such as Latin-1 ones; each becomes U+FFFD, which ends no line,
+    # and every field the parser reads is ASCII
+    with open(path, encoding="utf-8", errors="replace") as fh:
         return parse_midi_csv(fh.read())
 
 
@@ -349,7 +352,7 @@ def main(argv=None):
     try:
         # looked up per call, so a wrapper put on cmd_* after the parser was built runs
         return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

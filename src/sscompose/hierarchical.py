@@ -267,12 +267,12 @@ def _fhmm_em_step(params, obs):
     return new, loglik
 
 
-def train_fhmm(obs, chain_sizes, n_symbols, init=None, seed=None,
+def train_fhmm(obs, chains, n_symbols, init=None, seed=None,
                tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Exact EM on the Cartesian-product chain of independent factors."""
     obs = _check_obs(obs, n_symbols)
     if init is None:
-        init = random_fhmm_params(chain_sizes, n_symbols, seed)
+        init = random_fhmm_params(chains, n_symbols, seed)
     check_state_cap(math.prod(init.chain_sizes))
     return run_em(lambda params: _fhmm_em_step(params, obs), init, tol, max_iter, seed)
 
@@ -312,28 +312,28 @@ class LhmmParams(ChainParams):
         return self.layers[0].chain(obs)
 
 
-def train_lhmm(obs, n_states, n_layers, n_symbols, seed=None,
+def train_lhmm(obs, states, layers, n_symbols, seed=None,
                tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, inits=None):
     """Stacked fit: Baum-Welch, then refit on the Viterbi path, layer by layer."""
     obs = _check_obs(obs, n_symbols)
-    if n_layers < 1:
+    if layers < 1:
         raise ValueError("need at least one layer")
     rng = _as_rng(seed)
-    layers, reports, warnings = [], [], []
+    stack, reports, warnings = [], [], []
     current = obs
     alphabet = n_symbols
-    for level in range(n_layers):
-        init = inits[level] if inits is not None else random_params(n_states, alphabet, rng)
+    for level in range(layers):
+        init = inits[level] if inits is not None else random_params(states, alphabet, rng)
         fitted, report = baum_welch(init, current, tol=tol, max_iter=max_iter, seed=seed)
-        layers.append(fitted)
+        stack.append(fitted)
         reports.append(report)
-        if level + 1 < n_layers:
+        if level + 1 < layers:
             path = viterbi(fitted, current)
             if len(np.unique(path)) < 2:
                 warnings.append(f"layer {level + 1} Viterbi path uses a single state")
             current = path
-            alphabet = n_states
-    return LhmmParams(layers, reports, warnings), reports[-1]
+            alphabet = states
+    return LhmmParams(stack, reports, warnings), reports[-1]
 
 
 def lhmm_sampler(params):

@@ -4,7 +4,8 @@ Each entry pairs a model kind with its default hyperparameters.  Training
 takes a pitch sequence, builds the piece's alphabet, fits the model and
 returns a TrainedModel; sampling produces a new pitch array of the
 requested length from the fitted parameters, through sampling tables each
-TrainedModel builds once and keeps.
+TrainedModel builds once and keeps.  The EM trainers take their spec's
+option names as keyword arguments.
 """
 
 from __future__ import annotations
@@ -87,6 +88,15 @@ class TrainedModel:
         return sampler(self.params)
 
 
+# The kinds fitted by EM on their spec's sizes
+EM_TRAINERS = {
+    "khmm": variants.train_khmm, "lrhmm": variants.train_lrhmm, "arhmm": variants.train_arhmm,
+    "hsmm": semimarkov.train_hsmm,
+    "tshmm": hierarchical.train_tshmm, "fhmm": hierarchical.train_fhmm,
+    "lhmm": hierarchical.train_lhmm,
+}
+
+
 def _resolved_options(spec, overrides):
     """The spec with each given override its kind reads applied, and one
     warning, naming the override as the caller spelled it, per override it
@@ -120,38 +130,23 @@ def train_model(name, sequence, seed=None, tol=hmm.DEFAULT_TOL,
     opts, kind, extra, report = spec.options, spec.kind, {}, None
     em = {"seed": seed, "tol": tol, "max_iter": max_iter}
 
-    if kind == "hmm":
+    if kind in EM_TRAINERS:
+        params, report = EM_TRAINERS[kind](obs, n_symbols=K, **opts, **em)
+    elif kind == "hmm":
         params, report = hmm.baum_welch(hmm.random_params(opts["states"], K, seed), obs, **em)
-    elif kind == "khmm":
-        params, report = variants.train_khmm(obs, opts["states"], opts["order"], K, **em)
-    elif kind == "lrhmm":
-        params, report = variants.train_lrhmm(obs, opts["states"], K, order=opts["order"], **em)
-    elif kind == "arhmm":
-        params, report = variants.train_arhmm(obs, opts["states"], K, **em)
-    elif kind == "hsmm":
-        params, report = semimarkov.train_hsmm(obs, opts["states"], K, opts["d_max"], **em)
     elif kind == "nshmm":
-        params, info = semimarkov.train_nshmm(obs, opts["states"], K, opts["d_max"],
-                                              seed=seed)
-        extra["sampler"] = info
-    elif kind == "tshmm":
-        params, report = hierarchical.train_tshmm(obs, opts["m1"], opts["m2"], K, **em)
-    elif kind == "fhmm":
-        params, report = hierarchical.train_fhmm(obs, tuple(opts["chains"]), K, **em)
-    elif kind == "lhmm":
-        params, report = hierarchical.train_lhmm(obs, opts["states"], opts["layers"], K, **em)
-        warnings += params.warnings
-        extra["warnings"] = warnings  # LHMM files record the list even when empty
+        params, extra["sampler"] = semimarkov.train_nshmm(obs, n_symbols=K, seed=seed, **opts)
     elif kind == "tvar":
-        params, audit = tvar.grid_search(tvar.TvarSpec(), sequence.pitches.astype(float))
-        extra["grid_audit"] = audit
+        params, extra["grid_audit"] = tvar.grid_search(tvar.TvarSpec(), sequence.pitches.astype(float))
     elif kind == "random":
         params = hmm.random_params(opts["states"], K, seed)
+    if kind == "lhmm":
+        warnings += params.warnings
     if kind in ("nshmm", "tvar", "random"):  # fitted without EM: name a budget that was set
         warnings += _resolved_options(spec, {
             "tol": None if tol == hmm.DEFAULT_TOL else tol,
             "max_iter": None if max_iter == hmm.DEFAULT_MAX_ITER else max_iter})[1]
-    if warnings:
+    if warnings or kind == "lhmm":  # LHMM files record the list even when empty
         extra["warnings"] = warnings
     return TrainedModel(spec, alphabet, params, report, obs,
                         seed if isinstance(seed, int) else None, extra)

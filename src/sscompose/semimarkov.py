@@ -153,13 +153,13 @@ def _check_dwell_cap(d_max, obs):
         raise ValueError(f"d_max {d_max} must be smaller than the sequence length {len(obs)}")
 
 
-def train_hsmm(obs, n_states, n_symbols, d_max, init=None, seed=None,
+def train_hsmm(obs, states, n_symbols, d_max, init=None, seed=None,
                tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """EM via the forward-backward on the (state, dwell) chain."""
     obs = _check_obs(obs, n_symbols)
     _check_dwell_cap(d_max, obs)
     if init is None:
-        init = random_hsmm_params(n_states, n_symbols, d_max, seed)
+        init = random_hsmm_params(states, n_symbols, d_max, seed)
     return run_em(lambda params: _hsmm_em_step(params, obs), init, tol, max_iter, seed)
 
 
@@ -354,7 +354,7 @@ def _nshmm_ffbs(params, obs, rng):
     return path, dwell
 
 
-def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
+def train_nshmm(obs, states, n_symbols, d_max, seed=None, n_iter=300,
                 burn_in=100, flat_dwell=False):
     """Posterior-mean fit by Metropolis-within-Gibbs.
 
@@ -365,13 +365,13 @@ def train_nshmm(obs, n_states, n_symbols, d_max, seed=None, n_iter=300,
     from scipy.special import expit  # here, so that importing the package skips scipy
 
     obs = _check_obs(obs, n_symbols)
-    if n_states < 2:
+    if states < 2:
         raise ValueError("NSHMM needs at least 2 states")
     _check_dwell_cap(d_max, obs)
     if n_iter <= max(burn_in, 0):
         raise ValueError("n_iter must exceed burn_in")
     rng = _as_rng(seed)
-    n, K, D = n_states, n_symbols, d_max
+    n, K, D = states, n_symbols, d_max
     offdiag = 1.0 - np.eye(n)
     dwell_grid = np.arange(1, D + 1, dtype=float)
 

@@ -159,7 +159,7 @@ def _khmm_em_step(params, obs, masks):
     return new, loglik
 
 
-def train_khmm(obs, n_states, order, n_symbols, init=None, seed=None,
+def train_khmm(obs, states, order, n_symbols, init=None, seed=None,
                tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, left_right=False):
     """EM on the order-k chain via the exact tuple embedding."""
     check_positive_ints([("order", order)])
@@ -167,9 +167,9 @@ def train_khmm(obs, n_states, order, n_symbols, init=None, seed=None,
     if len(obs) <= order:
         raise ValueError("sequence must be longer than the model order")
     if init is None:
-        init = random_khmm_params(n_states, order, n_symbols, seed, left_right)
+        init = random_khmm_params(states, order, n_symbols, seed, left_right)
     check_state_cap(init.n_tuples)
-    masks = _tuple_masks(n_states, order, left_right)
+    masks = _tuple_masks(states, order, left_right)
     return run_em(lambda params: _khmm_em_step(params, obs, masks), init, tol, max_iter, seed)
 
 
@@ -195,17 +195,17 @@ def random_lr_params(n_states, alphabet_size, seed):
     return HmmParams(start.initial, start.transition, start.emission)
 
 
-def train_lrhmm(obs, n_states, n_symbols, order=1, init=None, seed=None,
+def train_lrhmm(obs, states, n_symbols, order=1, init=None, seed=None,
                 tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Upper-triangular-constrained fit; order > 1 uses the tuple embedding."""
     check_positive_ints([("order", order)])
     if order > 1:
-        return train_khmm(obs, n_states, order, n_symbols, init=init, seed=seed,
+        return train_khmm(obs, states, order, n_symbols, init=init, seed=seed,
                           tol=tol, max_iter=max_iter, left_right=True)
     if init is None:
-        init = random_lr_params(n_states, n_symbols, seed)
+        init = random_lr_params(states, n_symbols, seed)
     return baum_welch(init, obs, tol=tol, max_iter=max_iter,
-                      transition_mask=lr_transition_mask(n_states), seed=seed)
+                      transition_mask=lr_transition_mask(states), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +235,15 @@ def random_arhmm_params(n_states, alphabet_size, seed):
     return _random_tables(ArhmmParams, seed, n=n_states, K=alphabet_size)
 
 
-def train_arhmm(obs, n_states, n_symbols, init=None, seed=None,
+def train_arhmm(obs, states, n_symbols, init=None, seed=None,
                 tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """EM where emissions condition on the realized previous symbol."""
     obs = _check_obs(obs, n_symbols)
     if len(obs) < 2:
         raise ValueError("ARHMM needs at least 2 observations")
     if init is None:
-        init = random_arhmm_params(n_states, n_symbols, seed)
-    n, K = n_states, n_symbols
+        init = random_arhmm_params(states, n_symbols, seed)
+    n, K = states, n_symbols
     pairs = obs[:-1] * K + obs[1:]  # (previous symbol, symbol) as one index
 
     def step(params):

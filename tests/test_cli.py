@@ -1101,6 +1101,57 @@ def test_unused_override_warning_names_the_flag(tmp_path, toy_piece, capsys):
     assert spec["options"] == {"states": 2, "d_max": 4}
 
 
+def test_training_piece_with_non_utf8_text_records(tmp_path, toy_piece):
+    # MIDI text events (titles, copyright notices) may hold Latin-1 bytes
+    # that are not UTF-8; the parser ignores text records, and a UTF-8 title
+    # whose bytes include 0x85 (\u00c5 is C3 85) still reads as one line
+    piece, _ = toy_piece
+    header, rest = piece.read_bytes().split(b"\n", 1)
+    text_lines = {
+        "latin1": b"1, 0, Copyright_t, \"\xa9 2020 M\xfcller\"\n"
+                  b"1, 0, Title_t, \"Sonata\xa0No. 1\x85\"\n",
+        "utf8": '1, 0, Title_t, "\u00c5ngstr\u00f6m"\n'.encode(),
+    }
+    pieces = {"plain": piece}
+    for label, lines in text_lines.items():
+        pieces[label] = tmp_path / label / "toy.csv"
+        pieces[label].parent.mkdir()
+        pieces[label].write_bytes(header + b"\n" + lines + rest)
+    runs = {}
+    for label, path in pieces.items():
+        run = tmp_path / label / "run"
+        assert _run("train", "--input", path, "--model", "M1", "--states", "4",
+                    "--seed", "0", "--max-iter", "5", "--out", run) == 0
+        runs[label] = run
+    model = runs["plain"] / "M1_model.json"
+    batch = tmp_path / "batch"
+    assert _run("generate", "--model", model, "--n", "3", "--seed", "1", "--out", batch) == 0
+    for label, path in pieces.items():
+        assert (runs[label] / "M1_model.json").read_bytes() == model.read_bytes()
+        for command in ("evaluate", "export"):
+            assert _run(command, "--input", path, "--batch", batch,
+                        "--out", runs[label] / command) == 0
+        assert ((runs[label] / "evaluate" / "report.json").read_bytes()
+                == (runs["plain"] / "evaluate" / "report.json").read_bytes())
+
+
+def test_allocation_failure_is_one_error_line(tmp_path, toy_piece, capsys, monkeypatch):
+    piece, _ = toy_piece
+    run = tmp_path / "run"
+    assert _run("train", "--input", piece, "--model", "M15", "--out", run) == 0
+    message = "Unable to allocate 14.6 TiB for an array with shape (2000000000000,)"
+
+    def no_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(registry, "sample_sequence", no_memory)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert _run("generate", "--model", run / "M15_model.json", "--out", out) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def _batch_dir(root, pieces, **fields):
     """A batch directory holding one piece file per list of lines, listed in
     batch.json's "pieces" with `fields` added."""
